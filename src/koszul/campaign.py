@@ -53,6 +53,10 @@ SUITES = (
     "all",
 )
 
+# suites that would silently run nothing for an empty dimension list
+_HALF_DIM_SUITES = ("operators", "chain", "alt-relation", "linfty-symplectic", "poisson", "all")
+_VOLUME_DIM_SUITES = ("linfty-volume", "all")
+
 
 @dataclass
 class CampaignConfig:
@@ -80,6 +84,12 @@ class CampaignConfig:
             raise ValueError("half-dimensions must be >= 1")
         if any(m < 3 for m in self.volume_dims):
             raise ValueError("volume dimensions must be >= 3")
+        if not self.half_dims and self.suite in _HALF_DIM_SUITES:
+            raise ValueError(f"suite {self.suite} needs at least one half-dimension")
+        if not self.volume_dims and self.suite in _VOLUME_DIM_SUITES:
+            raise ValueError(f"suite {self.suite} needs at least one volume dimension")
+        if self.arity_max < 1:
+            raise ValueError("arity-max must be >= 1")
         if self.k_max < 2:
             raise ValueError("k-max must be >= 2")
         if self.fmt not in ("text", "json"):
@@ -211,7 +221,8 @@ def suite_chain(cfg: CampaignConfig) -> list[CheckResult]:
                 check = CheckResult("chain", f"{label} mutation a({k},{j}) breaks the identity")
                 broke = False
                 table = CoefficientTable.perturbed(k, j)
-                for t in range(trials):
+                # an unlucky draw can miss; keep drawing before reporting a miss
+                for t in range(4 * trials):
                     for kk in range(max(2, k - 1), min(2 * n, k) + 1):
                         fs = _random_functions(cfg, f"chain-mut/{label}/k{kk}/a{k}_{j}", t, s.dim, kk + 1)
                         check.trials += 1

@@ -106,7 +106,11 @@ def cmd_verify(args) -> int:
 
 def cmd_eval(args) -> int:
     if args.symplectic is not None:
-        space = SymplecticSpace(args.symplectic)
+        try:
+            space = SymplecticSpace(args.symplectic)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
         dim = space.dim
     else:
         space = None
@@ -137,12 +141,17 @@ def cmd_eval(args) -> int:
 
 def cmd_bracket(args) -> int:
     k = args.arity
-    if args.symplectic is not None:
-        s = SymplecticSpace(args.symplectic)
-        dim, ground, top = s.dim, 1, s.dim
-    else:
-        v = VolumeSpace(args.volume)
-        dim, ground, top = v.m, v.m - 2, v.m - 2
+    try:
+        if args.symplectic is not None:
+            s = SymplecticSpace(args.symplectic)
+            dim, ground, top = s.dim, 1, s.dim
+        else:
+            v = VolumeSpace(args.volume)
+            fam = volume_family(v)
+            dim, ground, top = v.m, v.m - 2, v.m - 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     if len(args.forms) != k:
         print(f"error: arity {k} needs exactly {k} forms, got {len(args.forms)}", file=sys.stderr)
         return USAGE_ERROR
@@ -166,7 +175,6 @@ def cmd_bracket(args) -> int:
     if args.symplectic is not None:
         result = l_bracket(s, k, forms).form
     else:
-        fam = volume_family(v)
         result = fam.l(k, [fam.element(f) for f in forms]).form
     print(render_form(result))
     return 0

@@ -13,14 +13,29 @@ together with delta^2 = 0, delta d = -d delta, and {f, g} = delta(f dg)
 = omega(X_f, X_g) = iota_pi(df ^ dg), where iota_{X_f} omega = -df and
 {v1, v2} = +1.  ``verify_operator_relations`` re-checks all of this on
 seeded random forms and is the executable record of the convention.
+
+Because omega and pi are constant, L, Lam and delta are computed directly on
+basis forms, with (q, p) = (2i, 2i+1) 0-based and pos(j) the position of j
+in I:
+
+    L(f dx_I)     = sum over pairs {q, p} disjoint from I of f dx_{I + {q, p}}
+    Lam(f dx_I)   = sum over pairs {q, p} inside I of f dx_{I - {q, p}}
+    delta(f dx_I) = sum over j in I of s(j) (-1)^pos(j) (d f / d x_{j^1}) dx_{I - j}
+
+with s(j) = +1 for odd j (a p) and -1 for even j (a q).  L and Lam carry no
+sign, since q and p are adjacent in every sorted index tuple.  For delta:
+iota_X d + d iota_X = d_X for a constant field X, hence per pair
+[iota_{e_p} iota_{e_q}, d] = iota_{e_p} d_q - iota_{e_q} d_p.  A result of
+degree outside 0..2n is the zero form of degree 0.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .forms import DifferentialForm, MultiVectorField, contract_bivector, contract_vector, d
+from .forms import DifferentialForm, MultiVectorField, contract_vector, d
 from .poly import Polynomial
 
 
@@ -45,23 +60,74 @@ class SymplecticSpace:
     def coordinate(self, i: int) -> Polynomial:
         return Polynomial.coordinate(self.dim, i)
 
-    # -- Lefschetz operators -------------------------------------------------
+    # -- Lefschetz operators (closed forms in the module docstring) ----------
 
     def L(self, a: DifferentialForm) -> DifferentialForm:
-        """Raising operator: wedge with omega."""
-        return self.omega.wedge(a)
+        """Raising operator: wedge with omega.  Adds each pair disjoint from I."""
+        degree = a.degree + 2
+
+        def pieces():
+            for idx, f in a.terms.items():
+                for q in range(0, self.dim, 2):
+                    if q in idx or q + 1 in idx:
+                        continue
+                    pos = bisect_left(idx, q)
+                    yield idx[:pos] + (q, q + 1) + idx[pos:], f
+
+        return self._collect(a, degree if degree <= self.dim else 0, pieces())
 
     def Lam(self, a: DifferentialForm) -> DifferentialForm:
-        """Lowering operator: contraction with the inverse bivector."""
-        return contract_bivector(self.pi, a)
+        """Lowering operator: contraction with pi.  Removes each pair inside I."""
+
+        def pieces():
+            for idx, f in a.terms.items():
+                for t in range(len(idx) - 1):
+                    q = idx[t]
+                    if not q & 1 and idx[t + 1] == q + 1:
+                        yield idx[:t] + idx[t + 2 :], f
+
+        return self._collect(a, a.degree - 2 if a.degree >= 2 else 0, pieces())
 
     def H(self, a: DifferentialForm) -> DifferentialForm:
         """Degree-counting operator a |-> (n - deg a) * a."""
         return a * (self.n - a.degree)
 
     def delta(self, a: DifferentialForm) -> DifferentialForm:
-        """Koszul differential: Lam d - d Lam.  Degree -1, squares to zero."""
-        return self.Lam(d(a)) - d(self.Lam(a))
+        """Koszul differential Lam d - d Lam.  Degree -1, squares to zero.
+
+        Per pair, [iota_{e_p} iota_{e_q}, d] = iota_{e_p} d_q - iota_{e_q} d_p,
+        so dx_j in I is removed with the sign (-1)^pos and the derivative
+        along its partner j^1, negated for even (q) j.
+        """
+
+        def pieces():
+            for idx, f in a.terms.items():
+                for pos, j in enumerate(idx):
+                    df = f.diff(j ^ 1)
+                    if df.is_zero():
+                        continue
+                    if (pos ^ j) & 1 == 0:  # sign (-1)^pos, times -1 for even j
+                        df = -df
+                    yield idx[:pos] + idx[pos + 1 :], df
+
+        return self._collect(a, a.degree - 1 if a.degree >= 1 else 0, pieces())
+
+    def _collect(self, a: DifferentialForm, degree: int, pieces) -> DifferentialForm:
+        """Sum nonzero (basis, coefficient) pieces into a form of ``degree``."""
+        if a.dim != self.dim:
+            raise ValueError("form and symplectic space live on different spaces")
+        out: dict[tuple, Polynomial] = {}
+        for idx, p in pieces:
+            acc = out.get(idx)
+            if acc is None:
+                out[idx] = p
+                continue
+            s = acc + p
+            if s.is_zero():
+                del out[idx]
+            else:
+                out[idx] = s
+        return DifferentialForm._raw(self.dim, degree, out)
 
     # -- Hamiltonian mechanics -------------------------------------------------
 

@@ -86,6 +86,16 @@ def test_bracket_arity_count_mismatch(capsys):
     assert code == 2
 
 
+def test_eval_bad_half_dimension_exit_2(capsys):
+    code, out, err = run_cli(capsys, ["eval", "--symplectic", "0", "v1"])
+    assert code == 2 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_bracket_bad_volume_dimension_exit_2(capsys):
+    code, out, err = run_cli(capsys, ["bracket", "--volume", "2", "--arity", "2", "v1", "v2"])
+    assert code == 2 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
 # -- verify --------------------------------------------------------------------
 
 
@@ -186,3 +196,32 @@ def test_run_campaign_api_roundtrip():
     # json excludes the wall clock, text shows it
     assert "duration" not in report.to_json()
     assert f"{report.duration_s:.2f}" in report.to_text()
+
+
+def test_verify_empty_half_dims_exit_2(capsys):
+    code, out, err = run_cli(capsys, ["verify", "--half-dim", ",", "--suite", "chain"])
+    assert code == 2 and out == "" and "half-dimension" in err
+
+
+def test_verify_empty_volume_dims_exit_2(capsys):
+    code, out, err = run_cli(capsys, ["verify", "--volume-dim", ",", "--suite", "linfty-volume"])
+    assert code == 2 and out == "" and "volume dimension" in err
+
+
+def test_verify_arity_max_zero_exit_2(capsys):
+    code, out, err = run_cli(capsys, ["verify", "--arity-max", "0", "--suite", "linfty-symplectic"])
+    assert code == 2 and out == "" and "arity-max" in err
+
+
+def test_empty_dims_allowed_where_unused():
+    CampaignConfig(suite="chain", volume_dims=()).validate()
+    CampaignConfig(suite="linfty-volume", half_dims=()).validate()
+
+
+@pytest.mark.parametrize("half_dim, seed, check", [(2, 158000007, "a(5,0)"), (3, 92, "a(7,1)")])
+def test_chain_mutation_checks_draw_past_an_unlucky_start(half_dim, seed, check):
+    # the first 5 inputs of this check miss; later draws must still break the identity
+    report = run_campaign(CampaignConfig(suite="chain", half_dims=(half_dim,), seed=seed))
+    assert report.failed == 0
+    (mutation,) = [c for c in report.checks if f"mutation {check}" in c.name]
+    assert mutation.trials > 5

@@ -4,6 +4,7 @@ import pytest
 
 from koszul import (
     DifferentialForm,
+    MultiVectorField,
     Polynomial,
     SymplecticSpace,
     contract_bivector,
@@ -222,3 +223,53 @@ def test_report_records_counterexamples(s1):
 def test_trials_must_be_positive(s1):
     with pytest.raises(ValueError):
         verify_operator_relations(s1, trials=0, max_degree=2, seed=1)
+
+
+# -- direct kernels against the generic route ----------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernels_match_generic_composition(n):
+    # oracle: L, Lam and delta composed from wedge, contract_bivector and d
+    s = SymplecticSpace(n)
+    for degree in range(0, s.dim + 1):
+        for t in range(3):
+            a = rand_form(f"kernel/n{n}/deg{degree}", t, s.dim, degree, max_degree=2)
+            lam = contract_bivector(s.pi, a)
+            assert s.Lam(a) == lam
+            assert s.L(a) == s.omega.wedge(a)
+            assert s.delta(a) == contract_bivector(s.pi, d(a)) - d(lam)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernel_degrees_at_the_edges(n):
+    s = SymplecticSpace(n)
+    one = DifferentialForm.from_polynomial(Polynomial.constant(s.dim, 1))
+    top = DifferentialForm.basis(s.dim, range(s.dim))
+    assert s.delta(rand_form("edge-f", n, s.dim, 0)).degree == 0
+    assert s.Lam(rand_form("edge-1", n, s.dim, 1)).degree == 0
+    assert s.L(rand_form("edge-top", n, s.dim, s.dim - 1)).degree == 0
+    assert s.L(top).is_zero() and s.Lam(one).is_zero()
+    assert s.Lam(top).degree == s.dim - 2 and s.delta(top).is_zero()
+    assert s.delta(top * s.coordinate(0)).degree == s.dim - 1
+
+
+def test_kernels_reject_other_dimensions(s1):
+    a = parse_form("dx1^dx2", 4)
+    for op in (s1.L, s1.Lam, s1.delta):
+        with pytest.raises(ValueError):
+            op(a)
+
+
+class DroppedPairSpace(SymplecticSpace):
+    """delta built from a pi that lacks the first Darboux pair: a wrong delta."""
+
+    def delta(self, a):
+        pi = MultiVectorField(self.dim, 2, {k: v for k, v in self.pi.terms.items() if k != (0, 1)})
+        return contract_bivector(pi, d(a)) - d(contract_bivector(pi, a))
+
+
+def test_relation_suite_catches_a_wrong_delta():
+    reports = {r.relation: r for r in verify_operator_relations(DroppedPairSpace(2), 4, 2, seed=5)}
+    assert not reports["[Lam,d]=delta"].ok
+    assert reports["[Lam,L]=H"].ok
