@@ -153,7 +153,6 @@ def symplectic_family(
 
     return BracketFamily(
         name=f"symplectic(n={s.n})",
-        max_arity=dim + 1,
         grounded=True,
         ground_form_degree=1,
         form_degree_bounds=(1, dim),

@@ -76,8 +76,8 @@ class CampaignConfig:
             raise ValueError(f"unknown suite {self.suite!r}; choose from {', '.join(SUITES)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.max_degree < 0:
-            raise ValueError("degree must be >= 0")
+        if self.max_degree < 1:  # constant inputs make every identity vacuous
+            raise ValueError("degree must be >= 1")
         if not 0 < self.density <= 1:
             raise ValueError("density must be in (0, 1]")
         if any(n < 1 for n in self.half_dims):

@@ -41,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="half-dimensions for symplectic suites (default 1,2)")
     pv.add_argument("--volume-dim", type=_int_list, default=(3, 4), metavar="M[,M...]",
                     help="dimensions for the volume suite (default 3,4)")
-    pv.add_argument("--degree", type=int, default=3, help="max polynomial degree of random inputs")
+    pv.add_argument("--degree", type=int, default=3,
+                    help="max polynomial degree of random inputs (>= 1: constant inputs check nothing)")
     pv.add_argument("--density", type=float, default=0.7, help="basis-term density of random forms")
     pv.add_argument("--trials", type=int, default=25)
     pv.add_argument("--seed", type=int, default=7)
@@ -115,6 +116,9 @@ def cmd_eval(args) -> int:
     else:
         space = None
         dim = args.dim if args.dim is not None else _infer_dim(args.expr)
+        if dim < 0:
+            print(f"error: dimension must be >= 0, got {dim}", file=sys.stderr)
+            return USAGE_ERROR
     try:
         form = parse_form(args.expr, dim)
     except FormSyntaxError as exc:

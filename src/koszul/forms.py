@@ -11,6 +11,12 @@ Sign conventions, pinned once and verified by the operator relation suite:
   iota_X(dx_i) = X^i;
 * a decomposable bivector contracts first factor innermost:
   ``iota_{X^Y} = iota_Y . iota_X``, so iota_{e1^e2}(dx1^dx2) = 1.
+
+The exterior derivative works term by term, with pos(i) the number of
+indices of I below i:
+
+    d(c x^e dx_I) = sum over i not in I with e_i > 0 of
+                    (-1)^pos(i) e_i c x^(e - 1_i) dx_{I + i}
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .poly import Polynomial
+from .poly import Coeff, Polynomial
 
 Scalar = Union[int, Fraction, Polynomial]
 
@@ -107,10 +113,10 @@ class _Alternating:
 
     def __add__(self, other):
         self._check(other)
+        if not other.terms:  # before self, so zero + zero keeps the left degree
+            return self
         if not self.terms:
             return other
-        if not other.terms:
-            return self
         if self.degree != other.degree:
             raise ValueError(f"cannot add degrees {self.degree} and {other.degree}")
         out = dict(self.terms)
@@ -150,6 +156,28 @@ class _Alternating:
         obj = cls.__new__(cls)
         obj.dim, obj.degree, obj.terms = dim, degree, terms
         return obj
+
+    @classmethod
+    def _collect_terms(cls, dim, degree, pieces):
+        """Sum (basis, exponent, nonzero coefficient) triples; each basis's sum becomes one Polynomial."""
+        acc: dict[tuple, dict[tuple, Coeff]] = {}
+        for idx, e, c in pieces:
+            poly = acc.get(idx)
+            if poly is None:
+                acc[idx] = {e: c}
+                continue
+            s = poly.get(e)
+            s = c if s is None else s + c
+            if s:
+                poly[e] = s
+            else:
+                del poly[e]
+        out = {}
+        for idx, poly in acc.items():
+            if poly:
+                p = out[idx] = Polynomial.__new__(Polynomial)
+                p.dim, p.terms = dim, poly
+        return cls._raw(dim, degree, out)
 
     def wedge(self, other):
         self._check(other)
@@ -224,28 +252,24 @@ def wedge(a: _Alternating, b: _Alternating):
 
 
 def d(a: DifferentialForm) -> DifferentialForm:
-    """Exterior derivative.  Satisfies the graded Leibniz rule and d.d = 0."""
+    """Exterior derivative (closed form above): graded Leibniz, and d.d = 0."""
     dim = a.dim
     if a.degree >= dim:
         return DifferentialForm.zero(dim, min(a.degree + 1, dim))
-    out: dict[tuple, Polynomial] = {}
-    for idx, p in a.terms.items():
-        for i in range(dim):
-            dp = p.diff(i)
-            if dp.is_zero():
-                continue
-            sign, merged = merge_indices((i,), idx)
-            if sign == 0:
-                continue
-            q = dp if sign > 0 else -dp
-            acc = out.get(merged)
-            s = q if acc is None else acc + q
-            if s.is_zero():
-                if acc is not None:
-                    del out[merged]
-            else:
-                out[merged] = s
-    return DifferentialForm._raw(dim, a.degree + 1, out)
+
+    def pieces():
+        for idx, p in a.terms.items():
+            n = len(idx)
+            for e, c in p.terms.items():
+                pos = 0  # pos(i): the indices of idx below i
+                for i, k in enumerate(e):
+                    if pos < n and idx[pos] == i:
+                        pos += 1
+                    elif k:
+                        c_i = -k * c if pos & 1 else k * c
+                        yield idx[:pos] + (i,) + idx[pos:], e[:i] + (k - 1,) + e[i + 1 :], c_i
+
+    return DifferentialForm._collect_terms(dim, a.degree + 1, pieces())
 
 
 def d_poly(p: Polynomial) -> DifferentialForm:
@@ -264,27 +288,18 @@ def contract_vector(X: MultiVectorField, a: DifferentialForm) -> DifferentialFor
         raise ValueError("vector field and form live on different spaces")
     if a.degree == 0:
         return DifferentialForm.zero(a.dim, 0)
-    out: dict[tuple, Polynomial] = {}
     comps = {idx[0]: p for idx, p in X.terms.items()}
-    for idx, p in a.terms.items():
-        for pos, i in enumerate(idx):
-            xi = comps.get(i)
-            if xi is None:
-                continue
-            q = xi * p
-            if pos & 1:
-                q = -q
-            if q.is_zero():
-                continue
-            rest = idx[:pos] + idx[pos + 1 :]
-            acc = out.get(rest)
-            s = q if acc is None else acc + q
-            if s.is_zero():
-                if acc is not None:
-                    del out[rest]
-            else:
-                out[rest] = s
-    return DifferentialForm._raw(a.dim, a.degree - 1, out)
+
+    def pieces():
+        for idx, p in a.terms.items():
+            for pos, i in enumerate(idx):
+                xi = comps.get(i)
+                if xi is not None:
+                    rest = idx[:pos] + idx[pos + 1 :]
+                    for e, c in (xi * p).terms.items():
+                        yield rest, e, -c if pos & 1 else c
+
+    return DifferentialForm._collect_terms(a.dim, a.degree - 1, pieces())
 
 
 def contract_bivector(pi: MultiVectorField, a: DifferentialForm) -> DifferentialForm:
@@ -300,26 +315,16 @@ def contract_bivector(pi: MultiVectorField, a: DifferentialForm) -> Differential
         raise ValueError("bivector and form live on different spaces")
     if a.degree < 2:
         return DifferentialForm.zero(a.dim, 0)
-    out: dict[tuple, Polynomial] = {}
-    for (i, j), w in pi.terms.items():
-        for idx, p in a.terms.items():
-            if i not in idx or j not in idx:
-                continue
-            pos_i = idx.index(i)
-            rest = idx[:pos_i] + idx[pos_i + 1 :]
-            pos_j = rest.index(j)
-            sign = -1 if (pos_i + pos_j) & 1 else 1
-            q = w * p
-            if sign < 0:
-                q = -q
-            if q.is_zero():
-                continue
-            final = rest[:pos_j] + rest[pos_j + 1 :]
-            acc = out.get(final)
-            s = q if acc is None else acc + q
-            if s.is_zero():
-                if acc is not None:
-                    del out[final]
-            else:
-                out[final] = s
-    return DifferentialForm._raw(a.dim, a.degree - 2, out)
+
+    def pieces():
+        for (i, j), w in pi.terms.items():
+            for idx, p in a.terms.items():
+                if i in idx and j in idx:
+                    pos_i = idx.index(i)
+                    rest = idx[:pos_i] + idx[pos_i + 1 :]
+                    pos_j = rest.index(j)
+                    final = rest[:pos_j] + rest[pos_j + 1 :]
+                    for e, c in (w * p).terms.items():
+                        yield final, e, -c if (pos_i + pos_j) & 1 else c
+
+    return DifferentialForm._collect_terms(a.dim, a.degree - 2, pieces())

@@ -45,7 +45,6 @@ class BracketFamily:
     """
 
     name: str
-    max_arity: int
     grounded: bool
     ground_form_degree: int
     form_degree_bounds: tuple[int, int]

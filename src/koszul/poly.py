@@ -10,7 +10,7 @@ polynomial and never mutates ``terms`` of an existing one.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Coeff = Union[int, Fraction]
 
@@ -52,9 +52,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
 
     def constant_value(self) -> Coeff:
         return self.terms.get((0,) * self.dim, 0)
@@ -162,9 +159,3 @@ class Polynomial:
 
         return f"Polynomial({self.dim}, {render_polynomial(self)!r})"
 
-
-def poly_sum(dim: int, parts: Iterable[Polynomial]) -> Polynomial:
-    total = Polynomial.zero(dim)
-    for p in parts:
-        total = total + p
-    return total

@@ -26,7 +26,8 @@ with s(j) = +1 for odd j (a p) and -1 for even j (a q).  L and Lam carry no
 sign, since q and p are adjacent in every sorted index tuple.  For delta:
 iota_X d + d iota_X = d_X for a constant field X, hence per pair
 [iota_{e_p} iota_{e_q}, d] = iota_{e_p} d_q - iota_{e_q} d_p.  A result of
-degree outside 0..2n is the zero form of degree 0.
+degree outside 0..2n is the zero form of degree 0.  All three emit the terms
+c x^e of f one by one into the accumulator that ``forms.d`` also uses.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class SymplecticSpace:
 
     def L(self, a: DifferentialForm) -> DifferentialForm:
         """Raising operator: wedge with omega.  Adds each pair disjoint from I."""
-        degree = a.degree + 2
 
         def pieces():
             for idx, f in a.terms.items():
@@ -72,9 +72,13 @@ class SymplecticSpace:
                     if q in idx or q + 1 in idx:
                         continue
                     pos = bisect_left(idx, q)
-                    yield idx[:pos] + (q, q + 1) + idx[pos:], f
+                    merged = idx[:pos] + (q, q + 1) + idx[pos:]
+                    for e, c in f.terms.items():
+                        yield merged, e, c
 
-        return self._collect(a, degree if degree <= self.dim else 0, pieces())
+        self._check(a)
+        degree = a.degree + 2
+        return DifferentialForm._collect_terms(self.dim, degree if degree <= self.dim else 0, pieces())
 
     def Lam(self, a: DifferentialForm) -> DifferentialForm:
         """Lowering operator: contraction with pi.  Removes each pair inside I."""
@@ -84,9 +88,12 @@ class SymplecticSpace:
                 for t in range(len(idx) - 1):
                     q = idx[t]
                     if not q & 1 and idx[t + 1] == q + 1:
-                        yield idx[:t] + idx[t + 2 :], f
+                        rest = idx[:t] + idx[t + 2 :]
+                        for e, c in f.terms.items():
+                            yield rest, e, c
 
-        return self._collect(a, a.degree - 2 if a.degree >= 2 else 0, pieces())
+        self._check(a)
+        return DifferentialForm._collect_terms(self.dim, a.degree - 2 if a.degree >= 2 else 0, pieces())
 
     def H(self, a: DifferentialForm) -> DifferentialForm:
         """Degree-counting operator a |-> (n - deg a) * a."""
@@ -103,31 +110,22 @@ class SymplecticSpace:
         def pieces():
             for idx, f in a.terms.items():
                 for pos, j in enumerate(idx):
-                    df = f.diff(j ^ 1)
-                    if df.is_zero():
-                        continue
-                    if (pos ^ j) & 1 == 0:  # sign (-1)^pos, times -1 for even j
-                        df = -df
-                    yield idx[:pos] + idx[pos + 1 :], df
+                    i = j ^ 1
+                    sign = -1 if (pos ^ j) & 1 == 0 else 1  # (-1)^pos, times -1 for even j
+                    rest = None
+                    for e, c in f.terms.items():
+                        k = e[i]
+                        if k:
+                            if rest is None:
+                                rest = idx[:pos] + idx[pos + 1 :]
+                            yield rest, e[:i] + (k - 1,) + e[i + 1 :], sign * k * c
 
-        return self._collect(a, a.degree - 1 if a.degree >= 1 else 0, pieces())
+        self._check(a)
+        return DifferentialForm._collect_terms(self.dim, a.degree - 1 if a.degree >= 1 else 0, pieces())
 
-    def _collect(self, a: DifferentialForm, degree: int, pieces) -> DifferentialForm:
-        """Sum nonzero (basis, coefficient) pieces into a form of ``degree``."""
+    def _check(self, a: DifferentialForm):
         if a.dim != self.dim:
             raise ValueError("form and symplectic space live on different spaces")
-        out: dict[tuple, Polynomial] = {}
-        for idx, p in pieces:
-            acc = out.get(idx)
-            if acc is None:
-                out[idx] = p
-                continue
-            s = acc + p
-            if s.is_zero():
-                del out[idx]
-            else:
-                out[idx] = s
-        return DifferentialForm._raw(self.dim, degree, out)
 
     # -- Hamiltonian mechanics -------------------------------------------------
 

@@ -92,7 +92,6 @@ def volume_family(v: VolumeSpace) -> BracketFamily:
 
     return BracketFamily(
         name=f"volume(m={m})",
-        max_arity=m,
         grounded=True,
         ground_form_degree=ground,
         form_degree_bounds=(0, ground),

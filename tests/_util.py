@@ -20,6 +20,12 @@ def rand_form(label: str, trial: int, dim: int, degree: int, max_degree: int = 3
     return random_form(rng(label, trial), dim, degree, max_degree)
 
 
+def rand_frac_form(label: str, trial: int, dim: int, degree: int, max_degree: int = 3) -> DifferentialForm:
+    """A random form with Fraction coefficients over mixed denominators."""
+    a = rand_form(f"{label}/a", trial, dim, degree, max_degree) * Fraction(1, 3)
+    return a + rand_form(f"{label}/b", trial, dim, degree, max_degree) * Fraction(-2, 7)
+
+
 def contraction_oracle(X: MultiVectorField, a: DifferentialForm) -> DifferentialForm:
     """Independent expansion of iota_X: alternating sum over term positions."""
     parts = DifferentialForm.zero(a.dim, max(a.degree - 1, 0))

@@ -49,6 +49,17 @@ def test_eval_needs_space_for_symplectic_operators(capsys):
     assert code == 2 and "needs --symplectic" in err
 
 
+def test_eval_negative_dimension_exit_2(capsys):
+    code, out, err = run_cli(capsys, ["eval", "--dim", "-1", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_eval_dimension_zero_is_valid(capsys):
+    code, out, _ = run_cli(capsys, ["eval", "--dim", "0", "--apply", "d", "3"])
+    assert code == 0 and out.strip() == "0"
+
+
 # -- bracket -------------------------------------------------------------------
 
 
@@ -211,6 +222,13 @@ def test_verify_empty_volume_dims_exit_2(capsys):
 def test_verify_arity_max_zero_exit_2(capsys):
     code, out, err = run_cli(capsys, ["verify", "--arity-max", "0", "--suite", "linfty-symplectic"])
     assert code == 2 and out == "" and "arity-max" in err
+
+
+def test_verify_degree_zero_exit_2(capsys):
+    # constant inputs make every identity structurally zero: a vacuous run
+    args = ["verify", "--suite", "chain", "--half-dim", "1", "--trials", "1", "--degree", "0"]
+    code, out, err = run_cli(capsys, args)
+    assert code == 2 and out == "" and "degree must be >= 1" in err
 
 
 def test_empty_dims_allowed_where_unused():

@@ -12,7 +12,7 @@ from koszul import (
 )
 from koszul.randgen import random_vector_field
 
-from _util import contraction_oracle, rand_form, rng
+from _util import contraction_oracle, rand_form, rand_frac_form, rng
 
 
 def basis(dim, *indices):
@@ -77,6 +77,24 @@ def test_d_squared_zero_random():
         for degree in range(0, 4):
             a = rand_form("dd", t + 10 * degree, 4, degree)
             assert d(d(a)).is_zero()
+
+
+def d_oracle(a):
+    """d a = sum_i dx_i ^ (d a / d x_i), from wedge and Polynomial.diff only."""
+    total = DifferentialForm.zero(a.dim, min(a.degree + 1, a.dim))
+    for i in range(a.dim):
+        partial = DifferentialForm(a.dim, a.degree, {idx: p.diff(i) for idx, p in a.terms.items()})
+        total = total + basis(a.dim, i).wedge(partial)
+    return total
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_d_matches_partial_derivative_oracle(dim):
+    for degree in range(0, dim + 1):
+        for t in range(2):
+            for a in (rand_form(f"d-oracle/{dim}", t + 2 * degree, dim, degree),
+                      rand_frac_form(f"d-oracle-q/{dim}", t + 2 * degree, dim, degree)):
+                assert d(a) == d_oracle(a)
 
 
 def test_d_leibniz_random():

@@ -5,6 +5,7 @@ import pytest
 from koszul import (
     DifferentialForm,
     MultiVectorField,
+    PoissonSpace,
     Polynomial,
     SymplecticSpace,
     contract_bivector,
@@ -16,7 +17,7 @@ from koszul import (
 )
 from koszul.symplectic import operator_relations
 
-from _util import rand_form, rand_poly, solve_constant_system
+from _util import rand_form, rand_frac_form, rand_poly, solve_constant_system
 
 
 @pytest.fixture(scope="module")
@@ -233,8 +234,9 @@ def test_kernels_match_generic_composition(n):
     # oracle: L, Lam and delta composed from wedge, contract_bivector and d
     s = SymplecticSpace(n)
     for degree in range(0, s.dim + 1):
-        for t in range(3):
-            a = rand_form(f"kernel/n{n}/deg{degree}", t, s.dim, degree, max_degree=2)
+        label = f"kernel/n{n}/deg{degree}"
+        samples = [rand_form(label, t, s.dim, degree, max_degree=2) for t in range(3)]
+        for a in samples + [rand_frac_form(label, 0, s.dim, degree, max_degree=2)]:
             lam = contract_bivector(s.pi, a)
             assert s.Lam(a) == lam
             assert s.L(a) == s.omega.wedge(a)
@@ -252,6 +254,22 @@ def test_kernel_degrees_at_the_edges(n):
     assert s.L(top).is_zero() and s.Lam(one).is_zero()
     assert s.Lam(top).degree == s.dim - 2 and s.delta(top).is_zero()
     assert s.delta(top * s.coordinate(0)).degree == s.dim - 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_delta_degree_matches_poisson_route(n):
+    # a zero result keeps the degree the kernel targets on both routes
+    s = SymplecticSpace(n)
+    p = PoissonSpace(s.dim, s.pi)
+    zero_deltas = [
+        DifferentialForm.from_polynomial(s.coordinate(0)),
+        DifferentialForm.basis(s.dim, (0,)),
+        DifferentialForm.basis(s.dim, (0,), s.coordinate(0)),
+    ]
+    randoms = [rand_form(f"route/n{n}", t, s.dim, deg) for deg in range(s.dim) for t in range(3)]
+    for a in zero_deltas + randoms:
+        assert s.delta(a) == p.delta(a) and s.delta(a).degree == p.delta(a).degree
+    assert all(s.delta(a).is_zero() for a in zero_deltas)
 
 
 def test_kernels_reject_other_dimensions(s1):
