@@ -128,37 +128,18 @@ def symplectic_family(
     s: SymplecticSpace, table: CoefficientTable | None = None
 ) -> BracketFamily:
     """The grounded bracket family on Omega^(2n) -> ... -> Omega^1 with l_1 = delta."""
-    dim = s.dim
 
-    def ldegree_of(form_degree: int) -> int:
-        return 1 - form_degree
-
-    def form_degree_of(ldegree: int) -> int:
-        return 1 - ldegree
-
-    def unary(x: GradedElement) -> GradedElement:
-        # the complex is truncated at the 1-form layer: nothing sits above it,
-        # so the differential vanishes there (delta itself would leave the complex)
-        if x.ldegree >= 0:
-            return GradedElement(DifferentialForm.zero(dim, 0), x.ldegree + 1)
-        return GradedElement(s.delta(x.form), x.ldegree + 1)
-
-    def higher(k: int, args: tuple[GradedElement, ...]) -> GradedElement:
-        ldeg = sum(x.ldegree for x in args) + 2 - k
-        if any(x.form.degree != 1 for x in args):
-            deg = form_degree_of(ldeg)
-            return GradedElement(DifferentialForm.zero(dim, deg if 0 <= deg <= dim else 0), ldeg)
-        fs = [s.delta(x.form).as_polynomial() for x in args]
-        return GradedElement(tilde_l(s, fs, table), ldeg)
+    def higher(forms: tuple[DifferentialForm, ...]) -> DifferentialForm:
+        return tilde_l(s, [s.delta(a).as_polynomial() for a in forms], table)
 
     return BracketFamily(
         name=f"symplectic(n={s.n})",
         grounded=True,
         ground_form_degree=1,
-        form_degree_bounds=(1, dim),
-        ldegree_of=ldegree_of,
-        form_degree_of=form_degree_of,
-        unary=unary,
+        form_degree_bounds=(1, s.dim),
+        ldegree_of=lambda form_degree: 1 - form_degree,
+        form_degree_of=lambda ldegree: 1 - ldegree,
+        differential=s.delta,
         higher=higher,
     )
 

@@ -14,7 +14,7 @@ import argparse
 import re
 import sys
 
-from .brackets import l_bracket
+from .brackets import symplectic_family
 from .campaign import SUITES, CampaignConfig, run_campaign
 from .forms import d
 from .grammar import FormSyntaxError, parse_form, render_form
@@ -148,11 +148,10 @@ def cmd_bracket(args) -> int:
     try:
         if args.symplectic is not None:
             s = SymplecticSpace(args.symplectic)
-            dim, ground, top = s.dim, 1, s.dim
+            fam, dim = symplectic_family(s), s.dim
         else:
             v = VolumeSpace(args.volume)
-            fam = volume_family(v)
-            dim, ground, top = v.m, v.m - 2, v.m - 2
+            fam, dim = volume_family(v), v.m
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -164,23 +163,19 @@ def cmd_bracket(args) -> int:
     except FormSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    if k == 1:
-        lo, hi = (1, top) if args.symplectic is not None else (0, top)
-        for f in forms:
-            if not lo <= f.degree <= hi:
-                print(f"error: degree {f.degree} outside the complex [{lo}, {hi}]", file=sys.stderr)
-                return USAGE_ERROR
-    else:
+    if k >= 2:
+        ground = fam.ground_form_degree
         for f in forms:
             if f.degree != ground and not f.is_zero():
                 print(f"error: arity {k} bracket takes degree-{ground} forms, got degree {f.degree}",
                       file=sys.stderr)
                 return USAGE_ERROR
-    if args.symplectic is not None:
-        result = l_bracket(s, k, forms).form
-    else:
-        result = fam.l(k, [fam.element(f) for f in forms]).form
-    print(render_form(result))
+    try:
+        elems = [fam.element(f) for f in forms]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    print(render_form(fam.l(k, elems).form))
     return 0
 
 

@@ -12,9 +12,22 @@ where eps is the Koszul sign of sigma on the elements' degrees.
 ``linfty_residual`` evaluates the sum exactly; a family satisfies the n-th
 identity on given arguments iff the residual is the zero form.
 
-Families here are grounded: the complex sits in non-positive degrees and the
-higher brackets vanish unless every argument lies in degree 0.  The evaluator
-exploits that to skip structurally-zero terms, which keeps high arities cheap.
+Families here are grounded: the complex sits in non-positive degrees with the
+ground layer in degree 0, l_1 is truncated there (zero on degree >= 0), and
+l_k for k >= 2 is zero unless every argument lies in degree 0.  The evaluator
+skips a term l_j(l_i(...), ...) without evaluating it when the same rule
+(``BracketFamily.vanishes``) makes it zero:
+
+* some inner argument of l_i, i >= 2, is off the ground degree;
+* some argument of the outer tail of l_j, j >= 2, is off the ground degree;
+* the inner value is off the ground degree.  l_i has degree 2 - i (l_1: +1),
+  so on ground arguments l_i for i >= 3 never lands in degree 0 and every
+  outer l_j, j >= 2, of it is zero; likewise l_1 of a ground value.
+
+Each skipped term is one that ``BracketFamily.l`` returns as the zero
+element, so the residual is the same exact sum; the last rule removes most
+of the work at high arity, where l_i for every i >= 3 was evaluated and
+then thrown away.
 """
 
 from __future__ import annotations
@@ -39,9 +52,11 @@ class BracketFamily:
     """An arity-indexed family of multibrackets on a fixed complex.
 
     ``ldegree_of``/``form_degree_of`` translate between form degree and
-    complex degree (each family carries its own grading).  ``unary`` is l_1;
-    ``higher(k, args)`` evaluates l_k for k >= 2 and must return the zero
-    element whenever some argument is outside the ground degree.
+    complex degree (each family carries its own grading).  A family supplies
+    its differential and its bracket on forms: ``differential`` is l_1 and
+    ``higher(forms)`` is l_k, k = len(forms) >= 2.  For a grounded family,
+    ``l`` adds the grounded rules (``vanishes``), so ``higher`` only ever sees
+    ground-degree forms.
     """
 
     name: str
@@ -50,8 +65,8 @@ class BracketFamily:
     form_degree_bounds: tuple[int, int]
     ldegree_of: Callable[[int], int]
     form_degree_of: Callable[[int], int]
-    unary: Callable[[GradedElement], GradedElement]
-    higher: Callable[[int, tuple[GradedElement, ...]], GradedElement]
+    differential: Callable[[DifferentialForm], DifferentialForm]
+    higher: Callable[[tuple[DifferentialForm, ...]], DifferentialForm]
 
     def element(self, form: DifferentialForm) -> GradedElement:
         lo, hi = self.form_degree_bounds
@@ -67,12 +82,30 @@ class BracketFamily:
             deg = 0
         return GradedElement(DifferentialForm.zero(dim, deg), ldegree)
 
+    def vanishes(self, k: int, ldegrees: Sequence[int]) -> bool:
+        """Whether l_k is zero by groundedness on arguments of these degrees.
+
+        l_1 is truncated at the ground layer, where the differential would
+        leave the complex; l_k for k >= 2 needs every argument in the ground
+        degree.  Never true for a family that is not grounded.
+        """
+        if not self.grounded:
+            return False
+        ground = self.ldegree_of(self.ground_form_degree)
+        if k == 1:
+            return ldegrees[0] >= ground
+        return any(x != ground for x in ldegrees)
+
     def l(self, k: int, args: Sequence[GradedElement]) -> GradedElement:
         if k != len(args):
             raise ValueError(f"arity {k} with {len(args)} arguments")
+        degrees = [x.ldegree for x in args]
+        ldegree = sum(degrees) + 2 - k
+        if self.vanishes(k, degrees):
+            return self.zero_element(ldegree, args[0].form.dim)
         if k == 1:
-            return self.unary(args[0])
-        return self.higher(k, tuple(args))
+            return GradedElement(self.differential(args[0].form), ldegree)
+        return GradedElement(self.higher(tuple(x.form for x in args)), ldegree)
 
 
 def unshuffles(i: int, j: int) -> list[tuple[int, ...]]:
@@ -136,19 +169,20 @@ def linfty_residual(family: BracketFamily, args: Sequence[GradedElement]) -> Gra
     target_ldeg = sum(degrees) + 3 - n
 
     total: DifferentialForm | None = None
-    ground = family.ground_form_degree
     for i in range(1, n + 1):
         j = n + 1 - i
         prefactor = -1 if (i * (j + 1)) & 1 else 1
         for sigma in unshuffles(i, n - i):
+            # structurally-zero terms, decided on degrees before any bracket runs;
+            # l_i has degree 2 - i, so the inner value sits in sum + 2 - i
+            inner_degrees = [degrees[s] for s in sigma[:i]]
+            if family.vanishes(i, inner_degrees):
+                continue
+            outer_degrees = [sum(inner_degrees) + 2 - i] + [degrees[s] for s in sigma[i:]]
+            if family.vanishes(j, outer_degrees):
+                continue
             inner_args = [args[s] for s in sigma[:i]]
             outer_tail = [args[s] for s in sigma[i:]]
-            if family.grounded:
-                # structurally-zero terms: higher brackets need all-ground inputs
-                if i >= 2 and any(x.form.degree != ground for x in inner_args):
-                    continue
-                if j >= 2 and any(x.form.degree != ground for x in outer_tail):
-                    continue
             inner = family.l(i, inner_args)
             if inner.form.is_zero():
                 continue

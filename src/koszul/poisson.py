@@ -59,7 +59,12 @@ class PoissonSpace:
 
     def delta(self, a: DifferentialForm) -> DifferentialForm:
         """Degree-lowering differential iota_pi d - d iota_pi."""
-        return contract_bivector(self.pi, d(a)) - d(contract_bivector(self.pi, a))
+        lowered = d(contract_bivector(self.pi, a))
+        if a.degree == self.m:
+            # d(a) = 0, but forms.d keeps a top form's degree (no (m+1)-forms exist),
+            # so iota_pi d(a) would be a zero of degree m - 2, not m - 1
+            return -lowered
+        return contract_bivector(self.pi, d(a)) - lowered
 
     def jacobi_residual(self, f: Polynomial, g: Polynomial, h: Polynomial) -> Polynomial:
         return (

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .forms import DifferentialForm, MultiVectorField, contract_vector, d
-from .linfty import BracketFamily, GradedElement
+from .linfty import BracketFamily
 from .poly import Polynomial
 
 
@@ -61,42 +61,21 @@ def volume_bracket(v: VolumeSpace, alphas: Sequence[DifferentialForm]) -> Differ
     for a in alphas:  # first argument contracts innermost
         cur = contract_vector(exact_divfree_vf(v, a), cur)
         if cur.is_zero():
-            break
+            return DifferentialForm.zero(v.m, max(v.m - k, 0))
     exponent = (k * (k + 1)) // 2
     return -cur if exponent % 2 == 0 else cur
 
 
 def volume_family(v: VolumeSpace) -> BracketFamily:
     """The grounded family on Omega^0 -> ... -> Omega^(m-2) with l_1 = d."""
-    m = v.m
-    ground = m - 2
-
-    def ldegree_of(form_degree: int) -> int:
-        return form_degree - ground
-
-    def form_degree_of(ldegree: int) -> int:
-        return ldegree + ground
-
-    def unary(x: GradedElement) -> GradedElement:
-        # truncated at the (m-2)-form layer; d out of it leaves the complex
-        if x.ldegree >= 0:
-            return GradedElement(DifferentialForm.zero(m, 0), x.ldegree + 1)
-        return GradedElement(d(x.form), x.ldegree + 1)
-
-    def higher(k: int, args: tuple[GradedElement, ...]) -> GradedElement:
-        ldeg = sum(x.ldegree for x in args) + 2 - k
-        if any(x.form.degree != ground for x in args):
-            deg = form_degree_of(ldeg)
-            return GradedElement(DifferentialForm.zero(m, deg if 0 <= deg <= m else 0), ldeg)
-        return GradedElement(volume_bracket(v, [x.form for x in args]), ldeg)
-
+    ground = v.m - 2
     return BracketFamily(
-        name=f"volume(m={m})",
+        name=f"volume(m={v.m})",
         grounded=True,
         ground_form_degree=ground,
         form_degree_bounds=(0, ground),
-        ldegree_of=ldegree_of,
-        form_degree_of=form_degree_of,
-        unary=unary,
-        higher=higher,
+        ldegree_of=lambda form_degree: form_degree - ground,
+        form_degree_of=lambda ldegree: ldegree + ground,
+        differential=d,
+        higher=lambda forms: volume_bracket(v, forms),
     )

@@ -92,6 +92,14 @@ def test_bracket_degree_mismatch_exit_2(capsys):
     assert code == 2 and "degree" in err
 
 
+def test_bracket_unary_checks_the_complex_through_the_family(capsys):
+    code, out, err = run_cli(capsys, ["bracket", "--symplectic", "1", "--arity", "1", "v1"])
+    assert code == 2 and out == "" and err.startswith("error:") and "symplectic(n=1) complex [1, 2]" in err
+    # a zero argument lies in every degree, as it does for the higher brackets
+    code, out, _ = run_cli(capsys, ["bracket", "--symplectic", "1", "--arity", "1", "0"])
+    assert code == 0 and out.strip() == "0"
+
+
 def test_bracket_arity_count_mismatch(capsys):
     code, _, err = run_cli(capsys, ["bracket", "--symplectic", "1", "--arity", "3", "v1 dx2"])
     assert code == 2

@@ -1,11 +1,12 @@
+from dataclasses import replace
 from math import comb
 
 import pytest
 
 from koszul import (
     DifferentialForm,
-    GradedElement,
     SymplecticSpace,
+    VolumeSpace,
     ce_partial,
     d_poly,
     koszul_sign,
@@ -14,6 +15,7 @@ from koszul import (
     symplectic_family,
     tilde_l,
     unshuffles,
+    volume_family,
 )
 from _util import rand_form, rand_poly
 
@@ -176,3 +178,93 @@ def test_element_rejects_out_of_complex_degrees():
     with pytest.raises(ValueError, match="outside the symplectic"):
         fam.element(rand_form("oc", 0, 2, 0))  # functions sit below the complex
     assert fam.element(DifferentialForm.zero(2, 0)).form.is_zero()  # zero is fine anywhere
+
+
+# -- the pruned evaluator against the plain double sum -----------------------------
+
+
+def reference_residual(fam, args):
+    """Oracle: the n-th identity summed over every (i, j, sigma), nothing skipped."""
+    n = len(args)
+    degrees = [x.ldegree for x in args]
+    total = DifferentialForm.zero(args[0].form.dim, 0)
+    for i in range(1, n + 1):
+        j = n + 1 - i
+        for sigma in unshuffles(i, n - i):
+            inner = fam.l(i, [args[s] for s in sigma[:i]])
+            outer = fam.l(j, [inner] + [args[s] for s in sigma[i:]])
+            sign = (-1) ** (i * (j + 1)) * permutation_sign(sigma) * koszul_sign(sigma, degrees)
+            total = total + outer.form * sign
+    return total
+
+
+def _scaled_higher(fam, c):
+    """The family with every l_k, k >= 2, scaled by c: l_2 l_2 and l_1 l_3 no longer cancel."""
+    return replace(fam, higher=lambda forms: fam.higher(forms) * c)
+
+
+def _oracle_families():
+    spaces = [(f"symplectic-n{n}", SymplecticSpace(n), symplectic_family) for n in (1, 2)]
+    spaces += [(f"volume-m{m}", VolumeSpace(m), volume_family) for m in (3, 4)]
+    for label, space, family in spaces:
+        fam = family(space)
+        yield label, fam, space.dim
+        yield f"{label}-broken", _scaled_higher(fam, 2), space.dim
+
+
+def _oracle_inputs(label, fam, dim, t):
+    lo, hi = fam.form_degree_bounds
+    ground = fam.ground_form_degree
+
+    def form(tag, degree):
+        return fam.element(rand_form(f"{label}/{tag}", t, dim, degree))
+
+    for arity in range(1, dim + 3):
+        yield [form(f"g{arity}-{k}", ground) for k in range(arity)]
+    mixed = [min(max(ground + off, lo), hi) for off in (0, 1, -1, 2)]
+    yield [form(f"mix-{k}", deg) for k, deg in enumerate(mixed)]
+    yield [form(f"mix3-{k}", deg) for k, deg in enumerate(mixed[:3])]
+    zero = fam.element(DifferentialForm.zero(dim, ground))
+    yield [form("z0", ground), zero, form("z2", ground)]
+
+
+def test_pruned_residual_equals_full_double_sum():
+    live = set()
+    for label, fam, dim in _oracle_families():
+        for t in range(4):
+            for args in _oracle_inputs(label, fam, dim, t):
+                got = linfty_residual(fam, args)
+                want = reference_residual(fam, args)
+                assert got.form == want, (label, t, [x.ldegree for x in args])
+                assert got.ldegree == sum(x.ldegree for x in args) + 3 - len(args)
+                if not want.is_zero():
+                    live.add(label)
+    # the comparison is not all zero == zero: every broken family leaves a residual
+    assert live == {"symplectic-n1-broken", "symplectic-n2-broken", "volume-m3-broken", "volume-m4-broken"}
+
+
+@pytest.mark.parametrize("family", ["symplectic", "volume"])
+def test_ground_identity_brackets_stay_quadratic(family):
+    # on n ground arguments only l_2 (C(n,2) unshuffles), the outer l_(n-1) of
+    # each l_2 and one l_n can be nonzero; everything else is skipped unevaluated
+    fam = symplectic_family(SymplecticSpace(2)) if family == "symplectic" else volume_family(VolumeSpace(4))
+    calls = []
+
+    def counting(forms):
+        calls.append(len(forms))
+        return fam.higher(forms)
+
+    counted = replace(fam, higher=counting)
+    for n in range(2, 6):
+        args = [fam.element(rand_form(f"count/{family}/{k}", n, 4, fam.ground_form_degree)) for k in range(n)]
+        calls.clear()
+        assert linfty_residual(counted, args).form.is_zero()
+        assert len(calls) <= 2 * comb(n, 2) + 1, (n, calls)
+
+
+def test_grounded_rules_live_in_the_family():
+    fam = symplectic_family(SymplecticSpace(1))
+    assert fam.vanishes(1, [0]) and fam.vanishes(1, [1]) and not fam.vanishes(1, [-1])
+    assert fam.vanishes(2, [0, -1]) and not fam.vanishes(3, [0, 0, 0])
+    free = replace(fam, grounded=False)
+    assert not free.vanishes(1, [0]) and not free.vanishes(2, [0, -1])

@@ -256,7 +256,7 @@ def test_kernel_degrees_at_the_edges(n):
     assert s.delta(top * s.coordinate(0)).degree == s.dim - 1
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_delta_degree_matches_poisson_route(n):
     # a zero result keeps the degree the kernel targets on both routes
     s = SymplecticSpace(n)
@@ -265,10 +265,12 @@ def test_delta_degree_matches_poisson_route(n):
         DifferentialForm.from_polynomial(s.coordinate(0)),
         DifferentialForm.basis(s.dim, (0,)),
         DifferentialForm.basis(s.dim, (0,), s.coordinate(0)),
+        DifferentialForm.basis(s.dim, range(s.dim), 3),
     ]
-    randoms = [rand_form(f"route/n{n}", t, s.dim, deg) for deg in range(s.dim) for t in range(3)]
+    randoms = [rand_form(f"route/n{n}", t, s.dim, deg) for deg in range(s.dim + 1) for t in range(3)]
     for a in zero_deltas + randoms:
         assert s.delta(a) == p.delta(a) and s.delta(a).degree == p.delta(a).degree
+        assert p.delta(a).degree == max(a.degree - 1, 0)
     assert all(s.delta(a).is_zero() for a in zero_deltas)
 
 

@@ -148,7 +148,8 @@ def test_groundedness_on_exact_first_argument(v3):
     fam = volume_family(v3)
     beta = rand_form("g3-b", 0, 3, 0)
     alpha = rand_form("g3-a", 0, 3, 1)
-    assert fam.l(2, [fam.element(d(beta)), fam.element(alpha)]).form.is_zero()
+    out = fam.l(2, [fam.element(d(beta)), fam.element(alpha)]).form
+    assert out.is_zero() and out.degree == 3 - 2  # a zero keeps the degree m - k of l_k
 
 
 def test_bracket_beyond_dimension_vanishes(v3):
