@@ -337,7 +337,7 @@ def suite_linfty_volume(cfg: CampaignConfig) -> list[CheckResult]:
             if not residual.is_zero():
                 check.record([render_form(alpha)], render_form(residual))
         out.append(check)
-        for arity in range(1, 5):
+        for arity in range(1, min(4, cfg.arity_max) + 1):
             check = CheckResult("linfty-volume", f"{label} identity n={arity} (ground args)")
             for t in range(trials):
                 rng = trial_rng(cfg.seed, f"linfty-vol/{label}/n{arity}", t)

@@ -155,6 +155,9 @@ def cmd_bracket(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    if k < 1:
+        print("error: arity must be >= 1", file=sys.stderr)
+        return USAGE_ERROR
     if len(args.forms) != k:
         print(f"error: arity {k} needs exactly {k} forms, got {len(args.forms)}", file=sys.stderr)
         return USAGE_ERROR

@@ -111,18 +111,21 @@ class _Alternating:
         if type(other) is not type(self) or self.dim != other.dim:
             raise ValueError("operands live on different spaces")
 
-    def __add__(self, other):
+    def __add__(self, other, negate: bool = False):
         self._check(other)
         if not other.terms:  # before self, so zero + zero keeps the left degree
             return self
         if not self.terms:
-            return other
+            return -other if negate else other
         if self.degree != other.degree:
             raise ValueError(f"cannot add degrees {self.degree} and {other.degree}")
         out = dict(self.terms)
         for idx, p in other.terms.items():
             acc = out.get(idx)
-            s = p if acc is None else acc + p
+            if negate:
+                s = -p if acc is None else acc - p
+            else:
+                s = p if acc is None else acc + p
             if s.is_zero():
                 if acc is not None:
                     del out[idx]
@@ -131,7 +134,7 @@ class _Alternating:
         return self._raw(self.dim, self.degree, out)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, True)
 
     def __neg__(self):
         return self._raw(self.dim, self.degree, {i: -p for i, p in self.terms.items()})

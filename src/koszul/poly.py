@@ -79,12 +79,15 @@ class Polynomial:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def __add__(self, other: "Polynomial", negate: bool = False) -> "Polynomial":
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             acc = out.get(e)
-            s = c if acc is None else acc + c
+            if negate:
+                s = -c if acc is None else acc - c
+            else:
+                s = c if acc is None else acc + c
             if s:
                 out[e] = s
             elif acc is not None:
@@ -100,7 +103,7 @@ class Polynomial:
         return p
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self.__add__(other, True)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):

@@ -167,8 +167,15 @@ class OperatorReport:
         return not self.failures
 
 
-def operator_relations(s: SymplecticSpace) -> list[tuple[str, Callable, Callable]]:
-    """The relation table as (name, lhs, rhs) pairs of operators on forms."""
+def operator_relations(
+    s: SymplecticSpace, share: Callable[[Callable], Callable] = lambda op: op
+) -> list[tuple[str, Callable, Callable]]:
+    """The relation table as (name, lhs, rhs) pairs of operators on forms.
+
+    ``share`` wraps each of L, Lam, H, delta and d before the table is built
+    from them; ``verify_operator_relations`` passes a per-sample memo, and by
+    default the closures call the operators directly.
+    """
 
     def comm(A, B):
         return lambda a: A(B(a)) - B(A(a))
@@ -176,20 +183,20 @@ def operator_relations(s: SymplecticSpace) -> list[tuple[str, Callable, Callable
     def zero(a):
         return DifferentialForm.zero(s.dim, 0)
 
-    L, Lam, H, dl = s.L, s.Lam, s.H, s.delta
-    dd = lambda a: dl(d(a))
+    L, Lam, H, dl, d_ = map(share, (s.L, s.Lam, s.H, s.delta, d))
+    dd = lambda a: dl(d_(a))
     relations = [
         ("[Lam,L]=H", comm(Lam, L), H),
         ("[H,Lam]=2Lam", comm(H, Lam), lambda a: Lam(a) * 2),
         ("[H,L]=-2L", comm(H, L), lambda a: L(a) * (-2)),
-        ("[L,d]=0", comm(L, d), zero),
-        ("[Lam,d]=delta", comm(Lam, d), dl),
-        ("[H,d]=-d", comm(H, d), lambda a: -d(a)),
+        ("[L,d]=0", comm(L, d_), zero),
+        ("[Lam,d]=delta", comm(Lam, d_), dl),
+        ("[H,d]=-d", comm(H, d_), lambda a: -d_(a)),
         ("[Lam,delta]=0", comm(Lam, dl), zero),
-        ("[L,delta]=d", comm(L, dl), d),
+        ("[L,delta]=d", comm(L, dl), d_),
         ("[H,delta]=delta", comm(H, dl), dl),
         ("delta^2=0", lambda a: dl(dl(a)), zero),
-        ("delta d=-d delta", lambda a: dl(d(a)), lambda a: -d(dl(a))),
+        ("delta d=-d delta", dd, lambda a: -d_(dl(a))),
         ("[delta d,H]=0", comm(dd, H), zero),
         ("[delta d,L]=0", comm(dd, L), zero),
         ("[delta d,Lam]=0", comm(dd, Lam), zero),
@@ -204,23 +211,42 @@ def verify_operator_relations(
 
     One report per relation; a report with empty ``failures`` means the
     relation held exactly on all inputs.
+
+    The sample is the outer loop: all relations run on one input before the
+    next is drawn, and within that sample each of L, Lam, H, delta and d is
+    evaluated once per input object (``d(a)`` alone feeds eight relations).
+    This is exact: the kernels are pure functions of their input and forms
+    are never mutated, so a shared value is the value a fresh call returns.
+    The memo is keyed by the identity of the input and holds the input, so
+    no key can be reused by another object, and it is cleared when the
+    sample ends.
     """
     from .grammar import render_form
     from .randgen import random_form, trial_rng
 
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    relations = operator_relations(s)
+    memo: dict = {}
+
+    def share(op):
+        def once(a):
+            key = (op, id(a))
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = (a, op(a))
+            return hit[1]
+
+        return once
+
+    relations = operator_relations(s, share)
     reports = [OperatorReport(name) for name, _, _ in relations]
     for degree in range(0, s.dim + 1):
-        samples = [
-            random_form(trial_rng(seed, f"operators/deg{degree}", t), s.dim, degree, max_degree, density)
-            for t in range(trials)
-        ]
-        for (name, lhs, rhs), report in zip(relations, reports):
-            for a in samples:
+        for t in range(trials):
+            a = random_form(trial_rng(seed, f"operators/deg{degree}", t), s.dim, degree, max_degree, density)
+            for (name, lhs, rhs), report in zip(relations, reports):
                 residual = lhs(a) - rhs(a)
                 report.trials += 1
                 if not residual.is_zero():
                     report.failures.append((render_form(a), render_form(residual)))
+            memo.clear()
     return reports

@@ -105,6 +105,11 @@ def test_bracket_arity_count_mismatch(capsys):
     assert code == 2
 
 
+def test_bracket_arity_below_one_exit_2(capsys):
+    code, out, err = run_cli(capsys, ["bracket", "--symplectic", "1", "--arity", "-1", "v1"])
+    assert code == 2 and out == "" and err == "error: arity must be >= 1\n"
+
+
 def test_eval_bad_half_dimension_exit_2(capsys):
     code, out, err = run_cli(capsys, ["eval", "--symplectic", "0", "v1"])
     assert code == 2 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1
@@ -230,6 +235,13 @@ def test_verify_empty_volume_dims_exit_2(capsys):
 def test_verify_arity_max_zero_exit_2(capsys):
     code, out, err = run_cli(capsys, ["verify", "--arity-max", "0", "--suite", "linfty-symplectic"])
     assert code == 2 and out == "" and "arity-max" in err
+
+
+def test_verify_arity_max_caps_the_volume_identities(capsys):
+    args = ["verify", "--suite", "linfty-volume", "--volume-dim", "3", "--arity-max", "2", "--trials", "8"]
+    code, out, _ = run_cli(capsys, args)
+    identities = [line.split("identity ")[1].split(" ")[0] for line in out.splitlines() if "identity n=" in line]
+    assert code == 0 and identities == ["n=1", "n=2"]
 
 
 def test_verify_degree_zero_exit_2(capsys):

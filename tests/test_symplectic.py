@@ -15,6 +15,8 @@ from koszul import (
     parse_form,
     verify_operator_relations,
 )
+from koszul.grammar import render_form
+from koszul.randgen import random_form, trial_rng
 from koszul.symplectic import operator_relations
 
 from _util import rand_form, rand_frac_form, rand_poly, solve_constant_system
@@ -293,3 +295,104 @@ def test_relation_suite_catches_a_wrong_delta():
     reports = {r.relation: r for r in verify_operator_relations(DroppedPairSpace(2), 4, 2, seed=5)}
     assert not reports["[Lam,d]=delta"].ok
     assert reports["[Lam,L]=H"].ok
+
+
+def _without_pair(field):
+    """A copy of omega or pi without the first Darboux pair (0, 1)."""
+    return type(field)(field.dim, 2, {k: v for k, v in field.terms.items() if k != (0, 1)})
+
+
+class DroppedPairLSpace(SymplecticSpace):
+    """L wedges with an omega that lacks the first Darboux pair: a wrong L."""
+
+    def L(self, a):
+        return _without_pair(self.omega).wedge(a)
+
+
+class DroppedPairLamSpace(SymplecticSpace):
+    """Lam contracts with a pi that lacks the first Darboux pair: a wrong Lam."""
+
+    def Lam(self, a):
+        return contract_bivector(_without_pair(self.pi), a)
+
+
+class ShiftedHSpace(SymplecticSpace):
+    """H counts n - deg + 1: a wrong H."""
+
+    def H(self, a):
+        return a * (self.n - a.degree + 1)
+
+
+@pytest.mark.parametrize(
+    "space, failing",
+    [
+        (DroppedPairLSpace, {"[Lam,L]=H", "[L,delta]=d", "[delta d,L]=0"}),
+        (DroppedPairLamSpace, {"[Lam,L]=H", "[Lam,d]=delta", "[delta d,Lam]=0"}),
+        (ShiftedHSpace, {"[Lam,L]=H"}),
+    ],
+)
+def test_relation_suite_catches_a_wrong_operator(space, failing):
+    reports = verify_operator_relations(space(2), 4, 2, seed=5)
+    assert {r.relation for r in reports if not r.ok} == failing
+
+
+def unshared_reports(s, trials, max_degree, seed, density=0.7):
+    """Reference for the suite: relation by relation, every operator called afresh."""
+    out = []
+    for name, lhs, rhs in operator_relations(s):
+        count, failures = 0, []
+        for degree in range(s.dim + 1):
+            for t in range(trials):
+                a = random_form(trial_rng(seed, f"operators/deg{degree}", t), s.dim, degree, max_degree, density)
+                residual = lhs(a) - rhs(a)
+                count += 1
+                if not residual.is_zero():
+                    failures.append((render_form(a), render_form(residual)))
+        out.append((name, count, failures))
+    return out
+
+
+@pytest.mark.parametrize(
+    "space", [SymplecticSpace(1), SymplecticSpace(2), DroppedPairSpace(2)], ids=["R2", "R4", "R4-dropped-pair"]
+)
+def test_shared_suite_equals_unshared_reference(space):
+    expected = unshared_reports(space, 4, 2, seed=5)
+    got = [(r.relation, r.trials, r.failures) for r in verify_operator_relations(space, 4, 2, seed=5)]
+    assert got == expected
+    if isinstance(space, DroppedPairSpace):
+        assert any(failures for _, _, failures in expected)
+
+
+class CountingSpace(SymplecticSpace):
+    """Counts the kernel calls the relation suite makes."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.calls = 0
+
+    def L(self, a):
+        self.calls += 1
+        return super().L(a)
+
+    def Lam(self, a):
+        self.calls += 1
+        return super().Lam(a)
+
+    def delta(self, a):
+        self.calls += 1
+        return super().delta(a)
+
+
+def test_relation_suite_evaluates_each_operator_once_per_sample(monkeypatch):
+    # 26 distinct applications of L, Lam, delta and d per sample; unshared, the table makes 56
+    s = CountingSpace(2)
+
+    def counted_d(a):
+        s.calls += 1
+        return d(a)
+
+    monkeypatch.setattr("koszul.symplectic.d", counted_d)
+    reports = verify_operator_relations(s, trials=2, max_degree=2, seed=3)
+    samples = 2 * (s.dim + 1)
+    assert all(r.ok and r.trials == samples for r in reports)
+    assert 0 < s.calls <= 26 * samples
