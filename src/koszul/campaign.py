@@ -1,16 +1,29 @@
 """Verification campaigns: run the identity suites on seeded random inputs
 and assemble machine-readable reports.
 
-A campaign is deterministic for a given config: every random input is derived
-from (seed, suite label, trial index), and the JSON rendering is canonical,
-so identical configs produce byte-identical reports.
+A suite yields check rows (``Check``): suite, name, input stream, residual and
+an optional mutant message.  The stream yields one argument tuple per trial,
+and the check passes when ``residual(*args)`` is exactly zero on each.  A row
+with a mutant message checks a deliberately broken identity: it passes at the
+first nonzero residual, else fails and reports the mutant.  One runner counts
+the trials and renders every failure.
+
+Each trial draws its inputs from ``trial_rng(seed, label, t)``, and the JSON
+rendering is canonical, so identical configs produce byte-identical reports.
+The labels, and the order of draws under each, are part of that contract: a
+renamed label changes the report.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import asdict, dataclass, field
+from fractions import Fraction
+from functools import partial
+from itertools import chain
+from typing import NamedTuple
 
 from . import __version__
 from .brackets import (
@@ -26,9 +39,8 @@ from .brackets import (
 )
 from .forms import DifferentialForm, contract_bivector, contract_vector, d
 from .grammar import parse_form, render_form, render_polynomial
-from .linfty import linfty_residual
+from .linfty import BracketFamily, linfty_residual
 from .poisson import (
-    PoissonSpace,
     obstruction,
     obstruction_identity_residual,
     jacobiator_residual,
@@ -57,6 +69,10 @@ SUITES = (
 _HALF_DIM_SUITES = ("operators", "chain", "alt-relation", "linfty-symplectic", "poisson", "all")
 _VOLUME_DIM_SUITES = ("linfty-volume", "all")
 
+# verify_coefficient_recursions costs about k_max^3: under a second at 200 on a
+# 2-core machine, over a minute at 800
+K_MAX = 200
+
 
 @dataclass
 class CampaignConfig:
@@ -69,7 +85,6 @@ class CampaignConfig:
     seed: int = 7
     arity_max: int = 5
     k_max: int = 9
-    fmt: str = "text"
 
     def validate(self):
         if self.suite not in SUITES:
@@ -90,23 +105,11 @@ class CampaignConfig:
             raise ValueError(f"suite {self.suite} needs at least one volume dimension")
         if self.arity_max < 1:
             raise ValueError("arity-max must be >= 1")
-        if self.k_max < 2:
-            raise ValueError("k-max must be >= 2")
-        if self.fmt not in ("text", "json"):
-            raise ValueError("format must be text or json")
+        if not 2 <= self.k_max <= K_MAX:
+            raise ValueError(f"k-max must be in 2..{K_MAX}: the recursion check costs about k^3")
 
     def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "half_dims": list(self.half_dims),
-            "volume_dims": list(self.volume_dims),
-            "max_degree": self.max_degree,
-            "density": self.density,
-            "trials": self.trials,
-            "seed": self.seed,
-            "arity_max": self.arity_max,
-            "k_max": self.k_max,
-        }
+        return {**asdict(self), "half_dims": list(self.half_dims), "volume_dims": list(self.volume_dims)}
 
 
 @dataclass
@@ -124,13 +127,7 @@ class CheckResult:
         self.failures.append({"inputs": inputs, "residual": residual})
 
     def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "name": self.name,
-            "trials": self.trials,
-            "status": "pass" if self.ok else "fail",
-            "failures": self.failures,
-        }
+        return {**asdict(self), "status": "pass" if self.ok else "fail"}
 
 
 @dataclass
@@ -173,18 +170,67 @@ class CampaignReport:
                 lines.append(f"         residual: {f['residual']}")
             if len(c.failures) > 3:
                 lines.append(f"         ... {len(c.failures) - 3} more failures")
-        lines.append(
-            f"{self.passed} passed, {self.failed} failed in {self.duration_s:.2f}s"
-        )
+        lines.append(f"{self.passed} passed, {self.failed} failed in {self.duration_s:.2f}s")
         return "\n".join(lines) + "\n"
 
 
+# -- the check table ----------------------------------------------------------
+
+
+class Check(NamedTuple):
+    """One check row: ``residual(*args)`` must vanish for every ``args`` in ``inputs``.
+
+    With ``mutant`` set the identity is deliberately broken, and the row
+    instead needs one input whose residual is nonzero.  A suite yields rows
+    one at a time and each runs before the next is built, so ``inputs`` and
+    ``residual`` may close over the suite's loop variables.
+    """
+
+    suite: str
+    name: str
+    inputs: Iterable[tuple]
+    residual: Callable[..., Polynomial | DifferentialForm]
+    mutant: str | None = None
+
+
+def _render(x: Polynomial | DifferentialForm) -> str:
+    return render_polynomial(x) if isinstance(x, Polynomial) else render_form(x)
+
+
+def _run(row: Check) -> CheckResult:
+    check = CheckResult(row.suite, row.name)
+    for args in row.inputs:
+        residual = row.residual(*args)
+        check.trials += 1
+        if residual.is_zero():
+            continue
+        if row.mutant:
+            return check
+        check.record([_render(x) for x in args], _render(residual))
+    if row.mutant:
+        check.record([row.mutant], "no input broke the identity")
+    return check
+
+
+def _stream(cfg: CampaignConfig, label: str, trials: int, draw: Callable) -> Iterable[tuple]:
+    """Per trial t, the argument tuple ``draw(trial_rng(seed, label, t))``."""
+    return (draw(trial_rng(cfg.seed, label, t)) for t in range(trials))
+
+
+def _polys(cfg: CampaignConfig, dim: int, count: int) -> Callable:
+    return lambda rng: tuple(random_polynomial(rng, dim, cfg.max_degree) for _ in range(count))
+
+
+def _forms(cfg: CampaignConfig, dim: int, *degrees: int) -> Callable:
+    return lambda rng: tuple(random_form(rng, dim, deg, cfg.max_degree, cfg.density) for deg in degrees)
+
+
+def _identity(fam: BracketFamily) -> Callable:
+    """The L-infinity identity residual on forms of ``fam``'s complex."""
+    return lambda *forms: linfty_residual(fam, [fam.element(a) for a in forms]).form
+
+
 # -- individual suites --------------------------------------------------------
-
-
-def _random_functions(cfg: CampaignConfig, label: str, trial: int, dim: int, count: int) -> list[Polynomial]:
-    rng = trial_rng(cfg.seed, label, trial)
-    return [random_polynomial(rng, dim, cfg.max_degree) for _ in range(count)]
 
 
 def suite_operators(cfg: CampaignConfig) -> list[CheckResult]:
@@ -200,226 +246,111 @@ def suite_operators(cfg: CampaignConfig) -> list[CheckResult]:
     return out
 
 
-def suite_chain(cfg: CampaignConfig) -> list[CheckResult]:
-    out = []
+def suite_chain(cfg: CampaignConfig) -> Iterable[Check]:
     trials = max(3, cfg.trials // 5)
     for n in cfg.half_dims:
         s = SymplecticSpace(n)
         label = f"R{2 * n}"
         for k in range(2, 2 * n + 1):
-            check = CheckResult("chain", f"{label} partial(l~_{k}) = delta l~_{k + 1}")
-            for t in range(trials):
-                fs = _random_functions(cfg, f"chain/{label}/k{k}", t, s.dim, k + 1)
-                residual = verify_chain_identity(s, k, fs)
-                check.trials += 1
-                if not residual.is_zero():
-                    check.record([render_polynomial(f) for f in fs], render_form(residual))
-            out.append(check)
-        # mutation sensitivity: any perturbed coefficient must break some identity
+            yield Check("chain", f"{label} partial(l~_{k}) = delta l~_{k + 1}",
+                        _stream(cfg, f"chain/{label}/k{k}", trials, _polys(cfg, s.dim, k + 1)),
+                        lambda *fs: verify_chain_identity(s, k, fs))
+        # mutation sensitivity: any perturbed coefficient must break some identity;
+        # an unlucky draw can miss, so keep drawing before reporting a miss
         for k in range(2, 2 * n + 2):
             for j in range(0, (k - 1) // 2 + 1):
-                check = CheckResult("chain", f"{label} mutation a({k},{j}) breaks the identity")
-                broke = False
                 table = CoefficientTable.perturbed(k, j)
-                # an unlucky draw can miss; keep drawing before reporting a miss
-                for t in range(4 * trials):
-                    for kk in range(max(2, k - 1), min(2 * n, k) + 1):
-                        fs = _random_functions(cfg, f"chain-mut/{label}/k{kk}/a{k}_{j}", t, s.dim, kk + 1)
-                        check.trials += 1
-                        if not verify_chain_identity(s, kk, fs, table).is_zero():
-                            broke = True
-                            break
-                    if broke:
-                        break
-                if not broke:
-                    check.record([f"a({k},{j}) -> {bracket_coefficient(k, j)} + 1"], "no input broke the identity")
-                out.append(check)
-    return out
+                inputs = ((kk, *_polys(cfg, s.dim, kk + 1)(trial_rng(cfg.seed, f"chain-mut/{label}/k{kk}/a{k}_{j}", t)))
+                          for t in range(4 * trials) for kk in range(max(2, k - 1), min(2 * n, k) + 1))
+                yield Check("chain", f"{label} mutation a({k},{j}) breaks the identity", inputs,
+                            lambda kk, *fs: verify_chain_identity(s, kk, fs, table),
+                            f"a({k},{j}) -> {bracket_coefficient(k, j)} + 1")
 
 
-def suite_alt_relation(cfg: CampaignConfig) -> list[CheckResult]:
-    out = []
+def suite_alt_relation(cfg: CampaignConfig) -> Iterable[Check]:
     trials = max(3, cfg.trials // 5)
     for n in cfg.half_dims:
         s = SymplecticSpace(n)
         label = f"R{2 * n}"
         for k in range(1, 6):
-            check = CheckResult("alt-relation", f"{label} partial(Alt m_{k}) = (-delta + d Lam/{k}) Alt m_{k + 1}")
-            for t in range(trials):
-                fs = _random_functions(cfg, f"alt/{label}/k{k}", t, s.dim, k + 1)
-                residual = verify_alt_m_identity(s, k, fs)
-                check.trials += 1
-                if not residual.is_zero():
-                    check.record([render_polynomial(f) for f in fs], render_form(residual))
-            out.append(check)
-    return out
+            yield Check("alt-relation", f"{label} partial(Alt m_{k}) = (-delta + d Lam/{k}) Alt m_{k + 1}",
+                        _stream(cfg, f"alt/{label}/k{k}", trials, _polys(cfg, s.dim, k + 1)),
+                        lambda *fs: verify_alt_m_identity(s, k, fs))
 
 
-def suite_linfty_symplectic(cfg: CampaignConfig) -> list[CheckResult]:
-    out = []
+def suite_linfty_symplectic(cfg: CampaignConfig) -> Iterable[Check]:
     trials = max(2, cfg.trials // 8)
     for n in cfg.half_dims:
         s = SymplecticSpace(n)
-        fam = symplectic_family(s)
+        identity = _identity(symplectic_family(s))
         label = f"R{2 * n}"
         for arity in range(1, cfg.arity_max + 1):
-            check = CheckResult("linfty-symplectic", f"{label} identity n={arity} (ground args)")
-            for t in range(trials):
-                rng = trial_rng(cfg.seed, f"linfty/{label}/n{arity}", t)
-                args = [
-                    fam.element(random_form(rng, s.dim, 1, cfg.max_degree, cfg.density))
-                    for _ in range(arity)
-                ]
-                residual = linfty_residual(fam, args)
-                check.trials += 1
-                if not residual.form.is_zero():
-                    check.record([render_form(x.form) for x in args], render_form(residual.form))
-            out.append(check)
+            yield Check("linfty-symplectic", f"{label} identity n={arity} (ground args)",
+                        _stream(cfg, f"linfty/{label}/n{arity}", trials, _forms(cfg, s.dim, *[1] * arity)),
+                        identity)
         # mixed complex degrees exercise groundedness
-        check = CheckResult("linfty-symplectic", f"{label} identity n=3 (mixed degrees)")
-        for t in range(trials):
-            rng = trial_rng(cfg.seed, f"linfty-mixed/{label}", t)
-            degrees = [1, 2, min(3, s.dim)]
-            args = [fam.element(random_form(rng, s.dim, dd, cfg.max_degree, cfg.density)) for dd in degrees]
-            residual = linfty_residual(fam, args)
-            check.trials += 1
-            if not residual.form.is_zero():
-                check.record([render_form(x.form) for x in args], render_form(residual.form))
-        out.append(check)
+        yield Check("linfty-symplectic", f"{label} identity n=3 (mixed degrees)",
+                    _stream(cfg, f"linfty-mixed/{label}", trials, _forms(cfg, s.dim, 1, 2, min(3, s.dim))),
+                    identity)
         # brackets above dim+1 vanish
-        check = CheckResult("linfty-symplectic", f"{label} l_{s.dim + 2} = 0")
-        for t in range(trials):
-            rng = trial_rng(cfg.seed, f"linfty-top/{label}", t)
-            args = [random_form(rng, s.dim, 1, cfg.max_degree, cfg.density) for _ in range(s.dim + 2)]
-            value = l_bracket(s, s.dim + 2, args)
-            check.trials += 1
-            if not value.form.is_zero():
-                check.record([render_form(x) for x in args], render_form(value.form))
-        out.append(check)
+        yield Check("linfty-symplectic", f"{label} l_{s.dim + 2} = 0",
+                    _stream(cfg, f"linfty-top/{label}", trials, _forms(cfg, s.dim, *[1] * (s.dim + 2))),
+                    lambda *forms: l_bracket(s, s.dim + 2, forms).form)
         # strict morphism and quotient congruence
-        check = CheckResult("linfty-symplectic", f"{label} delta l_2(a,b) = {{delta a, delta b}}")
-        for t in range(cfg.trials):
-            rng = trial_rng(cfg.seed, f"morphism/{label}", t)
-            alpha = random_form(rng, s.dim, 1, cfg.max_degree, cfg.density)
-            beta = random_form(rng, s.dim, 1, cfg.max_degree, cfg.density)
-            residual = verify_strict_morphism(s, alpha, beta)
-            check.trials += 1
-            if not residual.is_zero():
-                check.record([render_form(alpha), render_form(beta)], render_polynomial(residual))
-        out.append(check)
-        check = CheckResult("linfty-symplectic", f"{label} quotient congruence witness")
-        for t in range(cfg.trials):
-            rng = trial_rng(cfg.seed, f"congruence/{label}", t)
-            alpha = random_form(rng, s.dim, 1, cfg.max_degree, cfg.density)
-            beta = random_form(rng, s.dim, 1, cfg.max_degree, cfg.density)
-            residual = verify_quotient_congruence(s, alpha, beta)
-            check.trials += 1
-            if not residual.is_zero():
-                check.record([render_form(alpha), render_form(beta)], render_form(residual))
-        out.append(check)
-    return out
+        yield Check("linfty-symplectic", f"{label} delta l_2(a,b) = {{delta a, delta b}}",
+                    _stream(cfg, f"morphism/{label}", cfg.trials, _forms(cfg, s.dim, 1, 1)),
+                    partial(verify_strict_morphism, s))
+        yield Check("linfty-symplectic", f"{label} quotient congruence witness",
+                    _stream(cfg, f"congruence/{label}", cfg.trials, _forms(cfg, s.dim, 1, 1)),
+                    partial(verify_quotient_congruence, s))
 
 
-def suite_linfty_volume(cfg: CampaignConfig) -> list[CheckResult]:
-    out = []
+def suite_linfty_volume(cfg: CampaignConfig) -> Iterable[Check]:
     trials = max(2, cfg.trials // 8)
     for m in cfg.volume_dims:
         v = VolumeSpace(m)
         fam = volume_family(v)
         label = f"R{m}(vol)"
-        check = CheckResult("linfty-volume", f"{label} iota_X mu = -d(potential)")
-        for t in range(cfg.trials):
-            rng = trial_rng(cfg.seed, f"volume-vf/{label}", t)
-            alpha = random_form(rng, m, m - 2, cfg.max_degree, cfg.density)
-            X = exact_divfree_vf(v, alpha)
-            residual = contract_vector(X, v.mu) + d(alpha)
-            check.trials += 1
-            if not residual.is_zero():
-                check.record([render_form(alpha)], render_form(residual))
-        out.append(check)
+        yield Check("linfty-volume", f"{label} iota_X mu = -d(potential)",
+                    _stream(cfg, f"volume-vf/{label}", cfg.trials, _forms(cfg, m, m - 2)),
+                    lambda alpha: contract_vector(exact_divfree_vf(v, alpha), v.mu) + d(alpha))
         for arity in range(1, min(4, cfg.arity_max) + 1):
-            check = CheckResult("linfty-volume", f"{label} identity n={arity} (ground args)")
-            for t in range(trials):
-                rng = trial_rng(cfg.seed, f"linfty-vol/{label}/n{arity}", t)
-                args = [
-                    fam.element(random_form(rng, m, m - 2, cfg.max_degree, cfg.density))
-                    for _ in range(arity)
-                ]
-                residual = linfty_residual(fam, args)
-                check.trials += 1
-                if not residual.form.is_zero():
-                    check.record([render_form(x.form) for x in args], render_form(residual.form))
-            out.append(check)
-        check = CheckResult("linfty-volume", f"{label} bracket kills d-exact arguments")
-        for t in range(trials):
-            rng = trial_rng(cfg.seed, f"volume-exact/{label}", t)
-            beta = random_form(rng, m, m - 3, cfg.max_degree, cfg.density)
-            alpha = random_form(rng, m, m - 2, cfg.max_degree, cfg.density)
-            value = fam.l(2, [fam.element(d(beta)), fam.element(alpha)])
-            check.trials += 1
-            if not value.form.is_zero():
-                check.record([render_form(d(beta)), render_form(alpha)], render_form(value.form))
-        out.append(check)
-    return out
+            yield Check("linfty-volume", f"{label} identity n={arity} (ground args)",
+                        _stream(cfg, f"linfty-vol/{label}/n{arity}", trials, _forms(cfg, m, *[m - 2] * arity)),
+                        _identity(fam))
+        pairs = _stream(cfg, f"volume-exact/{label}", trials, _forms(cfg, m, m - 3, m - 2))
+        yield Check("linfty-volume", f"{label} bracket kills d-exact arguments",
+                    ((d(beta), alpha) for beta, alpha in pairs),
+                    lambda exact, alpha: fam.l(2, [fam.element(exact), fam.element(alpha)]).form)
 
 
-def suite_poisson(cfg: CampaignConfig) -> list[CheckResult]:
-    out = []
+def suite_poisson(cfg: CampaignConfig) -> Iterable[Check]:
     trials = max(5, cfg.trials // 3)
-    spaces = [standard_symplectic(1), standard_symplectic(2), sl2_dual(), zero_poisson(3)]
-    for p in spaces:
+    for p in (standard_symplectic(1), standard_symplectic(2), sl2_dual(), zero_poisson(3)):
         label = p.name
-        check = CheckResult("poisson", f"{label} delta^2 = 0")
-        for degree in range(0, p.m + 1):
-            for t in range(trials):
-                rng = trial_rng(cfg.seed, f"poisson-delta/{label}/deg{degree}", t)
-                a = random_form(rng, p.m, degree, cfg.max_degree, cfg.density)
-                residual = p.delta(p.delta(a))
-                check.trials += 1
-                if not residual.is_zero():
-                    check.record([render_form(a)], render_form(residual))
-        out.append(check)
-        check = CheckResult("poisson", f"{label} obstruction identity")
-        for t in range(trials):
-            fs = _random_functions(cfg, f"poisson-ob/{label}", t, p.m, 3)
-            residual = obstruction_identity_residual(p, *fs)
-            check.trials += 1
-            if not residual.is_zero():
-                check.record([render_polynomial(f) for f in fs], render_form(residual))
-        out.append(check)
-        check = CheckResult("poisson", f"{label} jacobiator vs obstruction")
-        for t in range(trials):
-            rng = trial_rng(cfg.seed, f"poisson-jac/{label}", t)
-            forms = [random_form(rng, p.m, 1, cfg.max_degree, cfg.density) for _ in range(3)]
-            residual = jacobiator_residual(p, *forms)
-            check.trials += 1
-            if not residual.is_zero():
-                check.record([render_form(a) for a in forms], render_form(residual))
-        out.append(check)
+        yield Check("poisson", f"{label} delta^2 = 0",
+                    chain.from_iterable(_stream(cfg, f"poisson-delta/{label}/deg{degree}", trials,
+                                                _forms(cfg, p.m, degree)) for degree in range(0, p.m + 1)),
+                    lambda a: p.delta(p.delta(a)))
+        yield Check("poisson", f"{label} obstruction identity",
+                    _stream(cfg, f"poisson-ob/{label}", trials, _polys(cfg, p.m, 3)),
+                    partial(obstruction_identity_residual, p))
+        yield Check("poisson", f"{label} jacobiator vs obstruction",
+                    _stream(cfg, f"poisson-jac/{label}", trials, _forms(cfg, p.m, 1, 1, 1)),
+                    partial(jacobiator_residual, p))
     # sl2star contraction identity: iota_pi(dx1^dx2^dx3) = v1 dx1 + v2 dx2 - v3 dx3
     p = sl2_dual()
-    check = CheckResult("poisson", "sl2star iota_pi(top) = v1 dx1 + v2 dx2 - v3 dx3")
-    top = DifferentialForm(3, 3, {(0, 1, 2): Polynomial.constant(3, 1)})
-    got = contract_bivector(p.pi, top)
     expected = parse_form("v1 dx1 + v2 dx2 - v3 dx3", 3)
-    check.trials = 1
-    if got != expected:
-        check.record([render_form(top)], render_form(got - expected))
-    out.append(check)
+    yield Check("poisson", "sl2star iota_pi(top) = v1 dx1 + v2 dx2 - v3 dx3",
+                [(DifferentialForm(3, 3, {(0, 1, 2): Polynomial.constant(3, 1)}),)],
+                lambda top: contract_bivector(p.pi, top) - expected)
     # symplectic witness: obstruction = delta(witness), exactly
     for n in cfg.half_dims:
         s = SymplecticSpace(n)
-        p = standard_symplectic(n)
-        check = CheckResult("poisson", f"standard-symplectic({n}) obstruction = delta(witness)")
-        for t in range(trials):
-            fs = _random_functions(cfg, f"poisson-witness/R{2 * n}", t, s.dim, 3)
-            w = symplectic_obstruction_witness(s, *fs)
-            residual = obstruction(p, *fs) - p.delta(w)
-            check.trials += 1
-            if not residual.is_zero():
-                check.record([render_polynomial(f) for f in fs], render_form(residual))
-        out.append(check)
-    return out
+        ps = standard_symplectic(n)
+        yield Check("poisson", f"standard-symplectic({n}) obstruction = delta(witness)",
+                    _stream(cfg, f"poisson-witness/R{2 * n}", trials, _polys(cfg, s.dim, 3)),
+                    lambda *fs: obstruction(ps, *fs) - ps.delta(symplectic_obstruction_witness(s, *fs)))
 
 
 def suite_coefficients(cfg: CampaignConfig) -> list[CheckResult]:
@@ -428,9 +359,10 @@ def suite_coefficients(cfg: CampaignConfig) -> list[CheckResult]:
     for f in report.failures:
         check.record([f], "exact mismatch")
     anchored = CheckResult("coefficients", "anchored values a(2,0)..a(5,2)")
-    from fractions import Fraction as F
-
-    expected = {(2, 0): F(1), (3, 1): F(1, 2), (4, 1): F(1, 3), (5, 1): F(1, 4), (5, 2): F(1, 24)}
+    expected = {
+        (2, 0): Fraction(1), (3, 1): Fraction(1, 2), (4, 1): Fraction(1, 3),
+        (5, 1): Fraction(1, 4), (5, 2): Fraction(1, 24),
+    }
     for (k, j), val in sorted(expected.items()):
         anchored.trials += 1
         got = bracket_coefficient(k, j)
@@ -439,13 +371,17 @@ def suite_coefficients(cfg: CampaignConfig) -> list[CheckResult]:
     return [check, anchored]
 
 
+def _runner(rows: Callable[[CampaignConfig], Iterable[Check]]) -> Callable[[CampaignConfig], list[CheckResult]]:
+    return lambda cfg: [_run(row) for row in rows(cfg)]
+
+
 _SUITE_RUNNERS = {
     "operators": suite_operators,
-    "chain": suite_chain,
-    "alt-relation": suite_alt_relation,
-    "linfty-symplectic": suite_linfty_symplectic,
-    "linfty-volume": suite_linfty_volume,
-    "poisson": suite_poisson,
+    "chain": _runner(suite_chain),
+    "alt-relation": _runner(suite_alt_relation),
+    "linfty-symplectic": _runner(suite_linfty_symplectic),
+    "linfty-volume": _runner(suite_linfty_volume),
+    "poisson": _runner(suite_poisson),
     "coefficients": suite_coefficients,
 }
 

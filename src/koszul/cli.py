@@ -15,7 +15,7 @@ import re
 import sys
 
 from .brackets import symplectic_family
-from .campaign import SUITES, CampaignConfig, run_campaign
+from .campaign import K_MAX, SUITES, CampaignConfig, run_campaign
 from .forms import d
 from .grammar import FormSyntaxError, parse_form, render_form
 from .symplectic import SymplecticSpace
@@ -47,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--trials", type=int, default=25)
     pv.add_argument("--seed", type=int, default=7)
     pv.add_argument("--arity-max", type=int, default=5, help="highest identity arity to check")
-    pv.add_argument("--k-max", type=int, default=9, help="coefficient recursion bound")
+    pv.add_argument("--k-max", type=int, default=9,
+                    help=f"coefficient recursion bound, 2..{K_MAX} (the check costs about k^3)")
     pv.add_argument("--format", dest="fmt", default="text", choices=("text", "json"))
     pv.add_argument("--out", default=None, help="write the report to a file instead of stdout")
 
@@ -85,7 +86,6 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         arity_max=args.arity_max,
         k_max=args.k_max,
-        fmt=args.fmt,
     )
     try:
         cfg.validate()
@@ -93,13 +93,17 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     report = run_campaign(cfg)
-    rendered = report.to_json() if cfg.fmt == "json" else report.to_text()
+    rendered = report.to_json() if args.fmt == "json" else report.to_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"error: cannot write report to {args.out}: {exc.strerror}", file=sys.stderr)
+            return USAGE_ERROR
     else:
         sys.stdout.write(rendered)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         # kept out of the report payload so identical configs stay byte-identical
         print(f"completed in {report.duration_s:.2f}s", file=sys.stderr)
     return 0 if report.failed == 0 else 1

@@ -224,8 +224,8 @@ def test_criterion_8_poisson_suite():
 
 def test_criterion_9_deterministic_reports():
     with criterion(9, "two identical-seed full campaigns produce byte-identical JSON"):
-        cfg = CampaignConfig(suite="all", trials=5, seed=SEED, fmt="json")
+        cfg = CampaignConfig(suite="all", trials=5, seed=SEED)
         first = run_campaign(cfg).to_json()
-        second = run_campaign(CampaignConfig(suite="all", trials=5, seed=SEED, fmt="json")).to_json()
+        second = run_campaign(CampaignConfig(suite="all", trials=5, seed=SEED)).to_json()
         assert first.encode() == second.encode()
         assert '"failed": 0' in first

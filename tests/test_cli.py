@@ -244,6 +244,22 @@ def test_verify_arity_max_caps_the_volume_identities(capsys):
     assert code == 0 and identities == ["n=1", "n=2"]
 
 
+def test_verify_k_max_above_the_cost_bound_exit_2(capsys):
+    # the recursion check costs about k^3: a huge k-max would run for hours
+    code, out, err = run_cli(capsys, ["verify", "--suite", "coefficients", "--k-max", "100000"])
+    assert code == 2 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+    assert "200" in err
+
+
+def test_verify_unwritable_out_exit_2(tmp_path, capsys):
+    # exit 1 means an identity failed; a report that cannot be written is a usage error
+    target = tmp_path / "missing" / "report.json"
+    args = ["verify", "--suite", "coefficients", "--format", "json", "--out", str(target)]
+    code, out, err = run_cli(capsys, args)
+    assert code == 2 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+    assert not target.exists()
+
+
 def test_verify_degree_zero_exit_2(capsys):
     # constant inputs make every identity structurally zero: a vacuous run
     args = ["verify", "--suite", "chain", "--half-dim", "1", "--trials", "1", "--degree", "0"]

@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from koszul.campaign import CampaignConfig, run_campaign
+from koszul.forms import _Alternating
+from koszul.poly import Polynomial
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 from workloads import PINNED_SEED, WORKLOADS, campaign_kwargs  # noqa: E402
@@ -24,3 +26,55 @@ def test_pinned_report_digest(name):
     assert report.failed == 0
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
     assert digest == WORKLOADS[name]["digest_seed7"]
+
+
+# Every workload above is a passing report.  These pin how a failure renders:
+# each mutant doubles a kernel's result on spaces of dimension >= 3 (R2 stays
+# intact), so the failing checks record inputs and residuals of every type.
+FAILING_CONFIG = {"suite": "all", "trials": 3, "half_dims": (1, 2), "volume_dims": (3,)}
+
+
+def _doubled_wedge(wedge):
+    def doubled(self, other):
+        out = wedge(self, other)
+        return out * 2 if self.dim >= 3 else out
+
+    return doubled
+
+
+def _doubled_mul(mul):
+    def doubled(self, other):
+        out = mul(self, other)
+        return out * 2 if isinstance(other, Polynomial) and out.dim >= 3 else out
+
+    return doubled
+
+
+def _digest(report):
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+
+def test_default_config_digest():
+    report = run_campaign(CampaignConfig())
+    assert _digest(report) == "25abd976a0b92955f1946c1002a1af6c200a8138a7ce34153e3cb42ce0077646"
+
+
+@pytest.mark.parametrize(
+    "target, attr, mutant, failing_suites, failing_check, digest",
+    [
+        (_Alternating, "wedge", _doubled_wedge, {"chain", "alt-relation", "linfty-symplectic", "poisson"},
+         "R4 mutation a(2,0) breaks the identity",
+         "af5a208056f81497523399d2b9793a32dade45d244f8a31b5c330c0ed560b4c6"),
+        (Polynomial, "__mul__", _doubled_mul, {"alt-relation", "linfty-symplectic", "linfty-volume", "poisson"},
+         "sl2star iota_pi(top) = v1 dx1 + v2 dx2 - v3 dx3",
+         "42115259dca50ceac5bacfc8d580bfd7277a9ea91c657de558d4636ae3d294e7"),
+    ],
+    ids=["wedge", "poly-mul"],
+)
+def test_failing_campaign_digest(monkeypatch, target, attr, mutant, failing_suites, failing_check, digest):
+    monkeypatch.setattr(target, attr, mutant(getattr(target, attr)))
+    report = run_campaign(CampaignConfig(**FAILING_CONFIG))
+    failed = {c.name: c.suite for c in report.checks if not c.ok}
+    assert set(failed.values()) == failing_suites
+    assert failing_check in failed
+    assert _digest(report) == digest
