@@ -18,9 +18,10 @@ Building blocks:
   l_k(x_1, ..., x_k) = tilde_l(delta x_1, ..., delta x_k) on 1-forms.
 
 The defining recursion is ce_partial({.,.}, tilde_l_k) = delta . tilde_l_(k+1),
-checked exactly by ``verify_chain_identity``; ``tilde_l`` keeps the operator
-sum and the coefficient table separate so mutation tests can target single
-coefficients.
+checked exactly by ``verify_chain_identity``.  P_k = (-1)^k sum_j a(k,j) L^j Lam^j
+is linear, so ``lefschetz_sum`` applies it once to ce_partial({.,.}, k alt_m), with
+1/k folded into a(k,j)/k: exact over Q, and integer inputs keep the sums over Z.
+It reads the coefficient table, so mutation tests can target single coefficients.
 """
 
 from __future__ import annotations
@@ -69,16 +70,15 @@ class CoefficientTable:
 _DEFAULT_TABLE = CoefficientTable()
 
 
-def alt_m(s: SymplecticSpace, fs: Sequence[Polynomial]) -> DifferentialForm:
-    """Antisymmetrized (f_1, ..., f_k) |-> f_1 df_2 ^ ... ^ df_k; a (k-1)-form."""
+def _alt_sum(s: SymplecticSpace, fs: Sequence[Polynomial]) -> DifferentialForm:
+    """k alt_m(f_1..f_k): the alternating sum without the 1/k, exact over Z on integer inputs."""
     k = len(fs)
     if k < 1:
         raise ValueError("need at least one function")
-    dim = s.dim
     if k == 1:
         return DifferentialForm.from_polynomial(fs[0])
     dfs = [d_poly(f) for f in fs]
-    one = DifferentialForm.from_polynomial(Polynomial.constant(dim, 1))
+    one = DifferentialForm.from_polynomial(Polynomial.constant(s.dim, 1))
     prefix = [one]
     for w in dfs[:-1]:
         prefix.append(prefix[-1].wedge(w))
@@ -91,7 +91,12 @@ def alt_m(s: SymplecticSpace, fs: Sequence[Polynomial]) -> DifferentialForm:
         if i & 1:
             term = -term
         total = term if total is None else total + term
-    return total * Fraction(1, k)
+    return total
+
+
+def alt_m(s: SymplecticSpace, fs: Sequence[Polynomial]) -> DifferentialForm:
+    """Antisymmetrized (f_1, ..., f_k) |-> f_1 df_2 ^ ... ^ df_k; a (k-1)-form."""
+    return _alt_sum(s, fs) * Fraction(1, len(fs))
 
 
 def m_k(s: SymplecticSpace, fs: Sequence[Polynomial]) -> DifferentialForm:
@@ -102,16 +107,12 @@ def m_k(s: SymplecticSpace, fs: Sequence[Polynomial]) -> DifferentialForm:
     return total
 
 
-def tilde_l(
-    s: SymplecticSpace, fs: Sequence[Polynomial], table: CoefficientTable | None = None
+def lefschetz_sum(
+    s: SymplecticSpace, k: int, base: DifferentialForm, table: CoefficientTable | None = None
 ) -> DifferentialForm:
-    """Arity-k function bracket: (-1)^k (sum_j a(k,j) L^j Lam^j) alt_m."""
-    k = len(fs)
-    if k < 2:
-        raise ValueError("defined for arity >= 2")
+    """(-1)^k sum_j (a(k,j)/k) L^j Lam^j base, where ``base`` is k alt_m or a sum of such."""
     table = table or _DEFAULT_TABLE
-    base = alt_m(s, fs)
-    total = base * table.a(k, 0)
+    total = base * (table.a(k, 0) / k)
     lam = base
     for j in range(1, (k - 1) // 2 + 1):
         lam = s.Lam(lam)
@@ -120,8 +121,17 @@ def tilde_l(
         term = lam
         for _ in range(j):
             term = s.L(term)
-        total = total + term * table.a(k, j)
+        total = total + term * (table.a(k, j) / k)
     return -total if k & 1 else total
+
+
+def tilde_l(
+    s: SymplecticSpace, fs: Sequence[Polynomial], table: CoefficientTable | None = None
+) -> DifferentialForm:
+    """Arity-k function bracket: (-1)^k (sum_j a(k,j) L^j Lam^j) alt_m."""
+    if len(fs) < 2:
+        raise ValueError("defined for arity >= 2")
+    return lefschetz_sum(s, len(fs), _alt_sum(s, fs), table)
 
 
 def symplectic_family(
@@ -157,23 +167,27 @@ def l_bracket(s: SymplecticSpace, k: int, args: Sequence, table: CoefficientTabl
 def verify_chain_identity(
     s: SymplecticSpace, k: int, fs: Sequence[Polynomial], table: CoefficientTable | None = None
 ) -> DifferentialForm:
-    """Residual of ce_partial({.,.}, tilde_l_k) - delta . tilde_l_(k+1) on k+1 functions."""
+    """Residual of ce_partial({.,.}, tilde_l_k) - delta . tilde_l_(k+1) on k+1 functions.
+
+    Left side: P_k(ce_partial({.,.}, k alt_m)) with 1/k in P_k's coefficients, exact by linearity."""
     if k < 2:
         raise ValueError("chain identity starts at arity 2")
     if len(fs) != k + 1:
         raise ValueError(f"need {k + 1} functions, got {len(fs)}")
-    lhs = ce_partial(s.poisson_bracket, lambda xs: tilde_l(s, xs, table), fs)
+    lhs = lefschetz_sum(s, k, ce_partial(s.poisson_bracket, lambda xs: _alt_sum(s, xs), fs), table)
     rhs = s.delta(tilde_l(s, fs, table))
     return lhs - rhs
 
 
 def verify_alt_m_identity(s: SymplecticSpace, k: int, fs: Sequence[Polynomial]) -> DifferentialForm:
-    """Residual of ce_partial({.,.}, alt_m_k) - (-delta + (1/k) d Lam) alt_m_(k+1)."""
+    """Residual of ce_partial({.,.}, alt_m_k) - (-delta + (1/k) d Lam) alt_m_(k+1).
+
+    The coboundary sums the unscaled k alt_m and divides by k once (exact by linearity)."""
     if k < 1:
         raise ValueError("arity must be >= 1")
     if len(fs) != k + 1:
         raise ValueError(f"need {k + 1} functions, got {len(fs)}")
-    lhs = ce_partial(s.poisson_bracket, lambda xs: alt_m(s, xs), fs)
+    lhs = ce_partial(s.poisson_bracket, lambda xs: _alt_sum(s, xs), fs) * Fraction(1, k)
     am = alt_m(s, fs)
     rhs = -s.delta(am) + d(s.Lam(am)) * Fraction(1, k)
     return lhs - rhs

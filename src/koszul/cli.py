@@ -92,17 +92,17 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    report = run_campaign(cfg)
-    rendered = report.to_json() if args.fmt == "json" else report.to_text()
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(rendered)
-        except OSError as exc:
-            print(f"error: cannot write report to {args.out}: {exc.strerror}", file=sys.stderr)
-            return USAGE_ERROR
-    else:
-        sys.stdout.write(rendered)
+    try:  # refuse an unwritable report path before the campaign spends its time
+        fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except OSError as exc:
+        print(f"error: cannot write report to {args.out}: {exc.strerror}", file=sys.stderr)
+        return USAGE_ERROR
+    try:
+        report = run_campaign(cfg)
+        fh.write(report.to_json() if args.fmt == "json" else report.to_text())
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
     if args.fmt == "json":
         # kept out of the report payload so identical configs stay byte-identical
         print(f"completed in {report.duration_s:.2f}s", file=sys.stderr)

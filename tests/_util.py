@@ -26,6 +26,12 @@ def rand_frac_form(label: str, trial: int, dim: int, degree: int, max_degree: in
     return a + rand_form(f"{label}/b", trial, dim, degree, max_degree) * Fraction(-2, 7)
 
 
+def rand_frac_poly(label: str, trial: int, dim: int, max_degree: int = 3) -> Polynomial:
+    """``rand_poly`` with its coefficients over mixed denominators 3, 7, 11, ..."""
+    p = rand_poly(label, trial, dim, max_degree)
+    return Polynomial(dim, {e: Fraction(c, 3 + 4 * i) for i, (e, c) in enumerate(sorted(p.terms.items()))})
+
+
 def contraction_oracle(X: MultiVectorField, a: DifferentialForm) -> DifferentialForm:
     """Independent expansion of iota_X: alternating sum over term positions."""
     parts = DifferentialForm.zero(a.dim, max(a.degree - 1, 0))

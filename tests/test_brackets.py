@@ -9,6 +9,7 @@ from koszul import (
     SymplecticSpace,
     alt_m,
     bracket_coefficient,
+    ce_partial,
     d,
     d_poly,
     l_bracket,
@@ -24,7 +25,7 @@ from koszul import (
 )
 from koszul.brackets import m_k
 
-from _util import rand_form, rand_poly
+from _util import rand_form, rand_frac_poly, rand_poly
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +235,98 @@ def test_mutation_sensitivity_every_coefficient(n):
                 if broke:
                     break
             assert broke, f"perturbing a({k},{j}) left every sampled identity intact"
+
+
+# The suites factor the Lefschetz sum P_k out of the coboundary by linearity.
+# These references keep the unfactored sums, one tilde_l_k or alt_m_k per pair.
+
+
+def _chain_reference(s, k, fs, table=None):
+    lhs = ce_partial(s.poisson_bracket, lambda xs: tilde_l(s, xs, table), fs)
+    return lhs - s.delta(tilde_l(s, fs, table))
+
+
+def _alt_m_reference(s, k, fs):
+    lhs = ce_partial(s.poisson_bracket, lambda xs: alt_m(s, xs), fs)
+    am = alt_m(s, fs)
+    return lhs - (-s.delta(am) + d(s.Lam(am)) * Fraction(1, k))
+
+
+_INPUTS = {"int": rand_poly, "frac": rand_frac_poly}
+
+
+def _live_and_equal(factored, reference, draws):
+    """Compare the two residuals on each draw up to the first nonzero one; True if one was."""
+    for fs in draws:
+        residual = factored(fs)
+        assert residual == reference(fs)
+        if not residual.is_zero():
+            return True
+    return False
+
+
+def _draws(kind, label, dim, arity, budget=6):
+    return ([_INPUTS[kind](f"{label}-{i}", t, dim) for i in range(arity)] for t in range(budget))
+
+
+@pytest.mark.parametrize("kind", sorted(_INPUTS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_factored_chain_residual_equals_unfactored(n, kind):
+    s = SymplecticSpace(n)
+    for k in range(2, 2 * n + 1):
+        fs = next(_draws(kind, f"fac-{n}-{k}", s.dim, k + 1))
+        assert verify_chain_identity(s, k, fs).is_zero() and _chain_reference(s, k, fs).is_zero()
+        # each coefficient on either side of the identity reaches the factored residual
+        for kk in (k, k + 1):
+            for j in range(0, (kk - 1) // 2 + 1):
+                table = CoefficientTable.perturbed(kk, j)
+                assert _live_and_equal(
+                    lambda xs: verify_chain_identity(s, k, xs, table),
+                    lambda xs: _chain_reference(s, k, xs, table),
+                    _draws(kind, f"fac-{n}-{k}-a{kk}{j}", s.dim, k + 1),
+                ), f"perturbed a({kk},{j}) left every k={k} draw intact"
+
+
+class _DoubledBracketSpace(SymplecticSpace):
+    """Breaks the alt_m identity: its left side doubles, its right side does not."""
+
+    def poisson_bracket(self, f, g):
+        return super().poisson_bracket(f, g) * 2
+
+
+@pytest.mark.parametrize("kind", sorted(_INPUTS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_factored_alt_m_residual_equals_unfactored(n, kind):
+    s, broken = SymplecticSpace(n), _DoubledBracketSpace(n)
+    for k in range(1, 2 * n + 1):
+        fs = next(_draws(kind, f"fac-alt-{n}-{k}", s.dim, k + 1))
+        assert verify_alt_m_identity(s, k, fs).is_zero() and _alt_m_reference(s, k, fs).is_zero()
+        assert _live_and_equal(
+            lambda xs: verify_alt_m_identity(broken, k, xs),
+            lambda xs: _alt_m_reference(broken, k, xs),
+            _draws(kind, f"fac-alt-{n}-{k}", s.dim, k + 1),
+        ), f"the doubled bracket left every k={k} draw intact"
+
+
+class _LamCountingSpace(SymplecticSpace):
+    def __init__(self, n):
+        super().__init__(n)
+        self.lam_calls = 0
+
+    def Lam(self, a):
+        self.lam_calls += 1
+        return super().Lam(a)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_chain_identity_applies_each_lefschetz_sum_once(n):
+    s = _LamCountingSpace(n)
+    for k in range(2, 2 * n + 1):
+        fs = [rand_poly(f"lam-count-{n}-{k}-{i}", 0, s.dim) for i in range(k + 1)]
+        s.lam_calls = 0
+        assert verify_chain_identity(s, k, fs).is_zero()
+        # one P_k on the coboundary and one P_(k+1) on the right side
+        assert s.lam_calls <= (k - 1) // 2 + k // 2, f"k={k}: {s.lam_calls} Lam calls"
 
 
 def test_chain_identity_validates_arguments(s1):

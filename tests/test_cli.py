@@ -260,6 +260,18 @@ def test_verify_unwritable_out_exit_2(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_verify_refuses_unwritable_out_before_the_campaign(tmp_path, capsys, monkeypatch):
+    import koszul.cli as cli
+
+    def campaign_must_not_run(cfg):
+        raise AssertionError("the campaign ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_campaign", campaign_must_not_run)
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, ["verify", "--suite", "chain", "--out", str(target)])
+    assert code == 2 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_verify_degree_zero_exit_2(capsys):
     # constant inputs make every identity structurally zero: a vacuous run
     args = ["verify", "--suite", "chain", "--half-dim", "1", "--trials", "1", "--degree", "0"]

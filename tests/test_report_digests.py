@@ -59,6 +59,12 @@ def test_default_config_digest():
     assert _digest(report) == "25abd976a0b92955f1946c1002a1af6c200a8138a7ce34153e3cb42ce0077646"
 
 
+def test_half_dim_3_digest():
+    # the smallest space whose brackets use a(k,2), i.e. L^2 Lam^2 in the Lefschetz sum
+    report = run_campaign(CampaignConfig(half_dims=(3,)))
+    assert _digest(report) == "3e6005237ad5a4683b97b8eae4d8483047db3457fee0a39a647fe2965a511918"
+
+
 @pytest.mark.parametrize(
     "target, attr, mutant, failing_suites, failing_check, digest",
     [
