@@ -65,6 +65,17 @@ def test_half_dim_3_digest():
     assert _digest(report) == "3e6005237ad5a4683b97b8eae4d8483047db3457fee0a39a647fe2965a511918"
 
 
+def test_half_dim_4_digest():
+    report = run_campaign(CampaignConfig(half_dims=(4,)))
+    assert _digest(report) == "95b83573e5784bc2ba8ae91b0fb00720f9274abfcd375a657beae63435c2882d"
+
+
+def test_linfty_tower_digest():
+    # the full bracket tower on R8: identities up to arity 9
+    report = run_campaign(CampaignConfig(suite="linfty-symplectic", half_dims=(4,), arity_max=9))
+    assert _digest(report) == "204f6025fb0f50820bd242bdb53a4477e505aa45db8b56271ccc6375c56f438a"
+
+
 @pytest.mark.parametrize(
     "target, attr, mutant, failing_suites, failing_check, digest",
     [
