@@ -18,7 +18,7 @@ from .forms import (
     wedge,
 )
 from .grammar import FormSyntaxError, parse_form, parse_polynomial, render_form, render_polynomial
-from .symplectic import OperatorReport, SymplecticSpace, verify_operator_relations
+from .symplectic import SymplecticSpace, operator_relations
 from .linfty import (
     BracketFamily,
     GradedElement,
@@ -32,13 +32,13 @@ from .brackets import (
     CoefficientTable,
     alt_m,
     bracket_coefficient,
+    coefficient_recursions,
     l_bracket,
     series_coefficient,
     symplectic_family,
     tilde_l,
     verify_alt_m_identity,
     verify_chain_identity,
-    verify_coefficient_recursions,
     verify_quotient_congruence,
     verify_strict_morphism,
 )
@@ -70,8 +70,7 @@ __all__ = [
     "render_polynomial",
     "FormSyntaxError",
     "SymplecticSpace",
-    "OperatorReport",
-    "verify_operator_relations",
+    "operator_relations",
     "GradedElement",
     "BracketFamily",
     "unshuffles",
@@ -83,12 +82,12 @@ __all__ = [
     "tilde_l",
     "series_coefficient",
     "bracket_coefficient",
+    "coefficient_recursions",
     "CoefficientTable",
     "symplectic_family",
     "l_bracket",
     "verify_chain_identity",
     "verify_alt_m_identity",
-    "verify_coefficient_recursions",
     "verify_strict_morphism",
     "verify_quotient_congruence",
     "VolumeSpace",

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .forms import DifferentialForm, d, d_poly
 from .linfty import BracketFamily, GradedElement, ce_partial
@@ -144,7 +144,6 @@ def symplectic_family(
 
     return BracketFamily(
         name=f"symplectic(n={s.n})",
-        grounded=True,
         ground_form_degree=1,
         form_degree_bounds=(1, s.dim),
         ldegree_of=lambda form_degree: 1 - form_degree,
@@ -222,52 +221,41 @@ def verify_quotient_congruence(
     return (representative - l2) + s.delta(witness)
 
 
-@dataclass
-class CoefficientCheck:
-    """Result of checking the coefficient recursions exactly up to k_max."""
+def _recursions_at(k: int, j: int) -> list[tuple[str, Fraction, Fraction]]:
+    a_kj = series_coefficient(k, j)
+    equalities = [
+        (
+            f"(k+1)a(k,j)=k a(k+1,j)+k(j+1)^2 a(k+1,j+1) at k={k},j={j}",
+            (k + 1) * a_kj,
+            k * series_coefficient(k + 1, j) + k * (j + 1) ** 2 * series_coefficient(k + 1, j + 1),
+        ),
+        (
+            f"a(k,j)=k(j+1)a(k+1,j+1) at k={k},j={j}",
+            a_kj,
+            k * (j + 1) * series_coefficient(k + 1, j + 1),
+        ),
+        (
+            f"a(k+1,j)=((k-j)/k)a(k,j) at k={k},j={j}",
+            series_coefficient(k + 1, j),
+            Fraction(k - j, k) * a_kj,
+        ),
+    ]
+    if j >= 1:
+        equalities.append(
+            (
+                f"a(k,j)=a(k,j-1)/(j(k-j)) at k={k},j={j}",
+                a_kj,
+                series_coefficient(k, j - 1) / (j * (k - j)),
+            )
+        )
+    return equalities
 
-    k_max: int
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+def coefficient_recursions(k_max: int) -> Iterator[tuple[str, Fraction, Fraction]]:
+    """Both downward recursions and both inductive formulas for k <= k_max, as (label, lhs, rhs).
 
-
-def verify_coefficient_recursions(k_max: int) -> CoefficientCheck:
-    """Check both downward recursions and both inductive formulas for k <= k_max."""
+    The equalities are computed lazily, one (k, j) at a time; a bad ``k_max``
+    is refused at the call."""
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    report = CoefficientCheck(k_max)
-
-    def expect(label: str, lhs: Fraction, rhs: Fraction):
-        report.checked += 1
-        if lhs != rhs:
-            report.failures.append(f"{label}: {lhs} != {rhs}")
-
-    for k in range(2, k_max + 1):
-        for j in range(0, (k - 1) // 2 + 1):
-            a_kj = series_coefficient(k, j)
-            expect(
-                f"(k+1)a(k,j)=k a(k+1,j)+k(j+1)^2 a(k+1,j+1) at k={k},j={j}",
-                (k + 1) * a_kj,
-                k * series_coefficient(k + 1, j) + k * (j + 1) ** 2 * series_coefficient(k + 1, j + 1),
-            )
-            expect(
-                f"a(k,j)=k(j+1)a(k+1,j+1) at k={k},j={j}",
-                a_kj,
-                k * (j + 1) * series_coefficient(k + 1, j + 1),
-            )
-            expect(
-                f"a(k+1,j)=((k-j)/k)a(k,j) at k={k},j={j}",
-                series_coefficient(k + 1, j),
-                Fraction(k - j, k) * a_kj,
-            )
-            if j >= 1:
-                expect(
-                    f"a(k,j)=a(k,j-1)/(j(k-j)) at k={k},j={j}",
-                    a_kj,
-                    series_coefficient(k, j - 1) / (j * (k - j)),
-                )
-    return report
+    return (eq for k in range(2, k_max + 1) for j in range(0, (k - 1) // 2 + 1) for eq in _recursions_at(k, j))

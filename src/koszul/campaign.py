@@ -1,12 +1,16 @@
 """Verification campaigns: run the identity suites on seeded random inputs
 and assemble machine-readable reports.
 
-A suite yields check rows (``Check``): suite, name, input stream, residual and
-an optional mutant message.  The stream yields one argument tuple per trial,
-and the check passes when ``residual(*args)`` is exactly zero on each.  A row
-with a mutant message checks a deliberately broken identity: it passes at the
-first nonzero residual, else fails and reports the mutant.  One runner counts
-the trials and renders every failure.
+Every suite is a generator of check rows (``Check``): suite, input stream,
+named residuals and an optional mutant message.  The stream yields one
+argument tuple per trial, and each named check passes when its
+``residual(*args)`` is exactly zero on every tuple.  The residuals of one row
+all run on a tuple before the next is drawn, so they may share work within
+that sample: the operator row evaluates each operator once per form for all
+14 relations.  A row with a mutant message checks a deliberately broken
+identity: it passes at the first nonzero residual, else fails and reports the
+mutant.  One runner, ``_run``, counts the trials and renders every failure of
+every suite.
 
 Each trial draws its inputs from ``trial_rng(seed, label, t)``, and the JSON
 rendering is canonical, so identical configs produce byte-identical reports.
@@ -29,11 +33,11 @@ from . import __version__
 from .brackets import (
     CoefficientTable,
     bracket_coefficient,
+    coefficient_recursions,
     l_bracket,
     symplectic_family,
     verify_alt_m_identity,
     verify_chain_identity,
-    verify_coefficient_recursions,
     verify_quotient_congruence,
     verify_strict_morphism,
 )
@@ -51,25 +55,14 @@ from .poisson import (
 )
 from .poly import Polynomial
 from .randgen import random_form, random_polynomial, trial_rng
-from .symplectic import SymplecticSpace, verify_operator_relations
+from .symplectic import SymplecticSpace, operator_relations
 from .volume import VolumeSpace, exact_divfree_vf, volume_family
-
-SUITES = (
-    "operators",
-    "chain",
-    "alt-relation",
-    "linfty-symplectic",
-    "linfty-volume",
-    "poisson",
-    "coefficients",
-    "all",
-)
 
 # suites that would silently run nothing for an empty dimension list
 _HALF_DIM_SUITES = ("operators", "chain", "alt-relation", "linfty-symplectic", "poisson", "all")
 _VOLUME_DIM_SUITES = ("linfty-volume", "all")
 
-# verify_coefficient_recursions costs about k_max^3: under a second at 200 on a
+# the recursion check costs about k_max^3: under a second at 200 on a
 # 2-core machine, over a minute at 800
 K_MAX = 200
 
@@ -178,38 +171,43 @@ class CampaignReport:
 
 
 class Check(NamedTuple):
-    """One check row: ``residual(*args)`` must vanish for every ``args`` in ``inputs``.
+    """One check row: each of ``residuals``, ``{name: residual}`` in report
+    order, must vanish at every ``args`` in ``inputs``.
 
-    With ``mutant`` set the identity is deliberately broken, and the row
-    instead needs one input whose residual is nonzero.  A suite yields rows
-    one at a time and each runs before the next is built, so ``inputs`` and
-    ``residual`` may close over the suite's loop variables.
+    Each input runs through every residual before the next is drawn, so the
+    residuals of a row may share work within one sample.  With ``mutant`` set
+    the row has exactly one residual, its identity is deliberately broken, and
+    the row instead needs one input whose residual is nonzero.  A suite yields
+    rows one at a time and each runs before the next is built, so ``inputs``
+    and ``residuals`` may close over the suite's loop variables.
     """
 
     suite: str
-    name: str
     inputs: Iterable[tuple]
-    residual: Callable[..., Polynomial | DifferentialForm]
+    residuals: dict[str, Callable[..., Polynomial | DifferentialForm]]
     mutant: str | None = None
 
 
-def _render(x: Polynomial | DifferentialForm) -> str:
-    return render_polynomial(x) if isinstance(x, Polynomial) else render_form(x)
+def _render(x) -> str:
+    if isinstance(x, Polynomial):
+        return render_polynomial(x)
+    return render_form(x) if isinstance(x, DifferentialForm) else str(x)
 
 
-def _run(row: Check) -> CheckResult:
-    check = CheckResult(row.suite, row.name)
+def _run(row: Check) -> list[CheckResult]:
+    checks = [CheckResult(row.suite, name) for name in row.residuals]
     for args in row.inputs:
-        residual = row.residual(*args)
-        check.trials += 1
-        if residual.is_zero():
-            continue
-        if row.mutant:
-            return check
-        check.record([_render(x) for x in args], _render(residual))
+        for check, residual_of in zip(checks, row.residuals.values()):
+            residual = residual_of(*args)
+            check.trials += 1
+            if residual.is_zero():
+                continue
+            if row.mutant:
+                return checks
+            check.record([_render(x) for x in args], _render(residual))
     if row.mutant:
-        check.record([row.mutant], "no input broke the identity")
-    return check
+        checks[0].record([row.mutant], "no input broke the identity")
+    return checks
 
 
 def _stream(cfg: CampaignConfig, label: str, trials: int, draw: Callable) -> Iterable[tuple]:
@@ -233,17 +231,46 @@ def _identity(fam: BracketFamily) -> Callable:
 # -- individual suites --------------------------------------------------------
 
 
-def suite_operators(cfg: CampaignConfig) -> list[CheckResult]:
-    out = []
+def operator_row(s: SymplecticSpace, cfg: CampaignConfig) -> Check:
+    """The relation table of ``s`` as one row on seeded random forms of every degree 0..2n.
+
+    All 14 relations run on one form before the next is drawn, and within that
+    sample each of L, Lam, H, delta and d is evaluated once per input object
+    (``d(a)`` alone feeds eight relations).  This is exact: the kernels are
+    pure functions of their input and forms are never mutated, so a shared
+    value is the value a fresh call returns.  The memo is keyed by the
+    identity of the input and holds the input, so no key can be reused by
+    another object, and the stream empties it before each sample and after
+    the last.
+    """
+    if cfg.trials < 1:
+        raise ValueError("trials must be >= 1")
+    memo: dict = {}
+
+    def share(op):
+        def once(a):
+            key = (op, id(a))
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = (a, op(a))
+            return hit[1]
+
+        return once
+
+    def inputs():
+        for degree in range(0, s.dim + 1):
+            for args in _stream(cfg, f"operators/deg{degree}", cfg.trials, _forms(cfg, s.dim, degree)):
+                memo.clear()
+                yield args
+        memo.clear()
+
+    return Check("operators", inputs(), {f"R{s.dim} {name}": lambda a, lhs=lhs, rhs=rhs: lhs(a) - rhs(a)
+                                         for name, lhs, rhs in operator_relations(s, share)})
+
+
+def suite_operators(cfg: CampaignConfig) -> Iterable[Check]:
     for n in cfg.half_dims:
-        s = SymplecticSpace(n)
-        label = f"R{2 * n}"
-        for report in verify_operator_relations(s, cfg.trials, cfg.max_degree, cfg.seed, cfg.density):
-            check = CheckResult("operators", f"{label} {report.relation}", report.trials)
-            for rendered_input, residual in report.failures:
-                check.record([rendered_input], residual)
-            out.append(check)
-    return out
+        yield operator_row(SymplecticSpace(n), cfg)
 
 
 def suite_chain(cfg: CampaignConfig) -> Iterable[Check]:
@@ -252,9 +279,8 @@ def suite_chain(cfg: CampaignConfig) -> Iterable[Check]:
         s = SymplecticSpace(n)
         label = f"R{2 * n}"
         for k in range(2, 2 * n + 1):
-            yield Check("chain", f"{label} partial(l~_{k}) = delta l~_{k + 1}",
-                        _stream(cfg, f"chain/{label}/k{k}", trials, _polys(cfg, s.dim, k + 1)),
-                        lambda *fs: verify_chain_identity(s, k, fs))
+            yield Check("chain", _stream(cfg, f"chain/{label}/k{k}", trials, _polys(cfg, s.dim, k + 1)),
+                        {f"{label} partial(l~_{k}) = delta l~_{k + 1}": lambda *fs: verify_chain_identity(s, k, fs)})
         # mutation sensitivity: any perturbed coefficient must break some identity;
         # an unlucky draw can miss, so keep drawing before reporting a miss
         for k in range(2, 2 * n + 2):
@@ -262,8 +288,9 @@ def suite_chain(cfg: CampaignConfig) -> Iterable[Check]:
                 table = CoefficientTable.perturbed(k, j)
                 inputs = ((kk, *_polys(cfg, s.dim, kk + 1)(trial_rng(cfg.seed, f"chain-mut/{label}/k{kk}/a{k}_{j}", t)))
                           for t in range(4 * trials) for kk in range(max(2, k - 1), min(2 * n, k) + 1))
-                yield Check("chain", f"{label} mutation a({k},{j}) breaks the identity", inputs,
-                            lambda kk, *fs: verify_chain_identity(s, kk, fs, table),
+                yield Check("chain", inputs,
+                            {f"{label} mutation a({k},{j}) breaks the identity":
+                             lambda kk, *fs: verify_chain_identity(s, kk, fs, table)},
                             f"a({k},{j}) -> {bracket_coefficient(k, j)} + 1")
 
 
@@ -273,9 +300,9 @@ def suite_alt_relation(cfg: CampaignConfig) -> Iterable[Check]:
         s = SymplecticSpace(n)
         label = f"R{2 * n}"
         for k in range(1, 6):
-            yield Check("alt-relation", f"{label} partial(Alt m_{k}) = (-delta + d Lam/{k}) Alt m_{k + 1}",
-                        _stream(cfg, f"alt/{label}/k{k}", trials, _polys(cfg, s.dim, k + 1)),
-                        lambda *fs: verify_alt_m_identity(s, k, fs))
+            yield Check("alt-relation", _stream(cfg, f"alt/{label}/k{k}", trials, _polys(cfg, s.dim, k + 1)),
+                        {f"{label} partial(Alt m_{k}) = (-delta + d Lam/{k}) Alt m_{k + 1}":
+                         lambda *fs: verify_alt_m_identity(s, k, fs)})
 
 
 def suite_linfty_symplectic(cfg: CampaignConfig) -> Iterable[Check]:
@@ -285,24 +312,22 @@ def suite_linfty_symplectic(cfg: CampaignConfig) -> Iterable[Check]:
         identity = _identity(symplectic_family(s))
         label = f"R{2 * n}"
         for arity in range(1, cfg.arity_max + 1):
-            yield Check("linfty-symplectic", f"{label} identity n={arity} (ground args)",
+            yield Check("linfty-symplectic",
                         _stream(cfg, f"linfty/{label}/n{arity}", trials, _forms(cfg, s.dim, *[1] * arity)),
-                        identity)
+                        {f"{label} identity n={arity} (ground args)": identity})
         # mixed complex degrees exercise groundedness
-        yield Check("linfty-symplectic", f"{label} identity n=3 (mixed degrees)",
+        yield Check("linfty-symplectic",
                     _stream(cfg, f"linfty-mixed/{label}", trials, _forms(cfg, s.dim, 1, 2, min(3, s.dim))),
-                    identity)
+                    {f"{label} identity n=3 (mixed degrees)": identity})
         # brackets above dim+1 vanish
-        yield Check("linfty-symplectic", f"{label} l_{s.dim + 2} = 0",
+        yield Check("linfty-symplectic",
                     _stream(cfg, f"linfty-top/{label}", trials, _forms(cfg, s.dim, *[1] * (s.dim + 2))),
-                    lambda *forms: l_bracket(s, s.dim + 2, forms).form)
+                    {f"{label} l_{s.dim + 2} = 0": lambda *forms: l_bracket(s, s.dim + 2, forms).form})
         # strict morphism and quotient congruence
-        yield Check("linfty-symplectic", f"{label} delta l_2(a,b) = {{delta a, delta b}}",
-                    _stream(cfg, f"morphism/{label}", cfg.trials, _forms(cfg, s.dim, 1, 1)),
-                    partial(verify_strict_morphism, s))
-        yield Check("linfty-symplectic", f"{label} quotient congruence witness",
-                    _stream(cfg, f"congruence/{label}", cfg.trials, _forms(cfg, s.dim, 1, 1)),
-                    partial(verify_quotient_congruence, s))
+        yield Check("linfty-symplectic", _stream(cfg, f"morphism/{label}", cfg.trials, _forms(cfg, s.dim, 1, 1)),
+                    {f"{label} delta l_2(a,b) = {{delta a, delta b}}": partial(verify_strict_morphism, s)})
+        yield Check("linfty-symplectic", _stream(cfg, f"congruence/{label}", cfg.trials, _forms(cfg, s.dim, 1, 1)),
+                    {f"{label} quotient congruence witness": partial(verify_quotient_congruence, s)})
 
 
 def suite_linfty_volume(cfg: CampaignConfig) -> Iterable[Check]:
@@ -311,88 +336,75 @@ def suite_linfty_volume(cfg: CampaignConfig) -> Iterable[Check]:
         v = VolumeSpace(m)
         fam = volume_family(v)
         label = f"R{m}(vol)"
-        yield Check("linfty-volume", f"{label} iota_X mu = -d(potential)",
-                    _stream(cfg, f"volume-vf/{label}", cfg.trials, _forms(cfg, m, m - 2)),
-                    lambda alpha: contract_vector(exact_divfree_vf(v, alpha), v.mu) + d(alpha))
+        yield Check("linfty-volume", _stream(cfg, f"volume-vf/{label}", cfg.trials, _forms(cfg, m, m - 2)),
+                    {f"{label} iota_X mu = -d(potential)":
+                     lambda alpha: contract_vector(exact_divfree_vf(v, alpha), v.mu) + d(alpha)})
         for arity in range(1, min(4, cfg.arity_max) + 1):
-            yield Check("linfty-volume", f"{label} identity n={arity} (ground args)",
+            yield Check("linfty-volume",
                         _stream(cfg, f"linfty-vol/{label}/n{arity}", trials, _forms(cfg, m, *[m - 2] * arity)),
-                        _identity(fam))
+                        {f"{label} identity n={arity} (ground args)": _identity(fam)})
         pairs = _stream(cfg, f"volume-exact/{label}", trials, _forms(cfg, m, m - 3, m - 2))
-        yield Check("linfty-volume", f"{label} bracket kills d-exact arguments",
-                    ((d(beta), alpha) for beta, alpha in pairs),
-                    lambda exact, alpha: fam.l(2, [fam.element(exact), fam.element(alpha)]).form)
+        yield Check("linfty-volume", ((d(beta), alpha) for beta, alpha in pairs),
+                    {f"{label} bracket kills d-exact arguments":
+                     lambda exact, alpha: fam.l(2, [fam.element(exact), fam.element(alpha)]).form})
 
 
 def suite_poisson(cfg: CampaignConfig) -> Iterable[Check]:
     trials = max(5, cfg.trials // 3)
     for p in (standard_symplectic(1), standard_symplectic(2), sl2_dual(), zero_poisson(3)):
         label = p.name
-        yield Check("poisson", f"{label} delta^2 = 0",
+        yield Check("poisson",
                     chain.from_iterable(_stream(cfg, f"poisson-delta/{label}/deg{degree}", trials,
                                                 _forms(cfg, p.m, degree)) for degree in range(0, p.m + 1)),
-                    lambda a: p.delta(p.delta(a)))
-        yield Check("poisson", f"{label} obstruction identity",
-                    _stream(cfg, f"poisson-ob/{label}", trials, _polys(cfg, p.m, 3)),
-                    partial(obstruction_identity_residual, p))
-        yield Check("poisson", f"{label} jacobiator vs obstruction",
-                    _stream(cfg, f"poisson-jac/{label}", trials, _forms(cfg, p.m, 1, 1, 1)),
-                    partial(jacobiator_residual, p))
+                    {f"{label} delta^2 = 0": lambda a: p.delta(p.delta(a))})
+        yield Check("poisson", _stream(cfg, f"poisson-ob/{label}", trials, _polys(cfg, p.m, 3)),
+                    {f"{label} obstruction identity": partial(obstruction_identity_residual, p)})
+        yield Check("poisson", _stream(cfg, f"poisson-jac/{label}", trials, _forms(cfg, p.m, 1, 1, 1)),
+                    {f"{label} jacobiator vs obstruction": partial(jacobiator_residual, p)})
     # sl2star contraction identity: iota_pi(dx1^dx2^dx3) = v1 dx1 + v2 dx2 - v3 dx3
     p = sl2_dual()
     expected = parse_form("v1 dx1 + v2 dx2 - v3 dx3", 3)
-    yield Check("poisson", "sl2star iota_pi(top) = v1 dx1 + v2 dx2 - v3 dx3",
-                [(DifferentialForm(3, 3, {(0, 1, 2): Polynomial.constant(3, 1)}),)],
-                lambda top: contract_bivector(p.pi, top) - expected)
+    yield Check("poisson", [(DifferentialForm(3, 3, {(0, 1, 2): Polynomial.constant(3, 1)}),)],
+                {"sl2star iota_pi(top) = v1 dx1 + v2 dx2 - v3 dx3": lambda top: contract_bivector(p.pi, top) - expected})
     # symplectic witness: obstruction = delta(witness), exactly
     for n in cfg.half_dims:
         s = SymplecticSpace(n)
         ps = standard_symplectic(n)
-        yield Check("poisson", f"standard-symplectic({n}) obstruction = delta(witness)",
-                    _stream(cfg, f"poisson-witness/R{2 * n}", trials, _polys(cfg, s.dim, 3)),
-                    lambda *fs: obstruction(ps, *fs) - ps.delta(symplectic_obstruction_witness(s, *fs)))
+        yield Check("poisson", _stream(cfg, f"poisson-witness/R{2 * n}", trials, _polys(cfg, s.dim, 3)),
+                    {f"standard-symplectic({n}) obstruction = delta(witness)":
+                     lambda *fs: obstruction(ps, *fs) - ps.delta(symplectic_obstruction_witness(s, *fs))})
 
 
-def suite_coefficients(cfg: CampaignConfig) -> list[CheckResult]:
-    report = verify_coefficient_recursions(cfg.k_max)
-    check = CheckResult("coefficients", f"recursions and inductive formulas, k <= {cfg.k_max}", report.checked)
-    for f in report.failures:
-        check.record([f], "exact mismatch")
-    anchored = CheckResult("coefficients", "anchored values a(2,0)..a(5,2)")
+def _mismatch(label: str, lhs: Fraction, rhs: Fraction) -> Polynomial:
+    return Polynomial.constant(0, lhs - rhs)
+
+
+def suite_coefficients(cfg: CampaignConfig) -> Iterable[Check]:
+    yield Check("coefficients", coefficient_recursions(cfg.k_max),
+                {f"recursions and inductive formulas, k <= {cfg.k_max}": _mismatch})
     expected = {
         (2, 0): Fraction(1), (3, 1): Fraction(1, 2), (4, 1): Fraction(1, 3),
         (5, 1): Fraction(1, 4), (5, 2): Fraction(1, 24),
     }
-    for (k, j), val in sorted(expected.items()):
-        anchored.trials += 1
-        got = bracket_coefficient(k, j)
-        if got != val:
-            anchored.record([f"a({k},{j})"], f"{got} != {val}")
-    return [check, anchored]
+    anchored = ((f"a({k},{j})", bracket_coefficient(k, j), val) for (k, j), val in sorted(expected.items()))
+    yield Check("coefficients", anchored, {"anchored values a(2,0)..a(5,2)": _mismatch})
 
 
-def _runner(rows: Callable[[CampaignConfig], Iterable[Check]]) -> Callable[[CampaignConfig], list[CheckResult]]:
-    return lambda cfg: [_run(row) for row in rows(cfg)]
-
-
-_SUITE_RUNNERS = {
+_SUITE_ROWS = {
     "operators": suite_operators,
-    "chain": _runner(suite_chain),
-    "alt-relation": _runner(suite_alt_relation),
-    "linfty-symplectic": _runner(suite_linfty_symplectic),
-    "linfty-volume": _runner(suite_linfty_volume),
-    "poisson": _runner(suite_poisson),
+    "chain": suite_chain,
+    "alt-relation": suite_alt_relation,
+    "linfty-symplectic": suite_linfty_symplectic,
+    "linfty-volume": suite_linfty_volume,
+    "poisson": suite_poisson,
     "coefficients": suite_coefficients,
 }
+SUITES = (*_SUITE_ROWS, "all")
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     cfg.validate()
     started = time.monotonic()
-    checks: list[CheckResult] = []
-    if cfg.suite == "all":
-        for name in SUITES[:-1]:
-            checks.extend(_SUITE_RUNNERS[name](cfg))
-    else:
-        checks.extend(_SUITE_RUNNERS[cfg.suite](cfg))
+    names = _SUITE_ROWS if cfg.suite == "all" else (cfg.suite,)
+    checks = [check for name in names for row in _SUITE_ROWS[name](cfg) for check in _run(row)]
     return CampaignReport(cfg, checks, time.monotonic() - started)

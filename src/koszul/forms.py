@@ -87,6 +87,13 @@ class _Alternating:
     def zero(cls, dim: int, degree: int = 0):
         return cls(dim, degree, {})
 
+    @classmethod
+    def basis(cls, dim: int, indices: Iterable[int], coeff: Scalar = 1):
+        """The form c * dx_{i1}^...^dx_{ik} for strictly increasing 0-based indices."""
+        idx = tuple(indices)
+        p = coeff if isinstance(coeff, Polynomial) else Polynomial.constant(dim, coeff)
+        return cls(dim, len(idx), {idx: p})
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -216,13 +223,6 @@ class DifferentialForm(_Alternating):
     def from_polynomial(cls, p: Polynomial) -> "DifferentialForm":
         return cls(p.dim, 0, {(): p} if not p.is_zero() else {})
 
-    @classmethod
-    def basis(cls, dim: int, indices: Iterable[int], coeff: Scalar = 1) -> "DifferentialForm":
-        """The form c * dx_{i1}^...^dx_{ik} for strictly increasing 0-based indices."""
-        idx = tuple(indices)
-        p = coeff if isinstance(coeff, Polynomial) else Polynomial.constant(dim, coeff)
-        return cls(dim, len(idx), {idx: p})
-
     def as_polynomial(self) -> Polynomial:
         if self.degree != 0 and self.terms:
             raise ValueError(f"form of degree {self.degree} is not a function")
@@ -236,12 +236,6 @@ class DifferentialForm(_Alternating):
 
 class MultiVectorField(_Alternating):
     """Homogeneous multivector field of fixed degree."""
-
-    @classmethod
-    def basis(cls, dim: int, indices: Iterable[int], coeff: Scalar = 1) -> "MultiVectorField":
-        idx = tuple(indices)
-        p = coeff if isinstance(coeff, Polynomial) else Polynomial.constant(dim, coeff)
-        return cls(dim, len(idx), {idx: p})
 
     def __repr__(self):
         from .grammar import render_multivector

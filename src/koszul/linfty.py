@@ -54,13 +54,12 @@ class BracketFamily:
     ``ldegree_of``/``form_degree_of`` translate between form degree and
     complex degree (each family carries its own grading).  A family supplies
     its differential and its bracket on forms: ``differential`` is l_1 and
-    ``higher(forms)`` is l_k, k = len(forms) >= 2.  For a grounded family,
+    ``higher(forms)`` is l_k, k = len(forms) >= 2.  Every family is grounded:
     ``l`` adds the grounded rules (``vanishes``), so ``higher`` only ever sees
     ground-degree forms.
     """
 
     name: str
-    grounded: bool
     ground_form_degree: int
     form_degree_bounds: tuple[int, int]
     ldegree_of: Callable[[int], int]
@@ -87,10 +86,8 @@ class BracketFamily:
 
         l_1 is truncated at the ground layer, where the differential would
         leave the complex; l_k for k >= 2 needs every argument in the ground
-        degree.  Never true for a family that is not grounded.
+        degree.
         """
-        if not self.grounded:
-            return False
         ground = self.ldegree_of(self.ground_form_degree)
         if k == 1:
             return ldegrees[0] >= ground

@@ -11,8 +11,10 @@ the whole suite of relations holds on the nose:
 
 together with delta^2 = 0, delta d = -d delta, and {f, g} = delta(f dg)
 = omega(X_f, X_g) = iota_pi(df ^ dg), where iota_{X_f} omega = -df and
-{v1, v2} = +1.  ``verify_operator_relations`` re-checks all of this on
-seeded random forms and is the executable record of the convention.
+{v1, v2} = +1.  ``operator_relations`` is this table, and the operator row
+of ``koszul.campaign`` re-checks it on seeded random forms, so it is the
+executable record of the convention.  Within one sample of that row the
+relations share operator values: each operator runs once per form.
 
 Because omega and pi are constant, L, Lam and delta are computed directly on
 basis forms, with (q, p) = (2i, 2i+1) 0-based and pos(j) the position of j
@@ -33,7 +35,6 @@ c x^e of f one by one into the accumulator that ``forms.d`` also uses.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .forms import DifferentialForm, MultiVectorField, contract_vector, d
@@ -154,26 +155,13 @@ class SymplecticSpace:
         return out
 
 
-@dataclass
-class OperatorReport:
-    """Outcome of checking one operator relation on random forms."""
-
-    relation: str
-    trials: int = 0
-    failures: list[tuple[str, str]] = field(default_factory=list)  # (input, residual)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def operator_relations(
     s: SymplecticSpace, share: Callable[[Callable], Callable] = lambda op: op
 ) -> list[tuple[str, Callable, Callable]]:
     """The relation table as (name, lhs, rhs) pairs of operators on forms.
 
     ``share`` wraps each of L, Lam, H, delta and d before the table is built
-    from them; ``verify_operator_relations`` passes a per-sample memo, and by
+    from them; the campaign's operator row passes a per-sample memo, and by
     default the closures call the operators directly.
     """
 
@@ -202,51 +190,3 @@ def operator_relations(
         ("[delta d,Lam]=0", comm(dd, Lam), zero),
     ]
     return relations
-
-
-def verify_operator_relations(
-    s: SymplecticSpace, trials: int, max_degree: int, seed: int, density: float = 0.7
-) -> list[OperatorReport]:
-    """Check every relation on seeded random forms of every degree 0..2n.
-
-    One report per relation; a report with empty ``failures`` means the
-    relation held exactly on all inputs.
-
-    The sample is the outer loop: all relations run on one input before the
-    next is drawn, and within that sample each of L, Lam, H, delta and d is
-    evaluated once per input object (``d(a)`` alone feeds eight relations).
-    This is exact: the kernels are pure functions of their input and forms
-    are never mutated, so a shared value is the value a fresh call returns.
-    The memo is keyed by the identity of the input and holds the input, so
-    no key can be reused by another object, and it is cleared when the
-    sample ends.
-    """
-    from .grammar import render_form
-    from .randgen import random_form, trial_rng
-
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    memo: dict = {}
-
-    def share(op):
-        def once(a):
-            key = (op, id(a))
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = (a, op(a))
-            return hit[1]
-
-        return once
-
-    relations = operator_relations(s, share)
-    reports = [OperatorReport(name) for name, _, _ in relations]
-    for degree in range(0, s.dim + 1):
-        for t in range(trials):
-            a = random_form(trial_rng(seed, f"operators/deg{degree}", t), s.dim, degree, max_degree, density)
-            for (name, lhs, rhs), report in zip(relations, reports):
-                residual = lhs(a) - rhs(a)
-                report.trials += 1
-                if not residual.is_zero():
-                    report.failures.append((render_form(a), render_form(residual)))
-            memo.clear()
-    return reports

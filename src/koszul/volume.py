@@ -71,7 +71,6 @@ def volume_family(v: VolumeSpace) -> BracketFamily:
     ground = v.m - 2
     return BracketFamily(
         name=f"volume(m={v.m})",
-        grounded=True,
         ground_form_degree=ground,
         form_degree_bounds=(0, ground),
         ldegree_of=lambda form_degree: form_degree - ground,

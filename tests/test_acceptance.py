@@ -17,6 +17,7 @@ from koszul import (
     SymplecticSpace,
     VolumeSpace,
     bracket_coefficient,
+    coefficient_recursions,
     contract_bivector,
     contract_vector,
     d,
@@ -33,15 +34,13 @@ from koszul import (
     symplectic_obstruction_witness,
     verify_alt_m_identity,
     verify_chain_identity,
-    verify_coefficient_recursions,
-    verify_operator_relations,
     verify_quotient_congruence,
     verify_strict_morphism,
     volume_family,
     zero_poisson,
 )
 from koszul.brackets import CoefficientTable
-from koszul.campaign import CampaignConfig, run_campaign
+from koszul.campaign import CampaignConfig, _run, operator_row, run_campaign
 from koszul.randgen import random_form, random_polynomial, trial_rng
 
 SEED = 42
@@ -76,11 +75,11 @@ def test_criterion_1_operator_relation_suite():
     with criterion(1, "operator relation suite exact on R2 and R4, 50 forms per degree", 10.0):
         for n in (1, 2):
             s = SymplecticSpace(n)
-            reports = verify_operator_relations(s, trials=50, max_degree=3, seed=SEED)
+            reports = _run(operator_row(s, CampaignConfig(trials=50, max_degree=3, seed=SEED)))
             assert len(reports) == 14
             for report in reports:
                 assert report.trials == 50 * (2 * n + 1)
-                assert report.ok, f"R{2 * n} {report.relation}: {report.failures[:1]}"
+                assert report.ok, f"{report.name}: {report.failures[:1]}"
 
 
 def test_criterion_2_alt_m_derivative_identity():
@@ -150,8 +149,8 @@ def test_criterion_5_coefficient_table():
         assert bracket_coefficient(4, 1) == Fraction(1, 3)
         assert bracket_coefficient(5, 1) == Fraction(1, 4)
         assert bracket_coefficient(5, 2) == Fraction(1, 24)
-        report = verify_coefficient_recursions(9)
-        assert report.ok and report.checked == 88
+        equalities = list(coefficient_recursions(9))
+        assert all(lhs == rhs for _, lhs, rhs in equalities) and len(equalities) == 88
 
 
 def test_criterion_6_volume_family():

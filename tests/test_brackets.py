@@ -10,6 +10,7 @@ from koszul import (
     alt_m,
     bracket_coefficient,
     ce_partial,
+    coefficient_recursions,
     d,
     d_poly,
     l_bracket,
@@ -19,7 +20,6 @@ from koszul import (
     tilde_l,
     verify_alt_m_identity,
     verify_chain_identity,
-    verify_coefficient_recursions,
     verify_quotient_congruence,
     verify_strict_morphism,
 )
@@ -116,16 +116,16 @@ def test_inductive_chain_reproduces_one_third():
 
 
 def test_recursions_exact_to_k9():
-    report = verify_coefficient_recursions(9)
-    assert report.ok
-    assert report.k_max == 9
+    equalities = list(coefficient_recursions(9))
+    assert all(lhs == rhs for _, lhs, rhs in equalities)
+    assert max(int(label.split("k=")[1].split(",")[0]) for label, _, _ in equalities) == 9
     # every k in 2..9 with the odd-k boundary j = (k-1)/2 included: 88 equalities
-    assert report.checked == 88
+    assert len(equalities) == 88
 
 
 def test_recursions_reject_small_k():
     with pytest.raises(ValueError):
-        verify_coefficient_recursions(1)
+        coefficient_recursions(1)
 
 
 # -- tilde_l ---------------------------------------------------------------------

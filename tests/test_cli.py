@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from koszul.campaign import CampaignConfig, CampaignReport, CheckResult, run_campaign
+from koszul.campaign import CampaignConfig, CampaignReport, Check, run_campaign
 from koszul.cli import main
 
 
@@ -161,15 +162,14 @@ def test_verify_json_deterministic(tmp_path, capsys):
 
 
 def test_verify_exit_1_on_failure(capsys, monkeypatch):
-    # graft a failing check into a suite to confirm the exit-code contract
+    # graft a failing row into a suite to confirm the exit-code contract
     import koszul.campaign as campaign
+    from koszul.grammar import parse_form
 
-    def broken_suite(cfg):
-        bad = CheckResult("operators", "planted failure", 1)
-        bad.record(["dx1"], "dx1")
-        return [bad]
+    def broken_row(s, cfg):
+        return Check("operators", [(parse_form("dx1", s.dim),)], {"planted failure": lambda a: a})
 
-    monkeypatch.setitem(campaign._SUITE_RUNNERS, "operators", broken_suite)
+    monkeypatch.setattr(campaign, "operator_row", broken_row)
     code, out, _ = run_cli(capsys, ["verify", "--suite", "operators"])
     assert code == 1
     assert "FAIL" in out and "planted failure" in out
@@ -181,19 +181,37 @@ def test_counterexamples_are_replayable(capsys, monkeypatch):
 
     import koszul.campaign as campaign
 
-    def broken_suite(cfg):
-        bad = CheckResult("operators", "planted failure", 1)
-        bad.record(["v1 dx1^dx2", "3 dx2"], "1/2 dx1")
-        return [bad]
+    def broken_row(s, cfg):
+        inputs = [(parse_form("v1 dx1^dx2", s.dim), parse_form("3 dx2", s.dim))]
+        return Check("operators", inputs, {"planted failure": lambda a, b: parse_form("1/2 dx1", s.dim)})
 
-    monkeypatch.setitem(campaign._SUITE_RUNNERS, "operators", broken_suite)
+    monkeypatch.setattr(campaign, "operator_row", broken_row)
     code, out, _ = run_cli(capsys, ["verify", "--suite", "operators", "--format", "json"])
     assert code == 1
     payload = json.loads(out)
+    assert [f["inputs"] for c in payload["checks"] for f in c["failures"]] == [["v1 dx1^dx2", "3 dx2"]] * 2
     for check in payload["checks"]:
         for failure in check["failures"]:
             for rendered in failure["inputs"] + [failure["residual"]]:
                 parse_form(rendered, 4)  # must not raise
+
+
+def test_verify_wrong_coefficient_exit_1(capsys, monkeypatch):
+    # a(7,2) off by one breaks the recursions that read it; the record is [label, lhs, rhs] and lhs - rhs
+    import koszul.brackets as brackets
+
+    series = brackets.series_coefficient
+    monkeypatch.setattr(brackets, "series_coefficient", lambda k, j: series(k, j) + ((k, j) == (7, 2)))
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "coefficients", "--format", "json"])
+    assert code == 1
+    (check,) = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
+    assert check["name"] == "recursions and inductive formulas, k <= 9"
+    assert check["trials"] == 88 and check["failures"]
+    for failure in check["failures"]:
+        label, lhs, rhs = failure["inputs"]
+        assert "k=6" in label or "k=7" in label
+        assert Fraction(lhs) != Fraction(rhs)
+        assert failure["residual"] == str(Fraction(lhs) - Fraction(rhs))
 
 
 def test_report_text_includes_duration(capsys):

@@ -266,5 +266,3 @@ def test_grounded_rules_live_in_the_family():
     fam = symplectic_family(SymplecticSpace(1))
     assert fam.vanishes(1, [0]) and fam.vanishes(1, [1]) and not fam.vanishes(1, [-1])
     assert fam.vanishes(2, [0, -1]) and not fam.vanishes(3, [0, 0, 0])
-    free = replace(fam, grounded=False)
-    assert not free.vanishes(1, [0]) and not free.vanishes(2, [0, -1])

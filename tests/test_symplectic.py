@@ -12,12 +12,12 @@ from koszul import (
     contract_vector,
     d,
     d_poly,
+    operator_relations,
     parse_form,
-    verify_operator_relations,
 )
+from koszul.campaign import CampaignConfig, Check, _run, operator_row
 from koszul.grammar import render_form
 from koszul.randgen import random_form, trial_rng
-from koszul.symplectic import operator_relations
 
 from _util import rand_form, rand_frac_form, rand_poly, solve_constant_system
 
@@ -198,34 +198,35 @@ def test_relation_table_is_complete(s1):
     assert len(names) == 14 and len(set(names)) == 14
 
 
+def relation_reports(s, trials, max_degree, seed, density=0.7):
+    """The operator row of ``s`` run through the campaign runner: one result per relation."""
+    cfg = CampaignConfig(trials=trials, max_degree=max_degree, seed=seed, density=density)
+    return _run(operator_row(s, cfg))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_operator_relations_hold(n):
-    reports = verify_operator_relations(SymplecticSpace(n), trials=8, max_degree=3, seed=99)
+    reports = relation_reports(SymplecticSpace(n), trials=8, max_degree=3, seed=99)
+    assert len(reports) == 14
     for report in reports:
-        assert report.ok, f"{report.relation}: {report.failures[:1]}"
+        assert report.ok, f"{report.name}: {report.failures[:1]}"
         assert report.trials == 8 * (2 * n + 1)
 
 
 def test_report_records_counterexamples(s1):
     # feed a relation that is false to make sure failures are captured
-    reports = verify_operator_relations(s1, trials=3, max_degree=2, seed=4)
+    reports = relation_reports(s1, trials=3, max_degree=2, seed=4)
     assert all(r.ok for r in reports)
     # manual negative control: H = identity is wrong
-    from koszul.symplectic import OperatorReport
-
-    bad = OperatorReport("fake")
-    for t in range(3):
-        a = rand_form("neg", t, 2, 1)
-        residual = s1.H(a) - a
-        bad.trials += 1
-        if not residual.is_zero():
-            bad.failures.append(("in", "out"))
-    assert not bad.ok
+    samples = [(rand_form("neg", t, 2, 1),) for t in range(3)]
+    (bad,) = _run(Check("operators", samples, {"fake": lambda a: s1.H(a) - a}))
+    assert bad.trials == 3 and not bad.ok
+    assert bad.failures[0]["inputs"] == [render_form(samples[0][0])]
 
 
 def test_trials_must_be_positive(s1):
     with pytest.raises(ValueError):
-        verify_operator_relations(s1, trials=0, max_degree=2, seed=1)
+        relation_reports(s1, trials=0, max_degree=2, seed=1)
 
 
 # -- direct kernels against the generic route ----------------------------------
@@ -292,9 +293,9 @@ class DroppedPairSpace(SymplecticSpace):
 
 
 def test_relation_suite_catches_a_wrong_delta():
-    reports = {r.relation: r for r in verify_operator_relations(DroppedPairSpace(2), 4, 2, seed=5)}
-    assert not reports["[Lam,d]=delta"].ok
-    assert reports["[Lam,L]=H"].ok
+    reports = {r.name: r for r in relation_reports(DroppedPairSpace(2), 4, 2, seed=5)}
+    assert not reports["R4 [Lam,d]=delta"].ok
+    assert reports["R4 [Lam,L]=H"].ok
 
 
 def _without_pair(field):
@@ -332,12 +333,12 @@ class ShiftedHSpace(SymplecticSpace):
     ],
 )
 def test_relation_suite_catches_a_wrong_operator(space, failing):
-    reports = verify_operator_relations(space(2), 4, 2, seed=5)
-    assert {r.relation for r in reports if not r.ok} == failing
+    reports = relation_reports(space(2), 4, 2, seed=5)
+    assert {r.name for r in reports if not r.ok} == {f"R4 {name}" for name in failing}
 
 
 def unshared_reports(s, trials, max_degree, seed, density=0.7):
-    """Reference for the suite: relation by relation, every operator called afresh."""
+    """Reference for the row: relation by relation, every operator called afresh."""
     out = []
     for name, lhs, rhs in operator_relations(s):
         count, failures = 0, []
@@ -347,8 +348,8 @@ def unshared_reports(s, trials, max_degree, seed, density=0.7):
                 residual = lhs(a) - rhs(a)
                 count += 1
                 if not residual.is_zero():
-                    failures.append((render_form(a), render_form(residual)))
-        out.append((name, count, failures))
+                    failures.append({"inputs": [render_form(a)], "residual": render_form(residual)})
+        out.append((f"R{s.dim} {name}", count, failures))
     return out
 
 
@@ -357,7 +358,7 @@ def unshared_reports(s, trials, max_degree, seed, density=0.7):
 )
 def test_shared_suite_equals_unshared_reference(space):
     expected = unshared_reports(space, 4, 2, seed=5)
-    got = [(r.relation, r.trials, r.failures) for r in verify_operator_relations(space, 4, 2, seed=5)]
+    got = [(r.name, r.trials, r.failures) for r in relation_reports(space, 4, 2, seed=5)]
     assert got == expected
     if isinstance(space, DroppedPairSpace):
         assert any(failures for _, _, failures in expected)
@@ -392,7 +393,7 @@ def test_relation_suite_evaluates_each_operator_once_per_sample(monkeypatch):
         return d(a)
 
     monkeypatch.setattr("koszul.symplectic.d", counted_d)
-    reports = verify_operator_relations(s, trials=2, max_degree=2, seed=3)
+    reports = relation_reports(s, trials=2, max_degree=2, seed=3)
     samples = 2 * (s.dim + 1)
     assert all(r.ok and r.trials == samples for r in reports)
     assert 0 < s.calls <= 26 * samples
