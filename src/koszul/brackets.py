@@ -63,8 +63,9 @@ class CoefficientTable:
         return bracket_coefficient(k, j)
 
     @classmethod
-    def perturbed(cls, k: int, j: int, delta: Fraction | int = 1) -> "CoefficientTable":
-        return cls({(k, j): bracket_coefficient(k, j) + delta})
+    def perturbed(cls, k: int, j: int) -> "CoefficientTable":
+        """The default table with a(k,j) raised by 1."""
+        return cls({(k, j): bracket_coefficient(k, j) + 1})
 
 
 _DEFAULT_TABLE = CoefficientTable()

@@ -92,6 +92,9 @@ class CampaignConfig:
             raise ValueError("half-dimensions must be >= 1")
         if any(m < 3 for m in self.volume_dims):
             raise ValueError("volume dimensions must be >= 3")
+        for name, dims in (("half-dimensions", self.half_dims), ("volume dimensions", self.volume_dims)):
+            if len(set(dims)) < len(dims):  # each repeat would run and report every check again
+                raise ValueError(f"{name} repeat: {','.join(map(str, dims))}")
         if not self.half_dims and self.suite in _HALF_DIM_SUITES:
             raise ValueError(f"suite {self.suite} needs at least one half-dimension")
         if not self.volume_dims and self.suite in _VOLUME_DIM_SUITES:

@@ -22,6 +22,7 @@ from .symplectic import SymplecticSpace
 from .volume import VolumeSpace, volume_family
 
 USAGE_ERROR = 2
+DIM_MAX = 64  # eval and bracket refuse larger spaces: a form on R^m has up to C(m, m/2) terms
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -54,17 +55,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("eval", help="parse a form and apply operators")
     pe.add_argument("--symplectic", type=int, default=None, metavar="N",
-                    help="half-dimension; enables delta, L, Lambda, H")
+                    help=f"half-dimension, 2N <= {DIM_MAX}; enables delta, L, Lambda, H")
     pe.add_argument("--dim", type=int, default=None, metavar="M",
-                    help="plain dimension (d only); inferred from the expression if omitted")
+                    help=f"plain dimension, 0..{DIM_MAX} (d only); inferred from the expression if omitted")
     pe.add_argument("--apply", action="append", default=[], choices=("d", "delta", "L", "Lambda", "H"),
                     metavar="OP", help="operator to apply; repeat to compose left to right")
     pe.add_argument("expr")
 
     pb = sub.add_parser("bracket", help="evaluate a bracket of the symplectic or volume family")
     group = pb.add_mutually_exclusive_group(required=True)
-    group.add_argument("--symplectic", type=int, default=None, metavar="N")
-    group.add_argument("--volume", type=int, default=None, metavar="M")
+    group.add_argument("--symplectic", type=int, default=None, metavar="N", help=f"half-dimension, 2N <= {DIM_MAX}")
+    group.add_argument("--volume", type=int, default=None, metavar="M", help=f"dimension, 3..{DIM_MAX}")
     pb.add_argument("--arity", type=int, required=True)
     pb.add_argument("forms", nargs="+")
     return parser
@@ -73,6 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _infer_dim(expr: str) -> int:
     indices = [int(m.group(1)) for m in re.finditer(r"(?:dx|v)(\d+)", expr)]
     return max(indices, default=2)
+
+
+def _outside_dims(dim: int) -> bool:
+    """Report a dimension outside 0..DIM_MAX; checked before anything is parsed or built."""
+    if 0 <= dim <= DIM_MAX:
+        return False
+    print(f"error: dimension must be in 0..{DIM_MAX}, got {dim}", file=sys.stderr)
+    return True
 
 
 def cmd_verify(args) -> int:
@@ -111,18 +120,16 @@ def cmd_verify(args) -> int:
 
 def cmd_eval(args) -> int:
     if args.symplectic is not None:
-        try:
-            space = SymplecticSpace(args.symplectic)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        dim = space.dim
+        dim = 2 * args.symplectic
     else:
-        space = None
         dim = args.dim if args.dim is not None else _infer_dim(args.expr)
-        if dim < 0:
-            print(f"error: dimension must be >= 0, got {dim}", file=sys.stderr)
-            return USAGE_ERROR
+    if _outside_dims(dim):
+        return USAGE_ERROR
+    try:
+        space = SymplecticSpace(args.symplectic) if args.symplectic is not None else None
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         form = parse_form(args.expr, dim)
     except FormSyntaxError as exc:
@@ -149,13 +156,14 @@ def cmd_eval(args) -> int:
 
 def cmd_bracket(args) -> int:
     k = args.arity
+    dim = 2 * args.symplectic if args.symplectic is not None else args.volume
+    if _outside_dims(dim):
+        return USAGE_ERROR
     try:
         if args.symplectic is not None:
-            s = SymplecticSpace(args.symplectic)
-            fam, dim = symplectic_family(s), s.dim
+            fam = symplectic_family(SymplecticSpace(args.symplectic))
         else:
-            v = VolumeSpace(args.volume)
-            fam, dim = volume_family(v), v.m
+            fam = volume_family(VolumeSpace(args.volume))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -5,6 +5,10 @@ a basis k-form is a strictly increasing tuple of 0-based coordinate indices:
 ``(0, 2)`` stands for dx1^dx3.  Multivector fields use the same normal form
 with basis k-vectors (0, 2) standing for e1^e3 (e_i the coordinate fields).
 
+A form's ``degree`` is the degree its operation maps to, so a zero form may
+have any integer degree (d of a top form is a zero (dim + 1)-form); a
+nonzero one has basis tuples of that length in range(dim).
+
 Sign conventions, pinned once and verified by the operator relation suite:
 
 * the interior product ``contract_vector(X, a)`` is the graded derivation with
@@ -67,8 +71,6 @@ class _Alternating:
     __slots__ = ("dim", "degree", "terms")
 
     def __init__(self, dim: int, degree: int, terms: Mapping[tuple, Polynomial] | None = None):
-        if not 0 <= degree <= dim:
-            raise ValueError(f"degree {degree} out of range for dim {dim}")
         self.dim = dim
         self.degree = degree
         clean: dict[tuple, Polynomial] = {}
@@ -193,7 +195,7 @@ class _Alternating:
         self._check(other)
         deg = self.degree + other.degree
         if deg > self.dim:
-            return self._raw(self.dim, 0, {})
+            return self._raw(self.dim, deg, {})
         out: dict[tuple, Polynomial] = {}
         for i1, p1 in self.terms.items():
             for i2, p2 in other.terms.items():
@@ -251,8 +253,6 @@ def wedge(a: _Alternating, b: _Alternating):
 def d(a: DifferentialForm) -> DifferentialForm:
     """Exterior derivative (closed form above): graded Leibniz, and d.d = 0."""
     dim = a.dim
-    if a.degree >= dim:
-        return DifferentialForm.zero(dim, min(a.degree + 1, dim))
 
     def pieces():
         for idx, p in a.terms.items():
@@ -283,8 +283,6 @@ def contract_vector(X: MultiVectorField, a: DifferentialForm) -> DifferentialFor
         raise ValueError(f"expected a vector field, got degree {X.degree}")
     if X.dim != a.dim:
         raise ValueError("vector field and form live on different spaces")
-    if a.degree == 0:
-        return DifferentialForm.zero(a.dim, 0)
     comps = {idx[0]: p for idx, p in X.terms.items()}
 
     def pieces():
@@ -310,8 +308,6 @@ def contract_bivector(pi: MultiVectorField, a: DifferentialForm) -> Differential
         raise ValueError(f"expected a bivector, got degree {pi.degree}")
     if pi.dim != a.dim:
         raise ValueError("bivector and form live on different spaces")
-    if a.degree < 2:
-        return DifferentialForm.zero(a.dim, 0)
 
     def pieces():
         for (i, j), w in pi.terms.items():

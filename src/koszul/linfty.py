@@ -76,10 +76,7 @@ class BracketFamily:
         return GradedElement(form, self.ldegree_of(form.degree))
 
     def zero_element(self, ldegree: int, dim: int) -> GradedElement:
-        deg = self.form_degree_of(ldegree)
-        if not 0 <= deg <= dim:
-            deg = 0
-        return GradedElement(DifferentialForm.zero(dim, deg), ldegree)
+        return GradedElement(DifferentialForm.zero(dim, self.form_degree_of(ldegree)), ldegree)
 
     def vanishes(self, k: int, ldegrees: Sequence[int]) -> bool:
         """Whether l_k is zero by groundedness on arguments of these degrees.

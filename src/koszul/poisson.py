@@ -59,12 +59,7 @@ class PoissonSpace:
 
     def delta(self, a: DifferentialForm) -> DifferentialForm:
         """Degree-lowering differential iota_pi d - d iota_pi."""
-        lowered = d(contract_bivector(self.pi, a))
-        if a.degree == self.m:
-            # d(a) = 0, but forms.d keeps a top form's degree (no (m+1)-forms exist),
-            # so iota_pi d(a) would be a zero of degree m - 2, not m - 1
-            return -lowered
-        return contract_bivector(self.pi, d(a)) - lowered
+        return contract_bivector(self.pi, d(a)) - d(contract_bivector(self.pi, a))
 
     def jacobi_residual(self, f: Polynomial, g: Polynomial, h: Polynomial) -> Polynomial:
         return (
@@ -106,16 +101,6 @@ def sl2_dual() -> PoissonSpace:
 
 def zero_poisson(m: int = 3) -> PoissonSpace:
     return PoissonSpace(m, MultiVectorField(m, 2, {}), name="zero")
-
-
-def preset(name: str, n: int = 1, m: int = 3) -> PoissonSpace:
-    if name == "standard-symplectic":
-        return standard_symplectic(n)
-    if name == "sl2star":
-        return sl2_dual()
-    if name == "zero":
-        return zero_poisson(m)
-    raise ValueError(f"unknown preset {name!r}")
 
 
 # -- cyclic machinery ---------------------------------------------------------

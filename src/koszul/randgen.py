@@ -18,11 +18,9 @@ def trial_rng(seed: int, label: str, trial: int) -> random.Random:
     return random.Random(f"{seed}|{label}|{trial}")
 
 
-def random_polynomial(
-    rng: random.Random, dim: int, max_degree: int, terms: int = 2, nonzero: bool = True
-) -> Polynomial:
-    """Sum of ``terms`` random monomials of total degree <= max_degree,
-    with integer coefficients in [-9, 9] \\ {0}."""
+def random_polynomial(rng: random.Random, dim: int, max_degree: int, terms: int = 2) -> Polynomial:
+    """Nonzero sum of ``terms`` random monomials of total degree <= max_degree,
+    with integer coefficients in [-9, 9] \\ {0}; redrawn while the sum cancels."""
     while True:
         acc: dict[tuple, int] = {}
         for _ in range(terms):
@@ -34,7 +32,7 @@ def random_polynomial(
             key = tuple(exps)
             acc[key] = acc.get(key, 0) + c
         p = Polynomial(dim, acc)
-        if not nonzero or not p.is_zero():
+        if not p.is_zero():
             return p
 
 
@@ -44,17 +42,16 @@ def random_form(
     degree: int,
     max_degree: int,
     density: float = 0.7,
-    terms: int = 2,
 ) -> DifferentialForm:
     """Random homogeneous form; each basis component present with prob ``density``."""
     bases = list(combinations(range(dim), degree))
     out = {}
     for idx in bases:
         if rng.random() < density:
-            out[idx] = random_polynomial(rng, dim, max_degree, terms)
+            out[idx] = random_polynomial(rng, dim, max_degree)
     if not out:  # keep campaign inputs nonzero
         idx = bases[rng.randrange(len(bases))]
-        out[idx] = random_polynomial(rng, dim, max_degree, terms)
+        out[idx] = random_polynomial(rng, dim, max_degree)
     return DifferentialForm(dim, degree, out)
 
 

@@ -27,9 +27,10 @@ in I:
 with s(j) = +1 for odd j (a p) and -1 for even j (a q).  L and Lam carry no
 sign, since q and p are adjacent in every sorted index tuple.  For delta:
 iota_X d + d iota_X = d_X for a constant field X, hence per pair
-[iota_{e_p} iota_{e_q}, d] = iota_{e_p} d_q - iota_{e_q} d_p.  A result of
-degree outside 0..2n is the zero form of degree 0.  All three emit the terms
-c x^e of f one by one into the accumulator that ``forms.d`` also uses.
+[iota_{e_p} iota_{e_q}, d] = iota_{e_p} d_q - iota_{e_q} d_p.  A result has
+the degree its operator maps to, even outside 0..2n (``forms``).  All three
+emit the terms c x^e of f one by one into the accumulator that ``forms.d``
+also uses.
 """
 
 from __future__ import annotations
@@ -49,12 +50,10 @@ class SymplecticSpace:
             raise ValueError("half-dimension must be >= 1")
         self.n = n
         self.dim = 2 * n
-        self.omega = DifferentialForm(
-            self.dim, 2, {(2 * i, 2 * i + 1): Polynomial.constant(self.dim, 1) for i in range(n)}
-        )
-        self.pi = MultiVectorField(
-            self.dim, 2, {(2 * i, 2 * i + 1): Polynomial.constant(self.dim, 1) for i in range(n)}
-        )
+        one = Polynomial.constant(self.dim, 1)
+        pairs = {(2 * i, 2 * i + 1): one for i in range(n)}
+        self.omega = DifferentialForm(self.dim, 2, pairs)
+        self.pi = MultiVectorField(self.dim, 2, pairs)
 
     def __repr__(self):
         return f"SymplecticSpace(n={self.n})"
@@ -78,8 +77,7 @@ class SymplecticSpace:
                         yield merged, e, c
 
         self._check(a)
-        degree = a.degree + 2
-        return DifferentialForm._collect_terms(self.dim, degree if degree <= self.dim else 0, pieces())
+        return DifferentialForm._collect_terms(self.dim, a.degree + 2, pieces())
 
     def Lam(self, a: DifferentialForm) -> DifferentialForm:
         """Lowering operator: contraction with pi.  Removes each pair inside I."""
@@ -94,7 +92,7 @@ class SymplecticSpace:
                             yield rest, e, c
 
         self._check(a)
-        return DifferentialForm._collect_terms(self.dim, a.degree - 2 if a.degree >= 2 else 0, pieces())
+        return DifferentialForm._collect_terms(self.dim, a.degree - 2, pieces())
 
     def H(self, a: DifferentialForm) -> DifferentialForm:
         """Degree-counting operator a |-> (n - deg a) * a."""
@@ -122,7 +120,7 @@ class SymplecticSpace:
                             yield rest, e[:i] + (k - 1,) + e[i + 1 :], sign * k * c
 
         self._check(a)
-        return DifferentialForm._collect_terms(self.dim, a.degree - 1 if a.degree >= 1 else 0, pieces())
+        return DifferentialForm._collect_terms(self.dim, a.degree - 1, pieces())
 
     def _check(self, a: DifferentialForm):
         if a.dim != self.dim:

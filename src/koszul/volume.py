@@ -61,7 +61,7 @@ def volume_bracket(v: VolumeSpace, alphas: Sequence[DifferentialForm]) -> Differ
     for a in alphas:  # first argument contracts innermost
         cur = contract_vector(exact_divfree_vf(v, a), cur)
         if cur.is_zero():
-            return DifferentialForm.zero(v.m, max(v.m - k, 0))
+            return DifferentialForm.zero(v.m, v.m - k)
     exponent = (k * (k + 1)) // 2
     return -cur if exponent % 2 == 0 else cur
 

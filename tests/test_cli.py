@@ -121,6 +121,36 @@ def test_bracket_bad_volume_dimension_exit_2(capsys):
     assert code == 2 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "v99999999999999999999"],
+        ["eval", "--dim", "100000000000", "v1"],
+        ["eval", "--dim", "65", "1"],
+        ["eval", "--symplectic", "99999999", "v1"],
+        ["bracket", "--symplectic", "33", "--arity", "2", "v1", "v2"],
+        ["bracket", "--volume", "100000000000", "--arity", "2", "v1", "v2"],
+    ],
+    ids=["inferred", "dim", "dim-65", "symplectic", "bracket-symplectic", "bracket-volume"],
+)
+def test_dimension_above_the_bound_refused_before_anything_is_built(capsys, monkeypatch, argv):
+    import koszul.cli as cli
+
+    def must_not_run(*args):
+        raise AssertionError("a space above DIM_MAX was parsed or built")
+
+    for name in ("SymplecticSpace", "VolumeSpace", "parse_form"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+    assert f"0..{cli.DIM_MAX}" in err
+
+
+def test_eval_dimension_at_the_bound_is_valid(capsys):
+    code, out, _ = run_cli(capsys, ["eval", "--dim", "64", "--apply", "d", "v64^2"])
+    assert code == 0 and out.strip() == "2 v64 dx64"
+
+
 # -- verify --------------------------------------------------------------------
 
 
@@ -288,6 +318,14 @@ def test_verify_refuses_unwritable_out_before_the_campaign(tmp_path, capsys, mon
     target = tmp_path / "missing" / "report.json"
     code, out, err = run_cli(capsys, ["verify", "--suite", "chain", "--out", str(target)])
     assert code == 2 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag, dims", [("--half-dim", "1,1"), ("--volume-dim", "3,4,3")])
+def test_verify_repeated_dimensions_exit_2(capsys, flag, dims):
+    # a repeated dimension would run, and report, every check of that space twice
+    code, out, err = run_cli(capsys, ["verify", flag, dims, "--trials", "1"])
+    assert code == 2 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+    assert "repeat" in err
 
 
 def test_verify_degree_zero_exit_2(capsys):

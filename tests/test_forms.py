@@ -186,6 +186,16 @@ def test_degree_homogeneity_enforced():
         basis(3, 0) + basis(3, 0, 1)
 
 
+def test_nonzero_form_outside_its_degree_range_rejected():
+    one = Polynomial.constant(2, 1)
+    for cls in (DifferentialForm, MultiVectorField):
+        with pytest.raises(ValueError):
+            cls(2, 3, {(0, 1, 2): one})
+        with pytest.raises(ValueError):
+            cls(2, -1, {(): one})
+        assert cls(2, 3).is_zero() and cls(2, -1).is_zero()
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         basis(2, 0).wedge(basis(3, 0))

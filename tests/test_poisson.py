@@ -19,7 +19,6 @@ from koszul import (
     symplectic_obstruction_witness,
     zero_poisson,
 )
-from koszul.poisson import preset
 
 from _util import rand_form, rand_poly
 
@@ -34,12 +33,10 @@ def coords(m):
 # -- presets -----------------------------------------------------------------
 
 
-def test_preset_selector():
-    assert preset("standard-symplectic", n=2).m == 4
-    assert preset("sl2star").name == "sl2star"
-    assert preset("zero", m=4).pi.is_zero()
-    with pytest.raises(ValueError):
-        preset("nope")
+def test_preset_constructors():
+    assert standard_symplectic(2).m == 4
+    assert sl2_dual().name == "sl2star"
+    assert zero_poisson(4).pi.is_zero()
 
 
 def test_sl2_bracket_table():

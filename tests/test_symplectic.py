@@ -15,6 +15,7 @@ from koszul import (
     operator_relations,
     parse_form,
 )
+from koszul.brackets import symplectic_family
 from koszul.campaign import CampaignConfig, Check, _run, operator_row
 from koszul.grammar import render_form
 from koszul.randgen import random_form, trial_rng
@@ -251,9 +252,9 @@ def test_kernel_degrees_at_the_edges(n):
     s = SymplecticSpace(n)
     one = DifferentialForm.from_polynomial(Polynomial.constant(s.dim, 1))
     top = DifferentialForm.basis(s.dim, range(s.dim))
-    assert s.delta(rand_form("edge-f", n, s.dim, 0)).degree == 0
-    assert s.Lam(rand_form("edge-1", n, s.dim, 1)).degree == 0
-    assert s.L(rand_form("edge-top", n, s.dim, s.dim - 1)).degree == 0
+    assert s.delta(rand_form("edge-f", n, s.dim, 0)).degree == -1
+    assert s.Lam(rand_form("edge-1", n, s.dim, 1)).degree == -1
+    assert s.L(rand_form("edge-top", n, s.dim, s.dim - 1)).degree == s.dim + 1
     assert s.L(top).is_zero() and s.Lam(one).is_zero()
     assert s.Lam(top).degree == s.dim - 2 and s.delta(top).is_zero()
     assert s.delta(top * s.coordinate(0)).degree == s.dim - 1
@@ -273,8 +274,29 @@ def test_delta_degree_matches_poisson_route(n):
     randoms = [rand_form(f"route/n{n}", t, s.dim, deg) for deg in range(s.dim + 1) for t in range(3)]
     for a in zero_deltas + randoms:
         assert s.delta(a) == p.delta(a) and s.delta(a).degree == p.delta(a).degree
-        assert p.delta(a).degree == max(a.degree - 1, 0)
+        assert p.delta(a).degree == a.degree - 1
     assert all(s.delta(a).is_zero() for a in zero_deltas)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_zero_results_keep_the_degree_their_operator_maps_to(n):
+    s = SymplecticSpace(n)
+    p = PoissonSpace(s.dim, s.pi)
+    one = DifferentialForm.from_polynomial(Polynomial.constant(s.dim, 1))
+    dx1 = DifferentialForm.basis(s.dim, (0,))
+    top = DifferentialForm.basis(s.dim, range(s.dim))
+    X = MultiVectorField.basis(s.dim, (0,))
+    assert d(top).degree == s.dim + 1
+    assert contract_vector(X, one).degree == -1
+    assert contract_bivector(s.pi, dx1).degree == -1
+    assert contract_bivector(s.pi, one).degree == -2
+    assert top.wedge(dx1).degree == s.dim + 1
+    assert p.delta(one * s.coordinate(0)).degree == -1
+    assert p.delta(top).degree == s.dim - 1
+    fam = symplectic_family(s)
+    k = s.dim + 2
+    out = fam.l(k, [fam.element(dx1)] * k)
+    assert out.form.is_zero() and out.form.degree == fam.form_degree_of(out.ldegree) == s.dim + 1
 
 
 def test_kernels_reject_other_dimensions(s1):
