@@ -5,7 +5,9 @@
     koszul bracket --symplectic 1 --arity 2 "v1 dx2" "1/2 v1^2 dx2"
 
 Exit codes: 0 all checks pass, 1 at least one identity failure, 2 usage or
-expression errors.
+expression errors. A refusal raises ``UsageError`` (or ``FormSyntaxError``)
+where it is found, and ``main`` alone reports it: one ``error:`` (``parse
+error:``) line on stderr. A ValueError raised elsewhere is a program fault.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from contextlib import nullcontext
+from dataclasses import fields
 
 from .brackets import symplectic_family
 from .campaign import K_MAX, SUITES, CampaignConfig, run_campaign
@@ -23,6 +27,11 @@ from .volume import VolumeSpace, volume_family
 
 USAGE_ERROR = 2
 DIM_MAX = 64  # eval and bracket refuse larger spaces: a form on R^m has up to C(m, m/2) terms
+_OPERATORS = {"delta": "delta", "L": "L", "Lambda": "Lam", "H": "H"}  # --apply name -> SymplecticSpace method
+
+
+class UsageError(Exception):
+    """A refused invocation; ``main`` prints it as one ``error:`` line and returns USAGE_ERROR."""
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -38,11 +47,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a verification campaign")
     pv.add_argument("--suite", default="all", choices=SUITES)
-    pv.add_argument("--half-dim", type=_int_list, default=(1, 2), metavar="N[,N...]",
+    pv.add_argument("--half-dim", dest="half_dims", type=_int_list, default=(1, 2), metavar="N[,N...]",
                     help="half-dimensions for symplectic suites (default 1,2)")
-    pv.add_argument("--volume-dim", type=_int_list, default=(3, 4), metavar="M[,M...]",
+    pv.add_argument("--volume-dim", dest="volume_dims", type=_int_list, default=(3, 4), metavar="M[,M...]",
                     help="dimensions for the volume suite (default 3,4)")
-    pv.add_argument("--degree", type=int, default=3,
+    pv.add_argument("--degree", dest="max_degree", type=int, default=3, metavar="DEGREE",
                     help="max polynomial degree of random inputs (>= 1: constant inputs check nothing)")
     pv.add_argument("--density", type=float, default=0.7, help="basis-term density of random forms")
     pv.add_argument("--trials", type=int, default=25)
@@ -58,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"half-dimension, 2N <= {DIM_MAX}; enables delta, L, Lambda, H")
     pe.add_argument("--dim", type=int, default=None, metavar="M",
                     help=f"plain dimension, 0..{DIM_MAX} (d only); inferred from the expression if omitted")
-    pe.add_argument("--apply", action="append", default=[], choices=("d", "delta", "L", "Lambda", "H"),
+    pe.add_argument("--apply", action="append", default=[], choices=("d", *_OPERATORS),
                     metavar="OP", help="operator to apply; repeat to compose left to right")
     pe.add_argument("expr")
 
@@ -72,46 +81,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _infer_dim(expr: str) -> int:
-    indices = [int(m.group(1)) for m in re.finditer(r"(?:dx|v)(\d+)", expr)]
-    return max(indices, default=2)
+    """The largest coordinate index in ``expr``, 2 if it has none."""
+    indices = re.findall(r"(?:dx|v)(\d+)", expr)
+    if any(len(i) > 100 for i in indices):  # above DIM_MAX; not converted: int() refuses over 4,300 digits
+        raise UsageError(f"dimension must be in 0..{DIM_MAX}, got an index of more than 100 digits")
+    return max(map(int, indices), default=2)
 
 
-def _outside_dims(dim: int) -> bool:
-    """Report a dimension outside 0..DIM_MAX; checked before anything is parsed or built."""
-    if 0 <= dim <= DIM_MAX:
-        return False
-    print(f"error: dimension must be in 0..{DIM_MAX}, got {dim}", file=sys.stderr)
-    return True
+def _check_dim(dim: int) -> int:
+    """Refuse a dimension outside 0..DIM_MAX; checked before anything is parsed or built."""
+    if not 0 <= dim <= DIM_MAX:
+        raise UsageError(f"dimension must be in 0..{DIM_MAX}, got {dim}")
+    return dim
+
+
+def _checked(call, *args):
+    """``call(*args)`` on the user's input, whose ValueError is a usage error, not a program fault."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise UsageError(exc) from None
 
 
 def cmd_verify(args) -> int:
-    cfg = CampaignConfig(
-        suite=args.suite,
-        half_dims=args.half_dim,
-        volume_dims=args.volume_dim,
-        max_degree=args.degree,
-        density=args.density,
-        trials=args.trials,
-        seed=args.seed,
-        arity_max=args.arity_max,
-        k_max=args.k_max,
-    )
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    cfg = CampaignConfig(**{f.name: getattr(args, f.name) for f in fields(CampaignConfig)})
+    _checked(cfg.validate)
     try:  # refuse an unwritable report path before the campaign spends its time
-        fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+        out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
     except OSError as exc:
-        print(f"error: cannot write report to {args.out}: {exc.strerror}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
+        raise UsageError(f"cannot write report to {args.out}: {exc.strerror}") from None
+    with out as fh:
         report = run_campaign(cfg)
         fh.write(report.to_json() if args.fmt == "json" else report.to_text())
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     if args.fmt == "json":
         # kept out of the report payload so identical configs stay byte-identical
         print(f"completed in {report.duration_s:.2f}s", file=sys.stderr)
@@ -123,85 +124,50 @@ def cmd_eval(args) -> int:
         dim = 2 * args.symplectic
     else:
         dim = args.dim if args.dim is not None else _infer_dim(args.expr)
-    if _outside_dims(dim):
-        return USAGE_ERROR
-    try:
-        space = SymplecticSpace(args.symplectic) if args.symplectic is not None else None
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        form = parse_form(args.expr, dim)
-    except FormSyntaxError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    _check_dim(dim)
+    space = _checked(SymplecticSpace, args.symplectic) if args.symplectic is not None else None
+    form = parse_form(args.expr, dim)
     for op in args.apply:
-        if op == "d":
-            form = d(form)
-            continue
-        if space is None:
-            print(f"error: operator {op} needs --symplectic", file=sys.stderr)
-            return USAGE_ERROR
-        if op == "delta":
-            form = space.delta(form)
-        elif op == "L":
-            form = space.L(form)
-        elif op == "Lambda":
-            form = space.Lam(form)
-        elif op == "H":
-            form = space.H(form)
+        if op != "d" and space is None:
+            raise UsageError(f"operator {op} needs --symplectic")
+        form = d(form) if op == "d" else getattr(space, _OPERATORS[op])(form)
     print(render_form(form))
     return 0
 
 
 def cmd_bracket(args) -> int:
     k = args.arity
-    dim = 2 * args.symplectic if args.symplectic is not None else args.volume
-    if _outside_dims(dim):
-        return USAGE_ERROR
-    try:
-        if args.symplectic is not None:
-            fam = symplectic_family(SymplecticSpace(args.symplectic))
-        else:
-            fam = volume_family(VolumeSpace(args.volume))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    if args.symplectic is not None:
+        dim = _check_dim(2 * args.symplectic)
+        fam = symplectic_family(_checked(SymplecticSpace, args.symplectic))
+    else:
+        dim = _check_dim(args.volume)
+        fam = volume_family(_checked(VolumeSpace, args.volume))
     if k < 1:
-        print("error: arity must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("arity must be >= 1")
     if len(args.forms) != k:
-        print(f"error: arity {k} needs exactly {k} forms, got {len(args.forms)}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        forms = [parse_form(text, dim) for text in args.forms]
-    except FormSyntaxError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    if k >= 2:
-        ground = fam.ground_form_degree
-        for f in forms:
-            if f.degree != ground and not f.is_zero():
-                print(f"error: arity {k} bracket takes degree-{ground} forms, got degree {f.degree}",
-                      file=sys.stderr)
-                return USAGE_ERROR
-    try:
-        elems = [fam.element(f) for f in forms]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"arity {k} needs exactly {k} forms, got {len(args.forms)}")
+    forms = [parse_form(text, dim) for text in args.forms]
+    for f in forms:
+        if k >= 2 and f.degree != fam.ground_form_degree and not f.is_zero():
+            raise UsageError(f"arity {k} bracket takes degree-{fam.ground_form_degree} forms, got degree {f.degree}")
+    elems = [_checked(fam.element, f) for f in forms]
     print(render_form(fam.l(k, elems).form))
     return 0
 
 
+_COMMANDS = {"verify": cmd_verify, "eval": cmd_eval, "bracket": cmd_bracket}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "eval":
-        return cmd_eval(args)
-    return cmd_bracket(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except FormSyntaxError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -59,6 +59,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _number(convert, digits: str, pos: int):
+    """``convert(digits)`` for a number token at ``pos``; every failure is a syntax error there."""
+    try:
+        return convert(digits)
+    except ZeroDivisionError:
+        raise FormSyntaxError("zero denominator", pos) from None
+    except ValueError:  # the token is digits and at most one "/": only the integer-string limit gets here
+        raise FormSyntaxError(f"number of {len(digits)} characters is too long", pos) from None
+
+
 def _space_dim(space) -> int:
     return space if isinstance(space, int) else space.dim
 
@@ -101,10 +111,7 @@ def parse_form(text: str, space) -> DifferentialForm:
 
         kind, val, pos = tokens[k]
         if kind == "num":
-            try:
-                coeff *= Fraction(val)
-            except ZeroDivisionError:
-                raise FormSyntaxError("zero denominator", pos) from None
+            coeff *= _number(Fraction, val, pos)
             got_anything = True
             k += 1
 
@@ -113,7 +120,7 @@ def parse_form(text: str, space) -> DifferentialForm:
 
         while k < nt and tokens[k][0] == "var":
             _, vidx, pos = tokens[k]
-            i = int(vidx) - 1
+            i = _number(int, vidx, pos) - 1
             if not 0 <= i < dim:
                 raise FormSyntaxError(f"unknown coordinate v{vidx} (dimension is {dim})", pos)
             k += 1
@@ -122,7 +129,7 @@ def parse_form(text: str, space) -> DifferentialForm:
                 ev = tokens[k + 1][1]
                 if "/" in ev:
                     raise FormSyntaxError("exponent must be an integer", tokens[k + 1][2])
-                e = int(ev)
+                e = _number(int, ev, tokens[k + 1][2])
                 k += 2
             elif _is_op(k, "^") and (k + 1 >= nt or tokens[k + 1][0] != "basis"):
                 raise FormSyntaxError("expected integer exponent after '^'", tokens[k][2])
@@ -133,7 +140,7 @@ def parse_form(text: str, space) -> DifferentialForm:
         if k < nt and tokens[k][0] == "basis":
             while True:
                 _, bidx, pos = tokens[k]
-                i = int(bidx) - 1
+                i = _number(int, bidx, pos) - 1
                 if not 0 <= i < dim:
                     raise FormSyntaxError(f"unknown basis form dx{bidx} (dimension is {dim})", pos)
                 s, merged = merge_indices(tuple(basis), (i,))

@@ -13,6 +13,75 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def assert_refused(capsys, argv, expected=""):
+    """The usage-error contract: exit 2, nothing on stdout, one stderr line naming the refusal."""
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith(("error:", "parse error:")), err
+    assert expected in err
+    return err
+
+
+HUGE = "9" * 5000  # past Python's 4,300-digit limit on int(str)
+
+REFUSALS = {
+    "eval-negative-half-dim": (["eval", "--symplectic", "-3", "v1"], "error: dimension must be in 0..64, got -6"),
+    "eval-unknown-coordinate": (["eval", "--dim", "3", "v4"], "unknown coordinate v4"),
+    "eval-unknown-basis": (["eval", "--dim", "3", "v1 dx4"], "unknown basis form dx4"),
+    "eval-mixed-degrees": (["eval", "--dim", "2", "v1 dx1 + dx1^dx2"], "sum mixes degrees [1, 2]"),
+    "eval-zero-denominator": (["eval", "--dim", "2", "1/0"], "parse error: zero denominator"),
+    "eval-empty": (["eval", "--dim", "2", ""], "parse error: empty expression"),
+    "eval-bad-character": (["eval", "--dim", "2", "v1 ? v2"], "unexpected character '?'"),
+    "eval-rational-exponent": (["eval", "--dim", "2", "v1^1/2"], "exponent must be an integer"),
+    "eval-L-after-d": (["eval", "--dim", "2", "--apply", "d", "--apply", "L", "v1"], "operator L needs --symplectic"),
+    "bracket-half-dim-0": (["bracket", "--symplectic", "0", "--arity", "2", "v1", "v2"], "half-dimension must be >= 1"),
+    "bracket-parse": (["bracket", "--volume", "3", "--arity", "2", "v1 dx", "v2 dx1"], "parse error: unexpected"),
+    "bracket-volume-unary": (["bracket", "--volume", "3", "--arity", "1", "dx1^dx2"], "volume(m=3) complex [0, 1]"),
+    "bracket-volume-ground": (["bracket", "--volume", "4", "--arity", "2", "dx1", "dx2"], "takes degree-2 forms"),
+    "verify-k-max-1": (["verify", "--k-max", "1"], "k-max must be in 2..200"),
+    "verify-trials-0": (["verify", "--trials", "0"], "trials must be >= 1"),
+    "verify-density-0": (["verify", "--density", "0"], "density must be in (0, 1]"),
+    "verify-density-nan": (["verify", "--density", "nan"], "density must be in (0, 1]"),
+    "verify-volume-dim-2": (["verify", "--volume-dim", "2"], "volume dimensions must be >= 3"),
+    # numbers too long for int(): one line naming the token's position, not a traceback
+    "huge-index": (["eval", "--dim", "3", "v" + HUGE], "number of 5000 characters is too long (at position 0)"),
+    "huge-coefficient": (["eval", "--dim", "3", HUGE + " v1"], "too long (at position 0)"),
+    "huge-exponent": (["eval", "--dim", "3", "v1^" + HUGE], "too long (at position 3)"),
+    "huge-denominator": (["eval", "--dim", "3", "1/" + HUGE], "too long (at position 0)"),
+    "huge-basis": (["eval", "--dim", "3", "dx" + HUGE], "too long (at position 0)"),
+    "huge-inferred-dim": (["eval", "v" + HUGE], "error: dimension must be in 0..64, got an index of more than 100"),
+    "huge-bracket": (["bracket", "--symplectic", "1", "--arity", "1", "v" + HUGE], "parse error: number of 5000"),
+}
+
+
+@pytest.mark.parametrize("argv, expected", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_is_one_line_and_exit_2(capsys, argv, expected):
+    assert_refused(capsys, argv, expected)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "coefficients"],
+        ["eval", "--symplectic", "1", "--apply", "delta", "v1 dx2"],
+        ["bracket", "--symplectic", "1", "--arity", "1", "v1 dx1^dx2"],
+    ],
+    ids=["verify", "eval", "bracket"],
+)
+def test_program_faults_are_not_usage_errors(monkeypatch, argv):
+    # only the refusals raised at the CLI's own checks exit 2; a ValueError from deeper down propagates
+    import koszul.cli as cli
+    from koszul.symplectic import SymplecticSpace
+
+    def fault(*args):
+        raise ValueError("planted fault")
+
+    monkeypatch.setattr(cli, "run_campaign", fault)
+    monkeypatch.setattr(SymplecticSpace, "delta", fault)
+    with pytest.raises(ValueError, match="planted fault"):
+        main(argv)
+
+
 # -- eval ---------------------------------------------------------------------
 
 
@@ -41,19 +110,15 @@ def test_eval_operators_compose_left_to_right(capsys):
 
 
 def test_eval_parse_error_exit_2(capsys):
-    code, _, err = run_cli(capsys, ["eval", "--symplectic", "1", "--apply", "delta", "v1 dx"])
-    assert code == 2 and "parse error" in err
+    assert_refused(capsys, ["eval", "--symplectic", "1", "--apply", "delta", "v1 dx"], "parse error")
 
 
 def test_eval_needs_space_for_symplectic_operators(capsys):
-    code, _, err = run_cli(capsys, ["eval", "--dim", "3", "--apply", "delta", "v1 dx2"])
-    assert code == 2 and "needs --symplectic" in err
+    assert_refused(capsys, ["eval", "--dim", "3", "--apply", "delta", "v1 dx2"], "needs --symplectic")
 
 
 def test_eval_negative_dimension_exit_2(capsys):
-    code, out, err = run_cli(capsys, ["eval", "--dim", "-1", "1"])
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert_refused(capsys, ["eval", "--dim", "-1", "1"], "error:")
 
 
 def test_eval_dimension_zero_is_valid(capsys):
@@ -87,38 +152,32 @@ def test_bracket_volume_example(capsys):
 
 
 def test_bracket_degree_mismatch_exit_2(capsys):
-    code, _, err = run_cli(
-        capsys, ["bracket", "--symplectic", "1", "--arity", "2", "v1 dx1^dx2", "v1 dx2"]
-    )
-    assert code == 2 and "degree" in err
+    assert_refused(capsys, ["bracket", "--symplectic", "1", "--arity", "2", "v1 dx1^dx2", "v1 dx2"], "degree")
 
 
 def test_bracket_unary_checks_the_complex_through_the_family(capsys):
-    code, out, err = run_cli(capsys, ["bracket", "--symplectic", "1", "--arity", "1", "v1"])
-    assert code == 2 and out == "" and err.startswith("error:") and "symplectic(n=1) complex [1, 2]" in err
+    err = assert_refused(capsys, ["bracket", "--symplectic", "1", "--arity", "1", "v1"], "error:")
+    assert "symplectic(n=1) complex [1, 2]" in err
     # a zero argument lies in every degree, as it does for the higher brackets
     code, out, _ = run_cli(capsys, ["bracket", "--symplectic", "1", "--arity", "1", "0"])
     assert code == 0 and out.strip() == "0"
 
 
 def test_bracket_arity_count_mismatch(capsys):
-    code, _, err = run_cli(capsys, ["bracket", "--symplectic", "1", "--arity", "3", "v1 dx2"])
-    assert code == 2
+    assert_refused(capsys, ["bracket", "--symplectic", "1", "--arity", "3", "v1 dx2"], "arity 3 needs exactly 3 forms")
 
 
 def test_bracket_arity_below_one_exit_2(capsys):
-    code, out, err = run_cli(capsys, ["bracket", "--symplectic", "1", "--arity", "-1", "v1"])
-    assert code == 2 and out == "" and err == "error: arity must be >= 1\n"
+    err = assert_refused(capsys, ["bracket", "--symplectic", "1", "--arity", "-1", "v1"])
+    assert err == "error: arity must be >= 1\n"
 
 
 def test_eval_bad_half_dimension_exit_2(capsys):
-    code, out, err = run_cli(capsys, ["eval", "--symplectic", "0", "v1"])
-    assert code == 2 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+    assert_refused(capsys, ["eval", "--symplectic", "0", "v1"], "error:")
 
 
 def test_bracket_bad_volume_dimension_exit_2(capsys):
-    code, out, err = run_cli(capsys, ["bracket", "--volume", "2", "--arity", "2", "v1", "v2"])
-    assert code == 2 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+    assert_refused(capsys, ["bracket", "--volume", "2", "--arity", "2", "v1", "v2"], "error:")
 
 
 @pytest.mark.parametrize(
@@ -141,9 +200,7 @@ def test_dimension_above_the_bound_refused_before_anything_is_built(capsys, monk
 
     for name in ("SymplecticSpace", "VolumeSpace", "parse_form"):
         monkeypatch.setattr(cli, name, must_not_run)
-    code, out, err = run_cli(capsys, argv)
-    assert code == 2 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1
-    assert f"0..{cli.DIM_MAX}" in err
+    assert_refused(capsys, argv, f"error: dimension must be in 0..{cli.DIM_MAX}")
 
 
 def test_eval_dimension_at_the_bound_is_valid(capsys):
@@ -170,8 +227,7 @@ def test_verify_invalid_suite_exit_2(capsys):
 
 
 def test_verify_invalid_dimension_exit_2(capsys):
-    code, _, err = run_cli(capsys, ["verify", "--suite", "operators", "--half-dim", "0"])
-    assert code == 2 and "half-dimensions" in err
+    assert_refused(capsys, ["verify", "--suite", "operators", "--half-dim", "0"], "half-dimensions")
 
 
 def test_verify_json_deterministic(tmp_path, capsys):
@@ -271,18 +327,15 @@ def test_run_campaign_api_roundtrip():
 
 
 def test_verify_empty_half_dims_exit_2(capsys):
-    code, out, err = run_cli(capsys, ["verify", "--half-dim", ",", "--suite", "chain"])
-    assert code == 2 and out == "" and "half-dimension" in err
+    assert_refused(capsys, ["verify", "--half-dim", ",", "--suite", "chain"], "half-dimension")
 
 
 def test_verify_empty_volume_dims_exit_2(capsys):
-    code, out, err = run_cli(capsys, ["verify", "--volume-dim", ",", "--suite", "linfty-volume"])
-    assert code == 2 and out == "" and "volume dimension" in err
+    assert_refused(capsys, ["verify", "--volume-dim", ",", "--suite", "linfty-volume"], "volume dimension")
 
 
 def test_verify_arity_max_zero_exit_2(capsys):
-    code, out, err = run_cli(capsys, ["verify", "--arity-max", "0", "--suite", "linfty-symplectic"])
-    assert code == 2 and out == "" and "arity-max" in err
+    assert_refused(capsys, ["verify", "--arity-max", "0", "--suite", "linfty-symplectic"], "arity-max")
 
 
 def test_verify_arity_max_caps_the_volume_identities(capsys):
@@ -294,17 +347,13 @@ def test_verify_arity_max_caps_the_volume_identities(capsys):
 
 def test_verify_k_max_above_the_cost_bound_exit_2(capsys):
     # the recursion check costs about k^3: a huge k-max would run for hours
-    code, out, err = run_cli(capsys, ["verify", "--suite", "coefficients", "--k-max", "100000"])
-    assert code == 2 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1
-    assert "200" in err
+    assert_refused(capsys, ["verify", "--suite", "coefficients", "--k-max", "100000"], "200")
 
 
 def test_verify_unwritable_out_exit_2(tmp_path, capsys):
     # exit 1 means an identity failed; a report that cannot be written is a usage error
     target = tmp_path / "missing" / "report.json"
-    args = ["verify", "--suite", "coefficients", "--format", "json", "--out", str(target)]
-    code, out, err = run_cli(capsys, args)
-    assert code == 2 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+    assert_refused(capsys, ["verify", "--suite", "coefficients", "--format", "json", "--out", str(target)], "error:")
     assert not target.exists()
 
 
@@ -316,23 +365,19 @@ def test_verify_refuses_unwritable_out_before_the_campaign(tmp_path, capsys, mon
 
     monkeypatch.setattr(cli, "run_campaign", campaign_must_not_run)
     target = tmp_path / "missing" / "report.json"
-    code, out, err = run_cli(capsys, ["verify", "--suite", "chain", "--out", str(target)])
-    assert code == 2 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+    assert_refused(capsys, ["verify", "--suite", "chain", "--out", str(target)], "error: cannot write report")
 
 
 @pytest.mark.parametrize("flag, dims", [("--half-dim", "1,1"), ("--volume-dim", "3,4,3")])
 def test_verify_repeated_dimensions_exit_2(capsys, flag, dims):
     # a repeated dimension would run, and report, every check of that space twice
-    code, out, err = run_cli(capsys, ["verify", flag, dims, "--trials", "1"])
-    assert code == 2 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1
-    assert "repeat" in err
+    assert_refused(capsys, ["verify", flag, dims, "--trials", "1"], "repeat")
 
 
 def test_verify_degree_zero_exit_2(capsys):
     # constant inputs make every identity structurally zero: a vacuous run
-    args = ["verify", "--suite", "chain", "--half-dim", "1", "--trials", "1", "--degree", "0"]
-    code, out, err = run_cli(capsys, args)
-    assert code == 2 and out == "" and "degree must be >= 1" in err
+    assert_refused(capsys, ["verify", "--suite", "chain", "--half-dim", "1", "--trials", "1", "--degree", "0"],
+                   "degree must be >= 1")
 
 
 def test_empty_dims_allowed_where_unused():
