@@ -7,6 +7,9 @@ Building blocks:
 
       (1/k) sum_i (-1)^(i+1) f_i df_1 ^ ... (df_i omitted) ... ^ df_k
 
+  k alt_m is T_k, where T_1 = f_1, R_1 = df_1, T_i = T_(i-1) ^ df_i + (-1)^(i+1) f_i R_(i-1)
+  and R_i = R_(i-1) ^ df_i: 2k-3 wedges for k >= 2, each with a 1-form operand;
+
 * the series coefficients a(k, j) = (k-j-1)! / ((k-1)! j!), which satisfy
   (k+1) a(k,j) = k a(k+1,j) + k (j+1)^2 a(k+1,j+1) and
   a(k,j) = k (j+1) a(k+1,j+1);
@@ -71,33 +74,22 @@ class CoefficientTable:
 _DEFAULT_TABLE = CoefficientTable()
 
 
-def _alt_sum(s: SymplecticSpace, fs: Sequence[Polynomial]) -> DifferentialForm:
+def _alt_sum(fs: Sequence[Polynomial]) -> DifferentialForm:
     """k alt_m(f_1..f_k): the alternating sum without the 1/k, exact over Z on integer inputs."""
-    k = len(fs)
-    if k < 1:
+    if not fs:
         raise ValueError("need at least one function")
-    if k == 1:
-        return DifferentialForm.from_polynomial(fs[0])
-    dfs = [d_poly(f) for f in fs]
-    one = DifferentialForm.from_polynomial(Polynomial.constant(s.dim, 1))
-    prefix = [one]
-    for w in dfs[:-1]:
-        prefix.append(prefix[-1].wedge(w))
-    suffix = [one] * k
-    for i in range(k - 2, -1, -1):
-        suffix[i] = dfs[i + 1].wedge(suffix[i + 1])
-    total = None
-    for i in range(k):
-        term = prefix[i].wedge(suffix[i]) * fs[i]
-        if i & 1:
-            term = -term
-        total = term if total is None else total + term
+    total = DifferentialForm.from_polynomial(fs[0])
+    for i in range(1, len(fs)):
+        run = d_poly(fs[0]) if i == 1 else run.wedge(df)  # d fs[0] ^ ... ^ d fs[i-1]
+        df = d_poly(fs[i])
+        term = run * fs[i]
+        total = total.wedge(df) + (-term if i & 1 else term)
     return total
 
 
 def alt_m(s: SymplecticSpace, fs: Sequence[Polynomial]) -> DifferentialForm:
     """Antisymmetrized (f_1, ..., f_k) |-> f_1 df_2 ^ ... ^ df_k; a (k-1)-form."""
-    return _alt_sum(s, fs) * Fraction(1, len(fs))
+    return _alt_sum(fs) * Fraction(1, len(fs))
 
 
 def m_k(s: SymplecticSpace, fs: Sequence[Polynomial]) -> DifferentialForm:
@@ -132,7 +124,7 @@ def tilde_l(
     """Arity-k function bracket: (-1)^k (sum_j a(k,j) L^j Lam^j) alt_m."""
     if len(fs) < 2:
         raise ValueError("defined for arity >= 2")
-    return lefschetz_sum(s, len(fs), _alt_sum(s, fs), table)
+    return lefschetz_sum(s, len(fs), _alt_sum(fs), table)
 
 
 def symplectic_family(
@@ -174,7 +166,7 @@ def verify_chain_identity(
         raise ValueError("chain identity starts at arity 2")
     if len(fs) != k + 1:
         raise ValueError(f"need {k + 1} functions, got {len(fs)}")
-    lhs = lefschetz_sum(s, k, ce_partial(s.poisson_bracket, lambda xs: _alt_sum(s, xs), fs), table)
+    lhs = lefschetz_sum(s, k, ce_partial(s.poisson_bracket, _alt_sum, fs), table)
     rhs = s.delta(tilde_l(s, fs, table))
     return lhs - rhs
 
@@ -187,7 +179,7 @@ def verify_alt_m_identity(s: SymplecticSpace, k: int, fs: Sequence[Polynomial]) 
         raise ValueError("arity must be >= 1")
     if len(fs) != k + 1:
         raise ValueError(f"need {k + 1} functions, got {len(fs)}")
-    lhs = ce_partial(s.poisson_bracket, lambda xs: _alt_sum(s, xs), fs) * Fraction(1, k)
+    lhs = ce_partial(s.poisson_bracket, _alt_sum, fs) * Fraction(1, k)
     am = alt_m(s, fs)
     rhs = -s.delta(am) + d(s.Lam(am)) * Fraction(1, k)
     return lhs - rhs

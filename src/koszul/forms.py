@@ -16,16 +16,20 @@ Sign conventions, pinned once and verified by the operator relation suite:
 * a decomposable bivector contracts first factor innermost:
   ``iota_{X^Y} = iota_Y . iota_X``, so iota_{e1^e2}(dx1^dx2) = 1.
 
-The exterior derivative works term by term, with pos(i) the number of
-indices of I below i:
+The kernels work term by term.  The wedge product adds each +-c1 c2 of a
+pair of bases straight into one exponent dict per merged basis, and ``d``,
+with pos(i) the number of indices of I below i, streams
 
     d(c x^e dx_I) = sum over i not in I with e_i > 0 of
                     (-1)^pos(i) e_i c x^(e - 1_i) dx_{I + i}
+
+into the same accumulator; each basis's dict becomes one Polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Union
 
 from .poly import Coeff, Polynomial
@@ -39,10 +43,6 @@ def merge_indices(a: tuple, b: tuple) -> tuple[int, tuple]:
     Returns (sign, merged) where sign is the parity of the permutation that
     sorts the concatenation, or (0, ()) if an index repeats.
     """
-    if not a:
-        return 1, b
-    if not b:
-        return 1, a
     out = []
     sign = 1
     i = j = 0
@@ -184,6 +184,11 @@ class _Alternating:
                 poly[e] = s
             else:
                 del poly[e]
+        return cls._wrap(dim, degree, acc)
+
+    @classmethod
+    def _wrap(cls, dim, degree, acc):
+        """The form with coefficient dict ``acc[idx]`` on basis ``idx``; empty dicts are dropped."""
         out = {}
         for idx, poly in acc.items():
             if poly:
@@ -196,23 +201,25 @@ class _Alternating:
         deg = self.degree + other.degree
         if deg > self.dim:
             return self._raw(self.dim, deg, {})
-        out: dict[tuple, Polynomial] = {}
+        acc: dict[tuple, dict[tuple, Coeff]] = {}
         for i1, p1 in self.terms.items():
             for i2, p2 in other.terms.items():
                 sign, idx = merge_indices(i1, i2)
                 if sign == 0:
                     continue
-                q = p1 * p2
-                if sign < 0:
-                    q = -q
-                acc = out.get(idx)
-                s = q if acc is None else acc + q
-                if s.is_zero():
-                    if acc is not None:
-                        del out[idx]
-                else:
-                    out[idx] = s
-        return self._raw(self.dim, deg, out)
+                poly = acc.setdefault(idx, {})
+                for e1, c1 in p1.terms.items():
+                    if sign < 0:
+                        c1 = -c1
+                    for e2, c2 in p2.terms.items():
+                        e = tuple(map(add, e1, e2))
+                        s = poly.get(e)
+                        s = c1 * c2 if s is None else s + c1 * c2
+                        if s:
+                            poly[e] = s
+                        else:
+                            del poly[e]
+        return self._wrap(self.dim, deg, acc)
 
     def sorted_terms(self) -> list[tuple[tuple, Polynomial]]:
         return sorted(self.terms.items())

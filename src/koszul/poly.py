@@ -10,6 +10,7 @@ polynomial and never mutates ``terms`` of an existing one.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Union
 
 Coeff = Union[int, Fraction]
@@ -112,7 +113,7 @@ class Polynomial:
         out: dict[tuple, Coeff] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 acc = out.get(e)
                 s = c if acc is None else acc + c

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from koszul import DifferentialForm, MultiVectorField, Polynomial
+from koszul.forms import merge_indices
 from koszul.randgen import random_form, random_polynomial, trial_rng
 
 SEED = 20240718
@@ -45,6 +46,29 @@ def contraction_oracle(X: MultiVectorField, a: DifferentialForm) -> Differential
             term = DifferentialForm(a.dim, a.degree - 1, {idx[:pos] + idx[pos + 1 :]: coeff})
             parts = parts + term
     return parts
+
+
+def wedge_reference(a, b):
+    """The per-pair wedge kernel: one Polynomial product per pair of bases, negated and added."""
+    deg = a.degree + b.degree
+    out: dict[tuple, Polynomial] = {}
+    if deg <= a.dim:
+        for i1, p1 in a.terms.items():
+            for i2, p2 in b.terms.items():
+                sign, idx = merge_indices(i1, i2)
+                if sign == 0:
+                    continue
+                q = p1 * p2
+                if sign < 0:
+                    q = -q
+                acc = out.get(idx)
+                s = q if acc is None else acc + q
+                if s.is_zero():
+                    if acc is not None:
+                        del out[idx]
+                else:
+                    out[idx] = s
+    return type(a)(a.dim, deg, out)
 
 
 def solve_constant_system(matrix: list[list[Fraction]], rhs: list[Polynomial]) -> list[Polynomial]:

@@ -23,7 +23,8 @@ from koszul import (
     verify_quotient_congruence,
     verify_strict_morphism,
 )
-from koszul.brackets import m_k
+from koszul.brackets import _alt_sum, m_k
+from koszul.forms import _Alternating
 
 from _util import rand_form, rand_frac_poly, rand_poly
 
@@ -76,6 +77,59 @@ def test_d_alt_m_equals_d_m(s2):
     for k in (2, 3, 4):
         fs = [rand_poly(f"dm-{k}-{i}", k, 4) for i in range(k)]
         assert d(alt_m(s2, fs)) == d(m_k(s2, fs))
+
+
+# -- the alternating sum k alt_m ----------------------------------------------
+
+
+def _alt_sum_definition(s, fs):
+    """sum_i (-1)^i f_i df_0 ^ ... (df_i omitted) ... ^ df_(k-1), one plain wedge chain per i."""
+    total = DifferentialForm.zero(s.dim, len(fs) - 1)
+    for i, f in enumerate(fs):
+        chain = DifferentialForm.from_polynomial(Polynomial.constant(s.dim, 1))
+        for j, g in enumerate(fs):
+            if j != i:
+                chain = chain.wedge(d_poly(g))
+        total = total + chain * (f * (-1) ** i)
+    return total
+
+
+def _alt_sum_inputs(kind, n, k):
+    """A random draw, the same with a zero function, and the same with a constant function."""
+    dim = 2 * n
+    fs = [_INPUTS[kind](f"alt-sum-{n}-{k}-{i}", 0, dim) for i in range(k)]
+    yield fs
+    yield fs[:k // 2] + [Polynomial.zero(dim)] + fs[k // 2 + 1:]
+    yield [Polynomial.constant(dim, Fraction(5, 3) if kind == "frac" else 5)] + fs[1:]
+
+
+@pytest.mark.parametrize("kind", ["int", "frac"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_alt_sum_equals_definition(n, kind):
+    s = SymplecticSpace(n)
+    for k in range(1, 2 * n + 3):
+        for fs in _alt_sum_inputs(kind, n, k):
+            out = _alt_sum(fs)
+            assert out == _alt_sum_definition(s, fs) and out.degree == k - 1, f"k={k}"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_alt_sum_wedges_linearly(monkeypatch, n):
+    s = SymplecticSpace(n)
+    operand_degrees = []
+    wedge = _Alternating.wedge
+
+    def recording(a, b):
+        operand_degrees.append((a.degree, b.degree))
+        return wedge(a, b)
+
+    monkeypatch.setattr(_Alternating, "wedge", recording)
+    for k in range(1, 2 * n + 3):
+        operand_degrees.clear()
+        _alt_sum([rand_poly(f"alt-shape-{n}-{k}-{i}", 0, s.dim) for i in range(k)])
+        # the recurrence total_i = total_(i-1) ^ df_i +- f_i run_(i-1), run_i = run_(i-1) ^ df_i
+        assert len(operand_degrees) == max(0, 2 * k - 3), f"k={k}: {operand_degrees}"
+        assert all(1 in pair for pair in operand_degrees), f"k={k}: a product of two big forms"
 
 
 # -- coefficients --------------------------------------------------------------
