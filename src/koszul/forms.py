@@ -1,13 +1,17 @@
 """Differential forms and multivector fields on R^m with polynomial coefficients.
 
-A homogeneous k-form is a sparse map from basis k-forms to polynomials, where
-a basis k-form is a strictly increasing tuple of 0-based coordinate indices:
-``(0, 2)`` stands for dx1^dx3.  Multivector fields use the same normal form
-with basis k-vectors (0, 2) standing for e1^e3 (e_i the coordinate fields).
+A homogeneous k-form is one sparse dict ``{(m, e): c}`` over its terms
+c x^e dx_I: ``m`` is the basis I as a bitmask, bit i standing for dx_{i+1}
+(0b101 is dx1^dx3), ``e`` is the exponent tuple of the monomial (one entry
+per coordinate) and ``c`` is a nonzero int or Fraction.  Multivector fields
+are stored the same way, bit i standing for e_{i+1} (e_i the coordinate
+fields).  The public constructor and ``components()`` speak the decoded
+view instead: {basis tuple: Polynomial}, a basis k-form being a strictly
+increasing tuple of 0-based coordinate indices, ``(0, 2)`` for dx1^dx3.
 
 A form's ``degree`` is the degree its operation maps to, so a zero form may
 have any integer degree (d of a top form is a zero (dim + 1)-form); a
-nonzero one has basis tuples of that length in range(dim).
+nonzero one has bases of that many indices in range(dim).
 
 Sign conventions, pinned once and verified by the operator relation suite:
 
@@ -16,14 +20,19 @@ Sign conventions, pinned once and verified by the operator relation suite:
 * a decomposable bivector contracts first factor innermost:
   ``iota_{X^Y} = iota_Y . iota_X``, so iota_{e1^e2}(dx1^dx2) = 1.
 
-The kernels work term by term.  The wedge product adds each +-c1 c2 of a
-pair of bases straight into one exponent dict per merged basis, and ``d``,
-with pos(i) the number of indices of I below i, streams
+Every kernel is one loop over the term dict(s) that adds each term it makes
+into one accumulator dict.  Signs are popcount parities, with
+below(m, i) = popcount(m & ((1 << i) - 1)) the number of indices of m below i:
 
-    d(c x^e dx_I) = sum over i not in I with e_i > 0 of
-                    (-1)^pos(i) e_i c x^(e - 1_i) dx_{I + i}
+* ``d`` adds dx_i in front and moves it past below(m, i) factors,
 
-into the same accumulator; each basis's dict becomes one Polynomial.
+      d(c x^e dx_m) = sum over i not in m with e_i > 0 of
+                      (-1)^below(m, i) e_i c x^(e - 1_i) dx_(m | 1 << i);
+
+* ``wedge`` skips pairs with m1 & m2, merges to m1 | m2 and takes the parity
+  of the pairs (x in m1, y in m2) with x > y;
+* ``contract_vector`` removes bit i with (-1)^below(m, i); ``contract_bivector``
+  removes bits i < j with (-1) to the number of bits of m strictly between them.
 """
 
 from __future__ import annotations
@@ -32,37 +41,45 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Union
 
-from .poly import Coeff, Polynomial
+from .poly import Polynomial
 
 Scalar = Union[int, Fraction, Polynomial]
 
 
-def merge_indices(a: tuple, b: tuple) -> tuple[int, tuple]:
-    """Merge two strictly increasing index tuples.
+def _indices(m: int) -> tuple:
+    """The basis tuple of bitmask ``m``."""
+    return tuple(i for i in range(m.bit_length()) if m >> i & 1)
 
-    Returns (sign, merged) where sign is the parity of the permutation that
-    sorts the concatenation, or (0, ()) if an index repeats.
-    """
-    out = []
-    sign = 1
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        x, y = a[i], b[j]
-        if x == y:
-            return 0, ()
-        if x < y:
-            out.append(x)
-            i += 1
+
+def _odd_above(m: int) -> int:
+    """The mask with bit y set iff an odd number of bits of ``m`` lie above y."""
+    x, s = m >> 1, 1
+    while s < x.bit_length():  # prefix XOR from the top, in doubling windows
+        x ^= x >> s
+        s <<= 1
+    return x
+
+
+def _poly(dim: int, terms: dict) -> Polynomial:
+    p = Polynomial.__new__(Polynomial)
+    p.dim, p.terms = dim, terms
+    return p
+
+
+def _sum_into(out: dict, pieces) -> dict:
+    """Add each (key, nonzero c) of ``pieces`` into ``out``; a key whose sum cancels is dropped."""
+    get = out.get
+    for key, c in pieces:
+        s = get(key)
+        if s is None:
+            out[key] = c
         else:
-            # moving b[j] past the remaining la - i elements of a
-            if (la - i) & 1:
-                sign = -sign
-            out.append(y)
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return sign, tuple(out)
+            s += c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
 
 
 class _Alternating:
@@ -73,7 +90,7 @@ class _Alternating:
     def __init__(self, dim: int, degree: int, terms: Mapping[tuple, Polynomial] | None = None):
         self.dim = dim
         self.degree = degree
-        clean: dict[tuple, Polynomial] = {}
+        flat: dict[tuple, object] = {}
         if terms:
             for idx, p in terms.items():
                 if len(idx) != degree:
@@ -81,13 +98,16 @@ class _Alternating:
                 ok = all(0 <= u < v for u, v in zip(idx, idx[1:])) if len(idx) > 1 else True
                 if not ok or (idx and not 0 <= idx[-1] < dim) or (idx and idx[0] < 0):
                     raise ValueError(f"basis {idx} is not strictly increasing in range(0, {dim})")
-                if not p.is_zero():
-                    clean[idx] = p
-        self.terms = clean
+                if p.dim != dim:
+                    raise ValueError(f"coefficient of basis {idx} lives on R^{p.dim}, not R^{dim}")
+                m = sum(1 << i for i in idx)
+                for e, c in p.terms.items():
+                    flat[(m, e)] = c
+        self.terms = flat
 
     @classmethod
     def zero(cls, dim: int, degree: int = 0):
-        return cls(dim, degree, {})
+        return cls._raw(dim, degree, {})
 
     @classmethod
     def basis(cls, dim: int, indices: Iterable[int], coeff: Scalar = 1):
@@ -95,6 +115,14 @@ class _Alternating:
         idx = tuple(indices)
         p = coeff if isinstance(coeff, Polynomial) else Polynomial.constant(dim, coeff)
         return cls(dim, len(idx), {idx: p})
+
+    def components(self) -> dict[tuple, Polynomial]:
+        """The decoded view {basis tuple: Polynomial}, in lexicographic order of the tuples."""
+        groups: dict[int, dict] = {}
+        for (m, e), c in self.terms.items():
+            groups.setdefault(m, {})[e] = c
+        decoded = sorted((_indices(m), m) for m in groups)
+        return {idx: _poly(self.dim, groups[m]) for idx, m in decoded}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -128,38 +156,25 @@ class _Alternating:
             return -other if negate else other
         if self.degree != other.degree:
             raise ValueError(f"cannot add degrees {self.degree} and {other.degree}")
-        out = dict(self.terms)
-        for idx, p in other.terms.items():
-            acc = out.get(idx)
-            if negate:
-                s = -p if acc is None else acc - p
-            else:
-                s = p if acc is None else acc + p
-            if s.is_zero():
-                if acc is not None:
-                    del out[idx]
-            else:
-                out[idx] = s
-        return self._raw(self.dim, self.degree, out)
+        pieces = ((k, -c) for k, c in other.terms.items()) if negate else other.terms.items()
+        return self._raw(self.dim, self.degree, _sum_into(dict(self.terms), pieces))
 
     def __sub__(self, other):
         return self.__add__(other, True)
 
     def __neg__(self):
-        return self._raw(self.dim, self.degree, {i: -p for i, p in self.terms.items()})
+        return self._raw(self.dim, self.degree, {k: -c for k, c in self.terms.items()})
 
-    def __mul__(self, c: Scalar):
+    def __mul__(self, s: Scalar):
         """Multiply by a scalar or a polynomial coefficient."""
-        if isinstance(c, (int, Fraction)):
-            if not c:
-                return self._raw(self.dim, self.degree, {})
-            return self._raw(self.dim, self.degree, {i: p.scale(c) for i, p in self.terms.items()})
-        out = {}
-        for idx, p in self.terms.items():
-            q = p * c
-            if not q.is_zero():
-                out[idx] = q
-        return self._raw(self.dim, self.degree, out)
+        if isinstance(s, (int, Fraction)):
+            return self._raw(self.dim, self.degree, {k: c * s for k, c in self.terms.items()} if s else {})
+        if s.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {s.dim}")
+        pieces = (
+            ((m, tuple(map(add, e, e2))), c * c2) for (m, e), c in self.terms.items() for e2, c2 in s.terms.items()
+        )
+        return self._collect_terms(self.dim, self.degree, pieces)
 
     __rmul__ = __mul__
 
@@ -171,58 +186,27 @@ class _Alternating:
 
     @classmethod
     def _collect_terms(cls, dim, degree, pieces):
-        """Sum (basis, exponent, nonzero coefficient) triples; each basis's sum becomes one Polynomial."""
-        acc: dict[tuple, dict[tuple, Coeff]] = {}
-        for idx, e, c in pieces:
-            poly = acc.get(idx)
-            if poly is None:
-                acc[idx] = {e: c}
-                continue
-            s = poly.get(e)
-            s = c if s is None else s + c
-            if s:
-                poly[e] = s
-            else:
-                del poly[e]
-        return cls._wrap(dim, degree, acc)
-
-    @classmethod
-    def _wrap(cls, dim, degree, acc):
-        """The form with coefficient dict ``acc[idx]`` on basis ``idx``; empty dicts are dropped."""
-        out = {}
-        for idx, poly in acc.items():
-            if poly:
-                p = out[idx] = Polynomial.__new__(Polynomial)
-                p.dim, p.terms = dim, poly
-        return cls._raw(dim, degree, out)
+        """The form summing the ((m, e), nonzero c) pairs of ``pieces``."""
+        return cls._raw(dim, degree, _sum_into({}, pieces))
 
     def wedge(self, other):
         self._check(other)
         deg = self.degree + other.degree
         if deg > self.dim:
             return self._raw(self.dim, deg, {})
-        acc: dict[tuple, dict[tuple, Coeff]] = {}
-        for i1, p1 in self.terms.items():
-            for i2, p2 in other.terms.items():
-                sign, idx = merge_indices(i1, i2)
-                if sign == 0:
-                    continue
-                poly = acc.setdefault(idx, {})
-                for e1, c1 in p1.terms.items():
-                    if sign < 0:
-                        c1 = -c1
-                    for e2, c2 in p2.terms.items():
-                        e = tuple(map(add, e1, e2))
-                        s = poly.get(e)
-                        s = c1 * c2 if s is None else s + c1 * c2
-                        if s:
-                            poly[e] = s
-                        else:
-                            del poly[e]
-        return self._wrap(self.dim, deg, acc)
+        right = other.terms.items()
 
-    def sorted_terms(self) -> list[tuple[tuple, Polynomial]]:
-        return sorted(self.terms.items())
+        def pieces():
+            odd = above = None
+            for (m1, e1), c1 in self.terms.items():
+                if m1 != above:  # a parity mask per run of equal bases
+                    above, odd = m1, _odd_above(m1)
+                for (m2, e2), c2 in right:
+                    if not m1 & m2:
+                        c = c1 * c2
+                        yield (m1 | m2, tuple(map(add, e1, e2))), -c if (odd & m2).bit_count() & 1 else c
+
+        return self._collect_terms(self.dim, deg, pieces())
 
 
 class DifferentialForm(_Alternating):
@@ -230,12 +214,12 @@ class DifferentialForm(_Alternating):
 
     @classmethod
     def from_polynomial(cls, p: Polynomial) -> "DifferentialForm":
-        return cls(p.dim, 0, {(): p} if not p.is_zero() else {})
+        return cls._raw(p.dim, 0, {(0, e): c for e, c in p.terms.items()})
 
     def as_polynomial(self) -> Polynomial:
         if self.degree != 0 and self.terms:
             raise ValueError(f"form of degree {self.degree} is not a function")
-        return self.terms.get((), Polynomial.zero(self.dim))
+        return _poly(self.dim, {e: c for (_, e), c in self.terms.items()})
 
     def __repr__(self):
         from .grammar import render_form
@@ -259,26 +243,29 @@ def wedge(a: _Alternating, b: _Alternating):
 
 def d(a: DifferentialForm) -> DifferentialForm:
     """Exterior derivative (closed form above): graded Leibniz, and d.d = 0."""
-    dim = a.dim
 
     def pieces():
-        for idx, p in a.terms.items():
-            n = len(idx)
-            for e, c in p.terms.items():
-                pos = 0  # pos(i): the indices of idx below i
-                for i, k in enumerate(e):
-                    if pos < n and idx[pos] == i:
-                        pos += 1
-                    elif k:
-                        c_i = -k * c if pos & 1 else k * c
-                        yield idx[:pos] + (i,) + idx[pos:], e[:i] + (k - 1,) + e[i + 1 :], c_i
+        for (m, e), c in a.terms.items():
+            for i, k in enumerate(e):
+                if k and not m >> i & 1:
+                    bit = 1 << i
+                    c_i = -k * c if (m & (bit - 1)).bit_count() & 1 else k * c
+                    yield (m | bit, e[:i] + (k - 1,) + e[i + 1 :]), c_i
 
-    return DifferentialForm._collect_terms(dim, a.degree + 1, pieces())
+    return DifferentialForm._collect_terms(a.dim, a.degree + 1, pieces())
 
 
 def d_poly(p: Polynomial) -> DifferentialForm:
     """Differential of a function, as a 1-form."""
     return d(DifferentialForm.from_polynomial(p))
+
+
+def _by_basis(x: MultiVectorField) -> dict[int, list]:
+    """The terms of ``x`` grouped by basis mask: {m: [(e, c), ...]}."""
+    groups: dict[int, list] = {}
+    for (m, e), c in x.terms.items():
+        groups.setdefault(m, []).append((e, c))
+    return groups
 
 
 def contract_vector(X: MultiVectorField, a: DifferentialForm) -> DifferentialForm:
@@ -290,16 +277,16 @@ def contract_vector(X: MultiVectorField, a: DifferentialForm) -> DifferentialFor
         raise ValueError(f"expected a vector field, got degree {X.degree}")
     if X.dim != a.dim:
         raise ValueError("vector field and form live on different spaces")
-    comps = {idx[0]: p for idx, p in X.terms.items()}
+    comps = _by_basis(X)
 
     def pieces():
-        for idx, p in a.terms.items():
-            for pos, i in enumerate(idx):
-                xi = comps.get(i)
-                if xi is not None:
-                    rest = idx[:pos] + idx[pos + 1 :]
-                    for e, c in (xi * p).terms.items():
-                        yield rest, e, -c if pos & 1 else c
+        for (m, e), c in a.terms.items():
+            for bit, xs in comps.items():
+                if m & bit:
+                    rest = m ^ bit
+                    s = -c if (m & (bit - 1)).bit_count() & 1 else c
+                    for e2, c2 in xs:
+                        yield (rest, tuple(map(add, e, e2))), s * c2
 
     return DifferentialForm._collect_terms(a.dim, a.degree - 1, pieces())
 
@@ -315,16 +302,16 @@ def contract_bivector(pi: MultiVectorField, a: DifferentialForm) -> Differential
         raise ValueError(f"expected a bivector, got degree {pi.degree}")
     if pi.dim != a.dim:
         raise ValueError("bivector and form live on different spaces")
+    # per bivector basis i < j: the bits strictly between i and j, whose count gives the sign
+    comps = [(pm, (pm & (pm - 1)) - ((pm & -pm) << 1), ws) for pm, ws in _by_basis(pi).items()]
 
     def pieces():
-        for (i, j), w in pi.terms.items():
-            for idx, p in a.terms.items():
-                if i in idx and j in idx:
-                    pos_i = idx.index(i)
-                    rest = idx[:pos_i] + idx[pos_i + 1 :]
-                    pos_j = rest.index(j)
-                    final = rest[:pos_j] + rest[pos_j + 1 :]
-                    for e, c in (w * p).terms.items():
-                        yield final, e, -c if (pos_i + pos_j) & 1 else c
+        for (m, e), c in a.terms.items():
+            for pm, between, ws in comps:
+                if m & pm == pm:
+                    rest = m ^ pm
+                    s = -c if (m & between).bit_count() & 1 else c
+                    for e2, c2 in ws:
+                        yield (rest, tuple(map(add, e, e2))), s * c2
 
     return DifferentialForm._collect_terms(a.dim, a.degree - 2, pieces())

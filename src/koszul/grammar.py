@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .forms import DifferentialForm, MultiVectorField, merge_indices
+from .forms import DifferentialForm, MultiVectorField
 from .poly import Polynomial
 
 
@@ -143,12 +143,11 @@ def parse_form(text: str, space) -> DifferentialForm:
                 i = _number(int, bidx, pos) - 1
                 if not 0 <= i < dim:
                     raise FormSyntaxError(f"unknown basis form dx{bidx} (dimension is {dim})", pos)
-                s, merged = merge_indices(tuple(basis), (i,))
-                if s == 0:
-                    basis_sign = 0
-                    merged = tuple(basis) + (i,)  # keep scanning the term
-                basis_sign *= s
-                basis = list(merged)
+                if i in basis:
+                    basis_sign = 0  # keep scanning the term
+                elif sum(b > i for b in basis) & 1:  # dx_i moves past the factors above it
+                    basis_sign = -basis_sign
+                basis.append(i)
                 k += 1
                 got_anything = True
                 if _is_op(k, "^") and k + 1 < nt and tokens[k + 1][0] == "basis":
@@ -211,7 +210,7 @@ def _render_basis(idx: tuple, prefix: str) -> str:
 
 def _render_terms(obj, prefix: str) -> str:
     chunks: list[tuple[int, str]] = []  # (sign, body)
-    for idx, p in obj.sorted_terms():
+    for idx, p in obj.components().items():
         for exps, c in p.sorted_terms():
             f = Fraction(c)
             sign = -1 if f < 0 else 1

@@ -44,15 +44,11 @@ def random_form(
     density: float = 0.7,
 ) -> DifferentialForm:
     """Random homogeneous form; each basis component present with prob ``density``."""
-    bases = list(combinations(range(dim), degree))
-    out = {}
-    for idx in bases:
-        if rng.random() < density:
-            out[idx] = random_polynomial(rng, dim, max_degree)
-    if not out:  # keep campaign inputs nonzero
-        idx = bases[rng.randrange(len(bases))]
-        out[idx] = random_polynomial(rng, dim, max_degree)
-    return DifferentialForm(dim, degree, out)
+    masks = [sum(1 << i for i in idx) for idx in combinations(range(dim), degree)]
+    drawn = [(m, random_polynomial(rng, dim, max_degree)) for m in masks if rng.random() < density]
+    if not drawn:  # keep campaign inputs nonzero
+        drawn = [(masks[rng.randrange(len(masks))], random_polynomial(rng, dim, max_degree))]
+    return DifferentialForm._raw(dim, degree, {(m, e): c for m, p in drawn for e, c in p.terms.items()})
 
 
 def random_vector_field(rng: random.Random, dim: int, max_degree: int) -> MultiVectorField:

@@ -17,25 +17,25 @@ executable record of the convention.  Within one sample of that row the
 relations share operator values: each operator runs once per form.
 
 Because omega and pi are constant, L, Lam and delta are computed directly on
-basis forms, with (q, p) = (2i, 2i+1) 0-based and pos(j) the position of j
-in I:
+the stored terms {(m, e): c} of ``forms`` (bit i of the basis mask m stands
+for dx_{i+1}), with (q, p) = (2i, 2i+1) 0-based, pair mask P = 0b11 << 2i and
+below(m, j) = popcount(m & ((1 << j) - 1)) the position of j in the basis:
 
-    L(f dx_I)     = sum over pairs {q, p} disjoint from I of f dx_{I + {q, p}}
-    Lam(f dx_I)   = sum over pairs {q, p} inside I of f dx_{I - {q, p}}
-    delta(f dx_I) = sum over j in I of s(j) (-1)^pos(j) (d f / d x_{j^1}) dx_{I - j}
+    L(f dx_m)     = sum over pair masks P with m & P == 0 of f dx_(m | P)
+    Lam(f dx_m)   = sum over pair masks P with m & P == P of f dx_(m ^ P)
+    delta(f dx_m) = sum over j in m of s(j) (-1)^below(m, j) (d f / d x_{j^1}) dx_(m ^ 1 << j)
 
 with s(j) = +1 for odd j (a p) and -1 for even j (a q).  L and Lam carry no
-sign, since q and p are adjacent in every sorted index tuple.  For delta:
-iota_X d + d iota_X = d_X for a constant field X, hence per pair
-[iota_{e_p} iota_{e_q}, d] = iota_{e_p} d_q - iota_{e_q} d_p.  A result has
-the degree its operator maps to, even outside 0..2n (``forms``).  All three
-emit the terms c x^e of f one by one into the accumulator that ``forms.d``
-also uses.
+sign, since q and p are adjacent in every sorted index tuple; delta takes one
+step per set bit j of m.  For delta: iota_X d + d iota_X = d_X for a constant
+field X, hence per pair [iota_{e_p} iota_{e_q}, d] = iota_{e_p} d_q -
+iota_{e_q} d_p.  A result has the degree its operator maps to, even outside
+0..2n (``forms``).  All three add the terms c x^e of f one by one into the
+accumulator that the kernels of ``forms`` use.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Callable
 
 from .forms import DifferentialForm, MultiVectorField, contract_vector, d
@@ -52,6 +52,7 @@ class SymplecticSpace:
         self.dim = 2 * n
         one = Polynomial.constant(self.dim, 1)
         pairs = {(2 * i, 2 * i + 1): one for i in range(n)}
+        self._pair_masks = tuple(3 << 2 * i for i in range(n))  # 0b11 << 2i for each (q, p)
         self.omega = DifferentialForm(self.dim, 2, pairs)
         self.pi = MultiVectorField(self.dim, 2, pairs)
 
@@ -64,60 +65,42 @@ class SymplecticSpace:
     # -- Lefschetz operators (closed forms in the module docstring) ----------
 
     def L(self, a: DifferentialForm) -> DifferentialForm:
-        """Raising operator: wedge with omega.  Adds each pair disjoint from I."""
-
-        def pieces():
-            for idx, f in a.terms.items():
-                for q in range(0, self.dim, 2):
-                    if q in idx or q + 1 in idx:
-                        continue
-                    pos = bisect_left(idx, q)
-                    merged = idx[:pos] + (q, q + 1) + idx[pos:]
-                    for e, c in f.terms.items():
-                        yield merged, e, c
-
+        """Raising operator: wedge with omega.  Adds each pair disjoint from the basis."""
         self._check(a)
-        return DifferentialForm._collect_terms(self.dim, a.degree + 2, pieces())
+        pieces = (((m | pm, e), c) for (m, e), c in a.terms.items() for pm in self._pair_masks if not m & pm)
+        return DifferentialForm._collect_terms(self.dim, a.degree + 2, pieces)
 
     def Lam(self, a: DifferentialForm) -> DifferentialForm:
-        """Lowering operator: contraction with pi.  Removes each pair inside I."""
-
-        def pieces():
-            for idx, f in a.terms.items():
-                for t in range(len(idx) - 1):
-                    q = idx[t]
-                    if not q & 1 and idx[t + 1] == q + 1:
-                        rest = idx[:t] + idx[t + 2 :]
-                        for e, c in f.terms.items():
-                            yield rest, e, c
-
+        """Lowering operator: contraction with pi.  Removes each pair inside the basis."""
         self._check(a)
-        return DifferentialForm._collect_terms(self.dim, a.degree - 2, pieces())
+        pieces = (((m ^ pm, e), c) for (m, e), c in a.terms.items() for pm in self._pair_masks if m & pm == pm)
+        return DifferentialForm._collect_terms(self.dim, a.degree - 2, pieces)
 
     def H(self, a: DifferentialForm) -> DifferentialForm:
         """Degree-counting operator a |-> (n - deg a) * a."""
+        self._check(a)
         return a * (self.n - a.degree)
 
     def delta(self, a: DifferentialForm) -> DifferentialForm:
         """Koszul differential Lam d - d Lam.  Degree -1, squares to zero.
 
         Per pair, [iota_{e_p} iota_{e_q}, d] = iota_{e_p} d_q - iota_{e_q} d_p,
-        so dx_j in I is removed with the sign (-1)^pos and the derivative
-        along its partner j^1, negated for even (q) j.
+        so dx_j in the basis is removed with the sign (-1)^below(m, j) and the
+        derivative along its partner j^1, negated for even (q) j.
         """
 
         def pieces():
-            for idx, f in a.terms.items():
-                for pos, j in enumerate(idx):
+            for (m, e), c in a.terms.items():
+                t, pos = m, 0
+                while t:  # one step per index j of the basis, lowest first
+                    bit = t & -t
+                    t ^= bit
+                    j = bit.bit_length() - 1
                     i = j ^ 1
-                    sign = -1 if (pos ^ j) & 1 == 0 else 1  # (-1)^pos, times -1 for even j
-                    rest = None
-                    for e, c in f.terms.items():
-                        k = e[i]
-                        if k:
-                            if rest is None:
-                                rest = idx[:pos] + idx[pos + 1 :]
-                            yield rest, e[:i] + (k - 1,) + e[i + 1 :], sign * k * c
+                    k = e[i]
+                    if k:  # sign (-1)^pos, negated for even j
+                        yield (m ^ bit, e[:i] + (k - 1,) + e[i + 1 :]), -k * c if not (pos ^ j) & 1 else k * c
+                    pos += 1
 
         self._check(a)
         return DifferentialForm._collect_terms(self.dim, a.degree - 1, pieces())

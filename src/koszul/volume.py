@@ -43,7 +43,7 @@ def exact_divfree_vf(v: VolumeSpace, alpha: DifferentialForm) -> MultiVectorFiel
     da = d(alpha)
     terms = {}
     full = set(range(m))
-    for idx, p in da.terms.items():
+    for idx, p in da.components().items():
         (missing,) = full - set(idx)
         # iota_{e_i} mu = (-1)^i dx_(rest), so the component is -(-1)^i * coeff
         comp = p if missing & 1 else -p

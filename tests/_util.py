@@ -3,7 +3,6 @@
 from fractions import Fraction
 
 from koszul import DifferentialForm, MultiVectorField, Polynomial
-from koszul.forms import merge_indices
 from koszul.randgen import random_form, random_polynomial, trial_rng
 
 SEED = 20240718
@@ -33,11 +32,23 @@ def rand_frac_poly(label: str, trial: int, dim: int, max_degree: int = 3) -> Pol
     return Polynomial(dim, {e: Fraction(c, 3 + 4 * i) for i, (e, c) in enumerate(sorted(p.terms.items()))})
 
 
+def merge_indices(a: tuple, b: tuple) -> tuple[int, tuple]:
+    """Merge two strictly increasing index tuples.
+
+    Returns (sign, merged) where sign is the parity of the permutation that
+    sorts the concatenation, or (0, ()) if an index repeats.
+    """
+    if set(a) & set(b):
+        return 0, ()
+    inversions = sum(1 for x in a for y in b if x > y)
+    return (-1) ** inversions, tuple(sorted(a + b))
+
+
 def contraction_oracle(X: MultiVectorField, a: DifferentialForm) -> DifferentialForm:
     """Independent expansion of iota_X: alternating sum over term positions."""
-    parts = DifferentialForm.zero(a.dim, max(a.degree - 1, 0))
-    comps = {idx[0]: p for idx, p in X.terms.items()}
-    for idx, p in a.terms.items():
+    parts = DifferentialForm.zero(a.dim, a.degree - 1)
+    comps = {idx[0]: p for idx, p in X.components().items()}
+    for idx, p in a.components().items():
         for pos in range(len(idx)):
             comp = comps.get(idx[pos])
             if comp is None:
@@ -53,8 +64,8 @@ def wedge_reference(a, b):
     deg = a.degree + b.degree
     out: dict[tuple, Polynomial] = {}
     if deg <= a.dim:
-        for i1, p1 in a.terms.items():
-            for i2, p2 in b.terms.items():
+        for i1, p1 in a.components().items():
+            for i2, p2 in b.components().items():
                 sign, idx = merge_indices(i1, i2)
                 if sign == 0:
                     continue
@@ -69,6 +80,15 @@ def wedge_reference(a, b):
                 else:
                     out[idx] = s
     return type(a)(a.dim, deg, out)
+
+
+def assert_stored_canonically(a):
+    """The storage invariant of a form's term dict {(basis mask, exponents): coeff}."""
+    for (m, e), c in a.terms.items():
+        assert m.bit_count() == a.degree, f"basis mask {m:b} does not have {a.degree} bits"
+        assert 0 <= m < 1 << a.dim and len(e) == a.dim, f"key {(m, e)} outside R^{a.dim}"
+        assert c and isinstance(c, (int, Fraction)), f"coefficient {c!r} stored at {(m, e)}"
+    return a
 
 
 def solve_constant_system(matrix: list[list[Fraction]], rhs: list[Polynomial]) -> list[Polynomial]:

@@ -6,6 +6,7 @@ from koszul import (
     DifferentialForm,
     MultiVectorField,
     Polynomial,
+    SymplecticSpace,
     contract_bivector,
     contract_vector,
     d,
@@ -14,7 +15,16 @@ from koszul import (
 )
 from koszul.randgen import random_form, random_vector_field
 
-from _util import contraction_oracle, rand_form, rand_frac_form, rng, wedge_reference
+from _util import (
+    assert_stored_canonically,
+    contraction_oracle,
+    rand_form,
+    rand_frac_form,
+    rand_frac_poly,
+    rand_poly,
+    rng,
+    wedge_reference,
+)
 
 
 def basis(dim, *indices):
@@ -66,14 +76,13 @@ def _operand(cls, kind, label, t, dim, degree):
     a = random_form(rng(label, t), dim, degree, 2, density=0.4)
     if kind == "frac":
         a = a * Fraction(1, 3) + random_form(rng(f"{label}/b", t), dim, degree, 2, density=0.4) * Fraction(-2, 7)
-    return cls(dim, degree, a.terms)
+    return cls(dim, degree, a.components())
 
 
 def _fused_equals_reference(a, b):
     out = a.wedge(b)
     assert out == wedge_reference(a, b) and out.degree == a.degree + b.degree
-    assert all(p.terms and all(p.terms.values()) for p in out.terms.values()), "empty or zero coefficient stored"
-    return out
+    return assert_stored_canonically(out)
 
 
 @pytest.mark.parametrize("kind", ["int", "frac"])
@@ -91,6 +100,30 @@ def test_wedge_kernel_matches_per_pair_reference(cls, kind):
                 assert (ab - ba * (-1) ** (p * q)).is_zero()
                 if p & 1:  # a ^ a cancels pair by pair inside one product
                     assert _fused_equals_reference(a, a).is_zero()
+
+
+@pytest.mark.parametrize("kind", ["int", "frac"])
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_every_kernel_keeps_the_storage_invariant(dim, kind):
+    # every key (m, e) of a result has popcount(m) == degree, m < 2**dim, len(e) == dim, and c != 0
+    frac = kind == "frac"
+    form = rand_frac_form if frac else rand_form
+    label = f"inv-{kind}/{dim}"
+    X = random_vector_field(rng(f"{label}/X", 0), dim, 2)
+    pi = X.wedge(random_vector_field(rng(f"{label}/Y", 0), dim, 2))
+    f = (rand_frac_poly if frac else rand_poly)(f"{label}/f", 0, dim, 2)
+    s = SymplecticSpace(dim // 2) if dim % 2 == 0 else None
+    one = form(f"{label}/one", 0, dim, 1)
+    for degree in range(dim + 1):
+        a = form(f"{label}/a", degree, dim, degree, 2)
+        b = form(f"{label}/b", degree, dim, degree, 2)
+        results = [d(a), a.wedge(one), one.wedge(a), a.wedge(b), contract_vector(X, a), contract_bivector(pi, a),
+                   a + b, a - b, a - a, -a, a * 3, a * Fraction(-2, 5), a * 0, a * f, pi, X * f]
+        if s is not None:
+            results += [s.L(a), s.Lam(a), s.delta(a), s.H(a)]
+        for r in results:
+            assert_stored_canonically(r)
+        assert (a - a).is_zero() and (a * 0).is_zero()
 
 
 # -- exterior derivative ------------------------------------------------------
@@ -117,7 +150,7 @@ def d_oracle(a):
     """d a = sum_i dx_i ^ (d a / d x_i), from wedge and Polynomial.diff only."""
     total = DifferentialForm.zero(a.dim, min(a.degree + 1, a.dim))
     for i in range(a.dim):
-        partial = DifferentialForm(a.dim, a.degree, {idx: p.diff(i) for idx, p in a.terms.items()})
+        partial = DifferentialForm(a.dim, a.degree, {idx: p.diff(i) for idx, p in a.components().items()})
         total = total + basis(a.dim, i).wedge(partial)
     return total
 
@@ -168,9 +201,10 @@ def test_contract_vector_kills_functions():
 def test_contract_vector_matches_oracle_random():
     for t in range(12):
         X = random_vector_field(rng("cv-X", t), 4, 2)
-        for degree in (1, 2, 3):
+        for degree in (0, 1, 2, 3):
             a = rand_form("cv-a", t + 13 * degree, 4, degree)
-            assert contract_vector(X, a) == contraction_oracle(X, a)
+            got, expected = contract_vector(X, a), contraction_oracle(X, a)
+            assert got == expected and got.degree == expected.degree == a.degree - 1
 
 
 def test_contract_vector_graded_derivation():
@@ -233,6 +267,10 @@ def test_nonzero_form_outside_its_degree_range_rejected():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         basis(2, 0).wedge(basis(3, 0))
+    with pytest.raises(ValueError, match="lives on R"):
+        DifferentialForm(3, 1, {(0,): Polynomial.coordinate(2, 0)})
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        basis(3, 0) * Polynomial.coordinate(2, 0)
 
 
 def test_multivector_wedge_and_equality():

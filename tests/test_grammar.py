@@ -5,12 +5,14 @@ import pytest
 from koszul import (
     DifferentialForm,
     FormSyntaxError,
+    MultiVectorField,
     Polynomial,
     parse_form,
     parse_polynomial,
     render_form,
     render_polynomial,
 )
+from koszul.grammar import render_multivector
 
 from _util import rand_form
 
@@ -80,6 +82,11 @@ def test_render_parse_idempotent_on_canonical_strings():
 def test_render_is_deterministic_ordering():
     a = parse_form("v2 dx3 + dx1 + v1^2 dx1", 3)
     assert render_form(a) == "dx1 + v1^2 dx1 + v2 dx3"
+    # bases render in lexicographic order of their index tuples, not in bitmask order
+    assert render_form(parse_form("dx2^dx3 + dx1^dx4", 4)) == "dx1^dx4 + dx2^dx3"
+    assert render_form(parse_form("v1 dx2^dx3^dx4 - dx1^dx5^dx6", 6)) == "-dx1^dx5^dx6 + v1 dx2^dx3^dx4"
+    one = Polynomial.constant(4, 1)
+    assert render_multivector(MultiVectorField(4, 2, {(1, 2): one, (0, 3): one})) == "e1^e4 + e2^e3"
 
 
 def test_parse_polynomial():

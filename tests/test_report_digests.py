@@ -82,10 +82,11 @@ def test_linfty_tower_digest():
         (_Alternating, "wedge", _doubled_wedge, {"chain", "alt-relation", "linfty-symplectic", "poisson"},
          "R4 partial(l~_2) = delta l~_3",
          "bfab4e824959005bbf044efdb44230dba58795952de0a10d0db670487a8ec394"),
-        (Polynomial, "__mul__", _doubled_mul, {"chain", "alt-relation", "linfty-symplectic", "linfty-volume",
-                                                       "poisson"},
-         "sl2star iota_pi(top) = v1 dx1 + v2 dx2 - v3 dx3",
-         "bca568f27cffad6cc403ea53027c1828a9a1750ef96422887e380907d469e118"),
+        # form kernels multiply coefficients term by term, so this mutant reaches forms only
+        # through polynomial-level products ({f, g}, f g, ...)
+        (Polynomial, "__mul__", _doubled_mul, {"chain", "alt-relation", "linfty-symplectic", "poisson"},
+         "sl2star obstruction identity",
+         "c899407f880bae4fa2bb44ad04406a38a78886b82788d13f1199a73b303c82cc"),
     ],
     ids=["wedge", "poly-mul"],
 )
