@@ -130,11 +130,7 @@ def tilde_l(
 def symplectic_family(
     s: SymplecticSpace, table: CoefficientTable | None = None
 ) -> BracketFamily:
-    """The grounded bracket family on Omega^(2n) -> ... -> Omega^1 with l_1 = delta."""
-
-    def higher(forms: tuple[DifferentialForm, ...]) -> DifferentialForm:
-        return tilde_l(s, [s.delta(a).as_polynomial() for a in forms], table)
-
+    """The grounded bracket family on Omega^(2n) -> ... -> Omega^1 with l_1 = delta; a lifts to delta a."""
     return BracketFamily(
         name=f"symplectic(n={s.n})",
         ground_form_degree=1,
@@ -142,7 +138,8 @@ def symplectic_family(
         ldegree_of=lambda form_degree: 1 - form_degree,
         form_degree_of=lambda ldegree: 1 - ldegree,
         differential=s.delta,
-        higher=higher,
+        lift=lambda a: s.delta(a).as_polynomial(),
+        higher=lambda fs: tilde_l(s, fs, table),
     )
 
 

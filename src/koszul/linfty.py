@@ -14,20 +14,23 @@ identity on given arguments iff the residual is the zero form.
 
 Families here are grounded: the complex sits in non-positive degrees with the
 ground layer in degree 0, l_1 is truncated there (zero on degree >= 0), and
-l_k for k >= 2 is zero unless every argument lies in degree 0.  The evaluator
-skips a term l_j(l_i(...), ...) without evaluating it when the same rule
-(``BracketFamily.vanishes``) makes it zero:
+l_k for k >= 2 is zero unless every argument lies in degree 0.  An unshuffle
+is fixed by its head sigma(1..i), and ``linfty_residual`` enumerates only
+the heads that can survive these rules:
 
-* some inner argument of l_i, i >= 2, is off the ground degree;
-* some argument of the outer tail of l_j, j >= 2, is off the ground degree;
-* the inner value is off the ground degree.  l_i has degree 2 - i (l_1: +1),
-  so on ground arguments l_i for i >= 3 never lands in degree 0 and every
-  outer l_j, j >= 2, of it is zero; likewise l_1 of a ground value.
+* i = 1: one head per argument position;
+* i >= 2: combinations of the ground-degree positions, as l_i is zero on
+  any other argument;
+* 2 <= i <= n - 1 is dropped whole, by one ``BracketFamily.vanishes`` test,
+  when l_i of ground arguments, in degree 2 - i, is off the degree 0 that
+  the outer l_j needs: every term of that i is exactly zero.  Only i = 2
+  stays, besides i = n, whose outer bracket is l_1.
 
-Each skipped term is one that ``BracketFamily.l`` returns as the zero
-element, so the residual is the same exact sum; the last rule removes most
-of the work at high arity, where l_i for every i >= 3 was evaluated and
-then thrown away.
+At most n + C(n, 2) + 1 of the 2^n - 1 terms remain as candidates, each
+still tested by ``vanishes``; every dropped term is one that ``l`` returns
+as zero, so the residual is the same exact sum in the same order.  Ground
+arguments are lifted (``lift``) once per residual and each inner value
+once, and candidates call ``higher``/``differential`` directly.
 """
 
 from __future__ import annotations
@@ -53,10 +56,11 @@ class BracketFamily:
 
     ``ldegree_of``/``form_degree_of`` translate between form degree and
     complex degree (each family carries its own grading).  A family supplies
-    its differential and its bracket on forms: ``differential`` is l_1 and
-    ``higher(forms)`` is l_k, k = len(forms) >= 2.  Every family is grounded:
-    ``l`` adds the grounded rules (``vanishes``), so ``higher`` only ever sees
-    ground-degree forms.
+    its differential and its bracket: ``differential`` is l_1 on forms,
+    ``lift`` maps a ground-degree form to the value brackets act on, and
+    ``higher(lifted)`` is l_k, k = len(lifted) >= 2, on its arguments' lifts.
+    Every family is grounded: ``l`` adds the grounded rules (``vanishes``),
+    so ``lift`` and ``higher`` only ever see ground-degree forms.
     """
 
     name: str
@@ -65,7 +69,8 @@ class BracketFamily:
     ldegree_of: Callable[[int], int]
     form_degree_of: Callable[[int], int]
     differential: Callable[[DifferentialForm], DifferentialForm]
-    higher: Callable[[tuple[DifferentialForm, ...]], DifferentialForm]
+    lift: Callable[[DifferentialForm], object]
+    higher: Callable[[tuple], DifferentialForm]
 
     def element(self, form: DifferentialForm) -> GradedElement:
         lo, hi = self.form_degree_bounds
@@ -99,7 +104,7 @@ class BracketFamily:
             return self.zero_element(ldegree, args[0].form.dim)
         if k == 1:
             return GradedElement(self.differential(args[0].form), ldegree)
-        return GradedElement(self.higher(tuple(x.form for x in args)), ldegree)
+        return GradedElement(self.higher(tuple(self.lift(x.form) for x in args)), ldegree)
 
 
 def unshuffles(i: int, j: int) -> list[tuple[int, ...]]:
@@ -111,13 +116,7 @@ def unshuffles(i: int, j: int) -> list[tuple[int, ...]]:
     if i < 0 or j < 0:
         raise ValueError("block sizes must be non-negative")
     n = i + j
-    everything = range(n)
-    out = []
-    for head in combinations(everything, i):
-        head_set = set(head)
-        tail = tuple(x for x in everything if x not in head_set)
-        out.append(head + tail)
-    return out
+    return [head + tuple(x for x in range(n) if x not in head) for head in combinations(range(n), i)]
 
 
 def permutation_sign(sigma: Sequence[int]) -> int:
@@ -158,36 +157,46 @@ def linfty_residual(family: BracketFamily, args: Sequence[GradedElement]) -> Gra
     n = len(args)
     if n < 1:
         raise ValueError("need at least one argument")
-    dim = args[0].form.dim
     degrees = [x.ldegree for x in args]
     target_ldeg = sum(degrees) + 3 - n
+    ground = family.ldegree_of(family.ground_form_degree)
+    grounded = [p for p in range(n) if degrees[p] == ground]
+    lifted = [family.lift(x.form) if d == ground else None for x, d in zip(args, degrees)]
 
     total: DifferentialForm | None = None
     for i in range(1, n + 1):
         j = n + 1 - i
+        if i == 1:
+            heads = [(p,) for p in range(n)]
+        elif j >= 2 and family.vanishes(j, [i * ground + 2 - i] + [ground] * (j - 1)):
+            continue  # l_i of ground arguments is off the ground degree, so every outer l_j is zero
+        else:
+            heads = combinations(grounded, i)
         prefactor = -1 if (i * (j + 1)) & 1 else 1
-        for sigma in unshuffles(i, n - i):
-            # structurally-zero terms, decided on degrees before any bracket runs;
-            # l_i has degree 2 - i, so the inner value sits in sum + 2 - i
-            inner_degrees = [degrees[s] for s in sigma[:i]]
+        for head in heads:
+            inner_degrees = [degrees[p] for p in head]
             if family.vanishes(i, inner_degrees):
                 continue
-            outer_degrees = [sum(inner_degrees) + 2 - i] + [degrees[s] for s in sigma[i:]]
-            if family.vanishes(j, outer_degrees):
+            tail = tuple(p for p in range(n) if p not in head)
+            if family.vanishes(j, [sum(inner_degrees) + 2 - i] + [degrees[p] for p in tail]):
                 continue
-            inner_args = [args[s] for s in sigma[:i]]
-            outer_tail = [args[s] for s in sigma[i:]]
-            inner = family.l(i, inner_args)
-            if inner.form.is_zero():
+            if i == 1:
+                inner = family.differential(args[head[0]].form)
+            else:
+                inner = family.higher(tuple(lifted[p] for p in head))
+            if inner.is_zero():
                 continue
-            outer = family.l(j, [inner] + outer_tail)
-            if outer.form.is_zero():
+            if j == 1:
+                outer = family.differential(inner)
+            else:
+                outer = family.higher((family.lift(inner), *(lifted[p] for p in tail)))
+            if outer.is_zero():
                 continue
-            coeff = prefactor * permutation_sign(sigma) * koszul_sign(sigma, degrees)
-            term = outer.form * coeff
+            sigma = head + tail
+            term = outer * (prefactor * permutation_sign(sigma) * koszul_sign(sigma, degrees))
             total = term if total is None else total + term
     if total is None:
-        return family.zero_element(target_ldeg, dim)
+        return family.zero_element(target_ldeg, args[0].form.dim)
     return GradedElement(total, target_ldeg)
 
 

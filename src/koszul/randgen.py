@@ -18,9 +18,8 @@ def trial_rng(seed: int, label: str, trial: int) -> random.Random:
     return random.Random(f"{seed}|{label}|{trial}")
 
 
-def random_polynomial(rng: random.Random, dim: int, max_degree: int, terms: int = 2) -> Polynomial:
-    """Nonzero sum of ``terms`` random monomials of total degree <= max_degree,
-    with integer coefficients in [-9, 9] \\ {0}; redrawn while the sum cancels."""
+def _monomials(rng: random.Random, dim: int, max_degree: int, terms: int) -> dict[tuple, int]:
+    """The nonzero {exponents: coeff} sum of ``terms`` random monomials; redrawn while it cancels."""
     while True:
         acc: dict[tuple, int] = {}
         for _ in range(terms):
@@ -30,10 +29,17 @@ def random_polynomial(rng: random.Random, dim: int, max_degree: int, terms: int 
                 exps[rng.randrange(dim)] += 1
             c = rng.choice((-9, -8, -7, -6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6, 7, 8, 9))
             key = tuple(exps)
-            acc[key] = acc.get(key, 0) + c
-        p = Polynomial(dim, acc)
-        if not p.is_zero():
-            return p
+            s = acc.pop(key, 0) + c
+            if s:  # zero when c cancels an earlier monomial
+                acc[key] = s
+        if acc:
+            return acc
+
+
+def random_polynomial(rng: random.Random, dim: int, max_degree: int, terms: int = 2) -> Polynomial:
+    """Nonzero sum of ``terms`` random monomials of total degree <= max_degree,
+    with integer coefficients in [-9, 9] \\ {0}; redrawn while the sum cancels."""
+    return Polynomial(dim, _monomials(rng, dim, max_degree, terms))
 
 
 def random_form(
@@ -43,12 +49,15 @@ def random_form(
     max_degree: int,
     density: float = 0.7,
 ) -> DifferentialForm:
-    """Random homogeneous form; each basis component present with prob ``density``."""
+    """Random homogeneous form; each basis component present with prob ``density``,
+    its coefficient drawn as ``random_polynomial`` draws one."""
     masks = [sum(1 << i for i in idx) for idx in combinations(range(dim), degree)]
-    drawn = [(m, random_polynomial(rng, dim, max_degree)) for m in masks if rng.random() < density]
-    if not drawn:  # keep campaign inputs nonzero
-        drawn = [(masks[rng.randrange(len(masks))], random_polynomial(rng, dim, max_degree))]
-    return DifferentialForm._raw(dim, degree, {(m, e): c for m, p in drawn for e, c in p.terms.items()})
+    terms = {(m, e): c for m in masks if rng.random() < density
+             for e, c in _monomials(rng, dim, max_degree, 2).items()}
+    if not terms:  # keep campaign inputs nonzero
+        m = masks[rng.randrange(len(masks))]
+        terms = {(m, e): c for e, c in _monomials(rng, dim, max_degree, 2).items()}
+    return DifferentialForm._raw(dim, degree, terms)
 
 
 def random_vector_field(rng: random.Random, dim: int, max_degree: int) -> MultiVectorField:

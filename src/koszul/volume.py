@@ -54,20 +54,24 @@ def exact_divfree_vf(v: VolumeSpace, alpha: DifferentialForm) -> MultiVectorFiel
 
 def volume_bracket(v: VolumeSpace, alphas: Sequence[DifferentialForm]) -> DifferentialForm:
     """l_k of (m-2)-form potentials: signed iterated contraction into mu."""
-    k = len(alphas)
-    if k < 2:
+    if len(alphas) < 2:
         raise ValueError("higher brackets start at arity 2")
+    return _contract_into_mu(v, [exact_divfree_vf(v, a) for a in alphas])
+
+
+def _contract_into_mu(v: VolumeSpace, fields: Sequence[MultiVectorField]) -> DifferentialForm:
+    """-(-1)^(k(k+1)/2) iota_(X_k) ... iota_(X_1) mu for k = len(fields)."""
+    k = len(fields)
     cur = v.mu
-    for a in alphas:  # first argument contracts innermost
-        cur = contract_vector(exact_divfree_vf(v, a), cur)
+    for X in fields:  # first field contracts innermost
+        cur = contract_vector(X, cur)
         if cur.is_zero():
             return DifferentialForm.zero(v.m, v.m - k)
-    exponent = (k * (k + 1)) // 2
-    return -cur if exponent % 2 == 0 else cur
+    return cur if (k * (k + 1) // 2) & 1 else -cur
 
 
 def volume_family(v: VolumeSpace) -> BracketFamily:
-    """The grounded family on Omega^0 -> ... -> Omega^(m-2) with l_1 = d."""
+    """The grounded family on Omega^0 -> ... -> Omega^(m-2) with l_1 = d; alpha lifts to X_alpha."""
     ground = v.m - 2
     return BracketFamily(
         name=f"volume(m={v.m})",
@@ -76,5 +80,6 @@ def volume_family(v: VolumeSpace) -> BracketFamily:
         ldegree_of=lambda form_degree: form_degree - ground,
         form_degree_of=lambda ldegree: ldegree + ground,
         differential=d,
-        higher=lambda forms: volume_bracket(v, forms),
+        lift=lambda alpha: exact_divfree_vf(v, alpha),
+        higher=lambda fields: _contract_into_mu(v, fields),
     )

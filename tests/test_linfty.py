@@ -3,7 +3,9 @@ from math import comb
 
 import pytest
 
+import koszul.volume
 from koszul import (
+    BracketFamily,
     DifferentialForm,
     SymplecticSpace,
     VolumeSpace,
@@ -226,6 +228,12 @@ def _oracle_inputs(label, fam, dim, t):
     yield [form(f"mix3-{k}", deg) for k, deg in enumerate(mixed[:3])]
     zero = fam.element(DifferentialForm.zero(dim, ground))
     yield [form("z0", ground), zero, form("z2", ground)]
+    # the i = 1 terms l_n(l_1(x_p), ...) need x_p in complex degree -1 and the rest ground
+    low = fam.form_degree_of(-1)
+    for arity, at in ((2, 0), (4, 1), (5, 4)):
+        yield [form(f"low{arity}-{k}", low if k == at else ground) for k in range(arity)]
+    yield [form(f"two-low-{k}", low if k in (0, 2) else ground) for k in range(4)]
+    yield [form(f"off-{k}", low) for k in range(3)]
 
 
 def test_pruned_residual_equals_full_double_sum():
@@ -266,3 +274,37 @@ def test_grounded_rules_live_in_the_family():
     fam = symplectic_family(SymplecticSpace(1))
     assert fam.vanishes(1, [0]) and fam.vanishes(1, [1]) and not fam.vanishes(1, [-1])
     assert fam.vanishes(2, [0, -1]) and not fam.vanishes(3, [0, 0, 0])
+
+
+@pytest.mark.parametrize("family", ["symplectic", "volume"])
+def test_each_argument_is_lifted_once(family, monkeypatch):
+    # one lift per argument and one per inner l_2 value; the symplectic l_1 is
+    # delta itself, so its one outer l_1(l_n(..)) makes one more delta call
+    calls = []
+    if family == "symplectic":
+        real = SymplecticSpace.delta
+        monkeypatch.setattr(SymplecticSpace, "delta", lambda s, a: calls.append(a) or real(s, a))
+        fam, extra = symplectic_family(SymplecticSpace(2)), 1
+    else:
+        real = koszul.volume.exact_divfree_vf
+        monkeypatch.setattr(koszul.volume, "exact_divfree_vf", lambda v, a: calls.append(a) or real(v, a))
+        fam, extra = volume_family(VolumeSpace(4)), 0
+    for n in range(2, 9):
+        args = [fam.element(rand_form(f"lift/{family}/{k}", n, 4, fam.ground_form_degree)) for k in range(n)]
+        calls.clear()
+        assert linfty_residual(fam, args).form.is_zero()
+        assert len(calls) <= n + comb(n, 2) + extra, (n, len(calls))
+
+
+def test_enumeration_stays_polynomial(monkeypatch):
+    # 18 ground arguments have 2^18 unshuffles; at most n + C(n, 2) + 1 heads
+    # are candidates, each tested twice, plus one test per i skipped whole
+    fam = symplectic_family(SymplecticSpace(1))
+    args = [fam.element(rand_form(f"poly-enum/{k}", 0, 2, 1)) for k in range(18)]
+    assert linfty_residual(fam, args[:6]).form == reference_residual(fam, args[:6])
+    tests = []
+    vanishes = BracketFamily.vanishes
+    monkeypatch.setattr(BracketFamily, "vanishes", lambda f, k, ldegrees: tests.append(k) or vanishes(f, k, ldegrees))
+    n = len(args)
+    assert linfty_residual(fam, args).form.is_zero()
+    assert len(tests) <= 2 * (n + comb(n, 2) + 1) + n, len(tests)
