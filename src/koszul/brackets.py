@@ -81,6 +81,8 @@ def _alt_sum(fs: Sequence[Polynomial]) -> DifferentialForm:
     total = DifferentialForm.from_polynomial(fs[0])
     for i in range(1, len(fs)):
         run = d_poly(fs[0]) if i == 1 else run.wedge(df)  # d fs[0] ^ ... ^ d fs[i-1]
+        if not (run or total):  # every later T_i is zero too
+            return DifferentialForm.zero(fs[0].dim, len(fs) - 1)
         df = d_poly(fs[i])
         term = run * fs[i]
         total = total.wedge(df) + (-term if i & 1 else term)
@@ -124,6 +126,8 @@ def tilde_l(
     """Arity-k function bracket: (-1)^k (sum_j a(k,j) L^j Lam^j) alt_m."""
     if len(fs) < 2:
         raise ValueError("defined for arity >= 2")
+    if len(fs) - 1 > s.dim:  # a (k-1)-form above the top degree
+        return DifferentialForm.zero(s.dim, len(fs) - 1)
     return lefschetz_sum(s, len(fs), _alt_sum(fs), table)
 
 

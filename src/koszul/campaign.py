@@ -53,7 +53,7 @@ from .poisson import (
     symplectic_obstruction_witness,
     zero_poisson,
 )
-from .poly import Polynomial
+from .poly import EXP_MAX, Polynomial
 from .randgen import random_form, random_polynomial, trial_rng
 from .symplectic import SymplecticSpace, operator_relations
 from .volume import VolumeSpace, exact_divfree_vf, volume_family
@@ -84,8 +84,8 @@ class CampaignConfig:
             raise ValueError(f"unknown suite {self.suite!r}; choose from {', '.join(SUITES)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.max_degree < 1:  # constant inputs make every identity vacuous
-            raise ValueError("degree must be >= 1")
+        if not 1 <= self.max_degree <= EXP_MAX:  # constant inputs make every identity vacuous
+            raise ValueError(f"degree must be >= 1 and <= {EXP_MAX}")
         if not 0 < self.density <= 1:
             raise ValueError("density must be in (0, 1]")
         if any(n < 1 for n in self.half_dims):

@@ -7,7 +7,8 @@
 Exit codes: 0 all checks pass, 1 at least one identity failure, 2 usage or
 expression errors. A refusal raises ``UsageError`` (or ``FormSyntaxError``)
 where it is found, and ``main`` alone reports it: one ``error:`` (``parse
-error:``) line on stderr. A ValueError raised elsewhere is a program fault.
+error:``) line on stderr. An evaluation whose exponents grow past EXP_MAX is
+refused the same way; a ValueError raised elsewhere is a program fault.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .brackets import symplectic_family
 from .campaign import K_MAX, SUITES, CampaignConfig, run_campaign
 from .forms import d
 from .grammar import FormSyntaxError, parse_form, render_form
+from .poly import EXP_MAX, ExponentOverflow
 from .symplectic import SymplecticSpace
 from .volume import VolumeSpace, volume_family
 
@@ -52,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--volume-dim", dest="volume_dims", type=_int_list, default=(3, 4), metavar="M[,M...]",
                     help="dimensions for the volume suite (default 3,4)")
     pv.add_argument("--degree", dest="max_degree", type=int, default=3, metavar="DEGREE",
-                    help="max polynomial degree of random inputs (>= 1: constant inputs check nothing)")
+                    help=f"max polynomial degree of random inputs, 1..{EXP_MAX} (constant inputs check nothing)")
     pv.add_argument("--density", type=float, default=0.7, help="basis-term density of random forms")
     pv.add_argument("--trials", type=int, default=25)
     pv.add_argument("--seed", type=int, default=7)
@@ -95,11 +97,11 @@ def _check_dim(dim: int) -> int:
     return dim
 
 
-def _checked(call, *args):
-    """``call(*args)`` on the user's input, whose ValueError is a usage error, not a program fault."""
+def _checked(call, *args, refuse=ValueError):
+    """``call(*args)`` on the user's input, whose ``refuse`` error is a usage error, not a program fault."""
     try:
         return call(*args)
-    except ValueError as exc:
+    except refuse as exc:
         raise UsageError(exc) from None
 
 
@@ -111,7 +113,7 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         raise UsageError(f"cannot write report to {args.out}: {exc.strerror}") from None
     with out as fh:
-        report = run_campaign(cfg)
+        report = _checked(run_campaign, cfg, refuse=ExponentOverflow)
         fh.write(report.to_json() if args.fmt == "json" else report.to_text())
     if args.fmt == "json":
         # kept out of the report payload so identical configs stay byte-identical
@@ -130,7 +132,7 @@ def cmd_eval(args) -> int:
     for op in args.apply:
         if op != "d" and space is None:
             raise UsageError(f"operator {op} needs --symplectic")
-        form = d(form) if op == "d" else getattr(space, _OPERATORS[op])(form)
+        form = _checked(d if op == "d" else getattr(space, _OPERATORS[op]), form, refuse=ExponentOverflow)
     print(render_form(form))
     return 0
 
@@ -152,7 +154,7 @@ def cmd_bracket(args) -> int:
         if k >= 2 and f.degree != fam.ground_form_degree and not f.is_zero():
             raise UsageError(f"arity {k} bracket takes degree-{fam.ground_form_degree} forms, got degree {f.degree}")
     elems = [_checked(fam.element, f) for f in forms]
-    print(render_form(fam.l(k, elems).form))
+    print(render_form(_checked(fam.l, k, elems, refuse=ExponentOverflow).form))
     return 0
 
 

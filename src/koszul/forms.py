@@ -1,11 +1,12 @@
 """Differential forms and multivector fields on R^m with polynomial coefficients.
 
-A homogeneous k-form is one sparse dict ``{(m, e): c}`` over its terms
-c x^e dx_I: ``m`` is the basis I as a bitmask, bit i standing for dx_{i+1}
-(0b101 is dx1^dx3), ``e`` is the exponent tuple of the monomial (one entry
-per coordinate) and ``c`` is a nonzero int or Fraction.  Multivector fields
-are stored the same way, bit i standing for e_{i+1} (e_i the coordinate
-fields).  The public constructor and ``components()`` speak the decoded
+A homogeneous k-form is one sparse dict ``{key: c}`` over its terms
+c x^e dx_I, c a nonzero int or Fraction and key one int in the layout of
+``poly``: bits [0, dim) are the basis I as a bitmask m, bit i standing for
+dx_{i+1} (0b101 is dx1^dx3), and e_i is the guarded 16-bit field at bit
+dim + 16 i.  A polynomial's key has m = 0, so a function and its 0-form
+share one dict.  Multivector fields are stored the same way, bit i standing
+for e_{i+1}.  The public constructor and ``components()`` speak the decoded
 view instead: {basis tuple: Polynomial}, a basis k-form being a strictly
 increasing tuple of 0-based coordinate indices, ``(0, 2)`` for dx1^dx3.
 
@@ -21,7 +22,9 @@ Sign conventions, pinned once and verified by the operator relation suite:
   ``iota_{X^Y} = iota_Y . iota_X``, so iota_{e1^e2}(dx1^dx2) = 1.
 
 Every kernel is one loop over the term dict(s) that adds each term it makes
-into one accumulator dict.  Signs are popcount parities, with
+into one accumulator dict: a monomial product is key1 + key2, its result
+checked once by ``poly._guarded``, and a derivative is key - one_i, read off
+one table per basis (``_derivation``).  Signs are popcount parities, with
 below(m, i) = popcount(m & ((1 << i) - 1)) the number of indices of m below i:
 
 * ``d`` adds dx_i in front and moves it past below(m, i) factors,
@@ -38,10 +41,10 @@ below(m, i) = popcount(m & ((1 << i) - 1)) the number of indices of m below i:
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
-from .poly import Polynomial
+from .poly import EXP_MAX, Polynomial, _from_packed, _guarded, _sum_into, layout
 
 Scalar = Union[int, Fraction, Polynomial]
 
@@ -60,28 +63,6 @@ def _odd_above(m: int) -> int:
     return x
 
 
-def _poly(dim: int, terms: dict) -> Polynomial:
-    p = Polynomial.__new__(Polynomial)
-    p.dim, p.terms = dim, terms
-    return p
-
-
-def _sum_into(out: dict, pieces) -> dict:
-    """Add each (key, nonzero c) of ``pieces`` into ``out``; a key whose sum cancels is dropped."""
-    get = out.get
-    for key, c in pieces:
-        s = get(key)
-        if s is None:
-            out[key] = c
-        else:
-            s += c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return out
-
-
 class _Alternating:
     """Shared guts of DifferentialForm and MultiVectorField."""
 
@@ -90,7 +71,7 @@ class _Alternating:
     def __init__(self, dim: int, degree: int, terms: Mapping[tuple, Polynomial] | None = None):
         self.dim = dim
         self.degree = degree
-        flat: dict[tuple, object] = {}
+        flat: dict[int, object] = {}
         if terms:
             for idx, p in terms.items():
                 if len(idx) != degree:
@@ -101,8 +82,8 @@ class _Alternating:
                 if p.dim != dim:
                     raise ValueError(f"coefficient of basis {idx} lives on R^{p.dim}, not R^{dim}")
                 m = sum(1 << i for i in idx)
-                for e, c in p.terms.items():
-                    flat[(m, e)] = c
+                for key, c in p.packed.items():
+                    flat[key | m] = c
         self.terms = flat
 
     @classmethod
@@ -118,11 +99,12 @@ class _Alternating:
 
     def components(self) -> dict[tuple, Polynomial]:
         """The decoded view {basis tuple: Polynomial}, in lexicographic order of the tuples."""
+        low = (1 << self.dim) - 1
         groups: dict[int, dict] = {}
-        for (m, e), c in self.terms.items():
-            groups.setdefault(m, {})[e] = c
+        for key, c in self.terms.items():
+            groups.setdefault(key & low, {})[key & ~low] = c
         decoded = sorted((_indices(m), m) for m in groups)
-        return {idx: _poly(self.dim, groups[m]) for idx, m in decoded}
+        return {idx: _from_packed(self.dim, groups[m]) for idx, m in decoded}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -171,9 +153,9 @@ class _Alternating:
             return self._raw(self.dim, self.degree, {k: c * s for k, c in self.terms.items()} if s else {})
         if s.dim != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {s.dim}")
-        pieces = (
-            ((m, tuple(map(add, e, e2))), c * c2) for (m, e), c in self.terms.items() for e2, c2 in s.terms.items()
-        )
+        if not self.terms or not s.packed:
+            return self._raw(self.dim, self.degree, {})
+        pieces = ((k + k2, c * c2) for k, c in self.terms.items() for k2, c2 in s.packed.items())
         return self._collect_terms(self.dim, self.degree, pieces)
 
     __rmul__ = __mul__
@@ -185,26 +167,29 @@ class _Alternating:
         return obj
 
     @classmethod
-    def _collect_terms(cls, dim, degree, pieces):
-        """The form summing the ((m, e), nonzero c) pairs of ``pieces``."""
-        return cls._raw(dim, degree, _sum_into({}, pieces))
+    def _collect_terms(cls, dim, degree, pieces, adds_exponents=True):
+        """The form summing the (key, nonzero c) pairs of ``pieces``; guarded when keys were added."""
+        terms = _sum_into({}, pieces)
+        return cls._raw(dim, degree, _guarded(dim, terms) if adds_exponents else terms)
 
     def wedge(self, other):
         self._check(other)
         deg = self.degree + other.degree
-        if deg > self.dim:
+        if deg > self.dim or not self.terms or not other.terms:
             return self._raw(self.dim, deg, {})
-        right = other.terms.items()
+        low = (1 << self.dim) - 1
+        right = [(k2 & low, k2, c2) for k2, c2 in other.terms.items()]
 
         def pieces():
             odd = above = None
-            for (m1, e1), c1 in self.terms.items():
-                if m1 != above:  # a parity mask per run of equal bases
-                    above, odd = m1, _odd_above(m1)
-                for (m2, e2), c2 in right:
-                    if not m1 & m2:
+            for k1, c1 in self.terms.items():
+                if k1 & low != above:  # a parity mask per run of equal bases
+                    above = k1 & low
+                    odd = _odd_above(above)
+                for m2, k2, c2 in right:
+                    if not k1 & m2:
                         c = c1 * c2
-                        yield (m1 | m2, tuple(map(add, e1, e2))), -c if (odd & m2).bit_count() & 1 else c
+                        yield k1 + k2, -c if (odd & m2).bit_count() & 1 else c
 
         return self._collect_terms(self.dim, deg, pieces())
 
@@ -214,12 +199,12 @@ class DifferentialForm(_Alternating):
 
     @classmethod
     def from_polynomial(cls, p: Polynomial) -> "DifferentialForm":
-        return cls._raw(p.dim, 0, {(0, e): c for e, c in p.terms.items()})
+        return cls._raw(p.dim, 0, p.packed)
 
     def as_polynomial(self) -> Polynomial:
         if self.degree != 0 and self.terms:
             raise ValueError(f"form of degree {self.degree} is not a function")
-        return _poly(self.dim, {e: c for (_, e), c in self.terms.items()})
+        return _from_packed(self.dim, self.terms)
 
     def __repr__(self):
         from .grammar import render_form
@@ -241,18 +226,36 @@ def wedge(a: _Alternating, b: _Alternating):
     return a.wedge(b)
 
 
-def d(a: DifferentialForm) -> DifferentialForm:
-    """Exterior derivative (closed form above): graded Leibniz, and d.d = 0."""
+def _derivation(a: DifferentialForm, degree: int, steps) -> DifferentialForm:
+    """The first-order operator whose ``steps(dim, m)`` are (dkey, shift, negate) triples: each
+    term c x^e dx_m goes to (-1)^negate k c at key + dkey, k the exponent at ``shift``, if k > 0."""
+    low = (1 << a.dim) - 1
 
     def pieces():
-        for (m, e), c in a.terms.items():
-            for i, k in enumerate(e):
-                if k and not m >> i & 1:
-                    bit = 1 << i
-                    c_i = -k * c if (m & (bit - 1)).bit_count() & 1 else k * c
-                    yield (m | bit, e[:i] + (k - 1,) + e[i + 1 :]), c_i
+        basis = None
+        for key, c in a.terms.items():
+            if key & low != basis:  # one table per run of equal bases
+                basis = key & low
+                table = steps(a.dim, basis)
+            for dkey, shift, negate in table:
+                k = key >> shift & EXP_MAX
+                if k:
+                    yield key + dkey, -k * c if negate else k * c
 
-    return DifferentialForm._collect_terms(a.dim, a.degree + 1, pieces())
+    return DifferentialForm._collect_terms(a.dim, degree, pieces(), False)
+
+
+@lru_cache(maxsize=1 << 16)
+def _d_steps(dim: int, m: int) -> tuple:
+    """d on basis m: per i not in m, dx_i joins at bit i and x^e loses one_i, with (-1)^below(m, i)."""
+    fields = layout(dim)[0]
+    return tuple(((1 << i) - one, shift, (m & (1 << i) - 1).bit_count() & 1)
+                 for i, (shift, one) in enumerate(fields) if not m >> i & 1)
+
+
+def d(a: DifferentialForm) -> DifferentialForm:
+    """Exterior derivative (closed form above): graded Leibniz, and d.d = 0."""
+    return _derivation(a, a.degree + 1, _d_steps)
 
 
 def d_poly(p: Polynomial) -> DifferentialForm:
@@ -261,10 +264,11 @@ def d_poly(p: Polynomial) -> DifferentialForm:
 
 
 def _by_basis(x: MultiVectorField) -> dict[int, list]:
-    """The terms of ``x`` grouped by basis mask: {m: [(e, c), ...]}."""
+    """The terms of ``x`` grouped by basis mask m, with m taken out of each key: {m: [(key ^ m, c), ...]}."""
+    low = (1 << x.dim) - 1
     groups: dict[int, list] = {}
-    for (m, e), c in x.terms.items():
-        groups.setdefault(m, []).append((e, c))
+    for key, c in x.terms.items():
+        groups.setdefault(key & low, []).append((key & ~low, c))
     return groups
 
 
@@ -280,13 +284,13 @@ def contract_vector(X: MultiVectorField, a: DifferentialForm) -> DifferentialFor
     comps = _by_basis(X)
 
     def pieces():
-        for (m, e), c in a.terms.items():
+        for key, c in a.terms.items():
             for bit, xs in comps.items():
-                if m & bit:
-                    rest = m ^ bit
-                    s = -c if (m & (bit - 1)).bit_count() & 1 else c
-                    for e2, c2 in xs:
-                        yield (rest, tuple(map(add, e, e2))), s * c2
+                if key & bit:
+                    rest = key ^ bit
+                    s = -c if (key & (bit - 1)).bit_count() & 1 else c
+                    for k2, c2 in xs:
+                        yield rest + k2, s * c2
 
     return DifferentialForm._collect_terms(a.dim, a.degree - 1, pieces())
 
@@ -306,12 +310,12 @@ def contract_bivector(pi: MultiVectorField, a: DifferentialForm) -> Differential
     comps = [(pm, (pm & (pm - 1)) - ((pm & -pm) << 1), ws) for pm, ws in _by_basis(pi).items()]
 
     def pieces():
-        for (m, e), c in a.terms.items():
+        for key, c in a.terms.items():
             for pm, between, ws in comps:
-                if m & pm == pm:
-                    rest = m ^ pm
-                    s = -c if (m & between).bit_count() & 1 else c
-                    for e2, c2 in ws:
-                        yield (rest, tuple(map(add, e, e2))), s * c2
+                if key & pm == pm:
+                    rest = key ^ pm
+                    s = -c if (key & between).bit_count() & 1 else c
+                    for k2, c2 in ws:
+                        yield rest + k2, s * c2
 
     return DifferentialForm._collect_terms(a.dim, a.degree - 2, pieces())

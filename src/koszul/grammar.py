@@ -3,6 +3,7 @@
 Terms are joined by ``+``/``-``; a term is an optional rational (``p/q`` or an
 integer), followed by monomial factors ``vK`` or ``vK^e``, followed by an
 optional basis form ``dxK^dxK^...``.  Whitespace between tokens is ignored.
+The exponents of one coordinate in a term add up to at most ``EXP_MAX``.
 
     3/2 v1^2 dx1^dx2  - v2 dx1^dx3  + 7
 
@@ -17,7 +18,7 @@ import re
 from fractions import Fraction
 
 from .forms import DifferentialForm, MultiVectorField
-from .poly import Polynomial
+from .poly import EXP_MAX, Polynomial
 
 
 class FormSyntaxError(ValueError):
@@ -134,6 +135,8 @@ def parse_form(text: str, space) -> DifferentialForm:
             elif _is_op(k, "^") and (k + 1 >= nt or tokens[k + 1][0] != "basis"):
                 raise FormSyntaxError("expected integer exponent after '^'", tokens[k][2])
             exps[i] += e
+            if exps[i] > EXP_MAX:  # the largest exponent a stored monomial holds
+                raise FormSyntaxError(f"exponent of v{i + 1} exceeds {EXP_MAX}", pos)
             got_anything = True
 
         basis_sign = 1

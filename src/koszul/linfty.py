@@ -28,14 +28,16 @@ the heads that can survive these rules:
 
 At most n + C(n, 2) + 1 of the 2^n - 1 terms remain as candidates, each
 still tested by ``vanishes``; every dropped term is one that ``l`` returns
-as zero, so the residual is the same exact sum in the same order.  Ground
-arguments are lifted (``lift``) once per residual and each inner value
-once, and candidates call ``higher``/``differential`` directly.
+as zero, so the residual is the same exact sum in the same order.  A ground
+argument is lifted (``lift``) once per residual, at its first surviving
+term, and each inner value once; candidates call ``higher``/``differential``
+directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -161,7 +163,7 @@ def linfty_residual(family: BracketFamily, args: Sequence[GradedElement]) -> Gra
     target_ldeg = sum(degrees) + 3 - n
     ground = family.ldegree_of(family.ground_form_degree)
     grounded = [p for p in range(n) if degrees[p] == ground]
-    lifted = [family.lift(x.form) if d == ground else None for x, d in zip(args, degrees)]
+    lifted = cache(lambda p: family.lift(args[p].form))  # at the first surviving term that needs it
 
     total: DifferentialForm | None = None
     for i in range(1, n + 1):
@@ -183,13 +185,13 @@ def linfty_residual(family: BracketFamily, args: Sequence[GradedElement]) -> Gra
             if i == 1:
                 inner = family.differential(args[head[0]].form)
             else:
-                inner = family.higher(tuple(lifted[p] for p in head))
+                inner = family.higher(tuple(map(lifted, head)))
             if inner.is_zero():
                 continue
             if j == 1:
                 outer = family.differential(inner)
             else:
-                outer = family.higher((family.lift(inner), *(lifted[p] for p in tail)))
+                outer = family.higher((family.lift(inner), *map(lifted, tail)))
             if outer.is_zero():
                 continue
             sigma = head + tail

@@ -1,78 +1,136 @@
 """Exact multivariate polynomials over the rationals.
 
-A polynomial in coordinates v1..vm is stored as a sparse map from exponent
-vectors (length-m tuples of non-negative ints) to nonzero coefficients.
-Coefficients are Python ints or ``fractions.Fraction``; all arithmetic is
-exact.  Instances are treated as immutable: every operation returns a new
-polynomial and never mutates ``terms`` of an existing one.
+A polynomial in coordinates v1..vm is a sparse map ``packed`` from monomial
+keys to nonzero coefficients, ints or ``fractions.Fraction``, so all
+arithmetic is exact; ``terms`` is its decoded view {exponent tuple: coeff}.
+Instances are treated as immutable: no operation mutates an existing map.
+
+A key is one int, in the layout ``forms`` shares (``layout``): bits [0, m)
+hold a basis mask, 0 for a polynomial, and exponent e_i sits in the 16-bit
+field at bit m + 16 i.  Every stored key keeps the top bit of each field, its
+guard, clear, so e_i <= EXP_MAX and the sum of two keys never carries from
+one field into the next: a monomial product is one int add, a derivative
+key - one_i, and ``key & guard`` after an add is an exact overflow test.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from functools import lru_cache
 from typing import Mapping, Union
 
 Coeff = Union[int, Fraction]
 
+EXP_BITS = 16
+EXP_MAX = (1 << EXP_BITS - 1) - 1  # 32767: the guard bit above it stays clear
+
+
+class ExponentOverflow(ValueError):
+    """An exponent above EXP_MAX, which the packed key has no room for."""
+
+
+@lru_cache(maxsize=None)
+def layout(dim: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The packed key on R^dim as (fields, guard).
+
+    fields[i] = (shift, one): exponent i is key >> shift & EXP_MAX and key + one
+    raises it by 1; guard holds the top bit of every field."""
+    fields = tuple((s, 1 << s) for s in range(dim, dim + EXP_BITS * dim, EXP_BITS))
+    return fields, sum(one << EXP_BITS - 1 for _, one in fields)
+
+
+def _pack(dim: int, exps: tuple) -> int:
+    """The key of the monomial x^exps (basis mask 0)."""
+    if len(exps) != dim:
+        raise ValueError(f"exponent vector {exps} has length != {dim}")
+    if not all(0 <= e <= EXP_MAX for e in exps):
+        raise (ExponentOverflow if max(exps) > EXP_MAX else ValueError)(f"exponents {exps} outside 0..{EXP_MAX}")
+    return sum(e << s for e, (s, _) in zip(exps, layout(dim)[0]))
+
+
+def _guarded(dim: int, terms: dict) -> dict:
+    """``terms``, refused if a key has a guard bit set: an exponent-adding kernel went past EXP_MAX."""
+    if any(map(layout(dim)[1].__and__, terms)):
+        raise ExponentOverflow(f"an exponent exceeds {EXP_MAX}")
+    return terms
+
+
+def _sum_into(out: dict, pieces) -> dict:
+    """Add each (key, nonzero c) of ``pieces`` into ``out``; a key whose sum cancels is dropped."""
+    get = out.get
+    for key, c in pieces:
+        s = get(key)
+        if s is None:
+            out[key] = c
+        else:
+            s += c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
+def _from_packed(dim: int, packed: dict) -> "Polynomial":
+    """The polynomial whose stored map is ``packed`` (keys of mask 0), taken as is."""
+    p = Polynomial.__new__(Polynomial)
+    p.dim, p.packed = dim, packed
+    return p
+
 
 class Polynomial:
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "packed")
 
     def __init__(self, dim: int, terms: Mapping[tuple, Coeff] | None = None):
         self.dim = dim
-        clean: dict[tuple, Coeff] = {}
-        if terms:
-            for exps, c in terms.items():
-                if len(exps) != dim:
-                    raise ValueError(f"exponent vector {exps} has length != {dim}")
-                if c:
-                    clean[exps] = c
-        self.terms = clean
+        packed = {_pack(dim, exps): c for exps, c in (terms or {}).items()}
+        self.packed = {k: c for k, c in packed.items() if c}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, dim: int) -> "Polynomial":
-        return cls(dim, {})
+        return _from_packed(dim, {})
 
     @classmethod
     def constant(cls, dim: int, c: Coeff) -> "Polynomial":
-        return cls(dim, {(0,) * dim: c} if c else {})
+        return _from_packed(dim, {0: c} if c else {})
 
     @classmethod
     def coordinate(cls, dim: int, i: int) -> "Polynomial":
         """The coordinate function v_{i+1} (0-based index i)."""
         if not 0 <= i < dim:
             raise ValueError(f"coordinate index {i} out of range for dim {dim}")
-        e = [0] * dim
-        e[i] = 1
-        return cls(dim, {tuple(e): 1})
+        return _from_packed(dim, {layout(dim)[0][i][1]: 1})
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[tuple, Coeff]:
+        """The decoded view {exponent tuple: coeff}, in storage order."""
+        fields = layout(self.dim)[0]
+        return {tuple(k >> s & EXP_MAX for s, _ in fields): c for k, c in self.packed.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def constant_value(self) -> Coeff:
-        return self.terms.get((0,) * self.dim, 0)
+        return self.packed.get(0, 0)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms), default=-1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+        return self.dim == other.dim and self.packed == other.packed
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
+        return hash((self.dim, frozenset(self.packed.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.packed)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -82,26 +140,11 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial", negate: bool = False) -> "Polynomial":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            if negate:
-                s = -c if acc is None else acc - c
-            else:
-                s = c if acc is None else acc + c
-            if s:
-                out[e] = s
-            elif acc is not None:
-                del out[e]
-        p = Polynomial.__new__(Polynomial)
-        p.dim, p.terms = self.dim, out
-        return p
+        pieces = ((k, -c) for k, c in other.packed.items()) if negate else other.packed.items()
+        return _from_packed(self.dim, _sum_into(dict(self.packed), pieces))
 
     def __neg__(self) -> "Polynomial":
-        p = Polynomial.__new__(Polynomial)
-        p.dim = self.dim
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return _from_packed(self.dim, {k: -c for k, c in self.packed.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self.__add__(other, True)
@@ -110,47 +153,24 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        out: dict[tuple, Coeff] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                c = c1 * c2
-                acc = out.get(e)
-                s = c if acc is None else acc + c
-                if s:
-                    out[e] = s
-                elif acc is not None:
-                    del out[e]
-        p = Polynomial.__new__(Polynomial)
-        p.dim, p.terms = self.dim, out
-        return p
+        right = other.packed.items()
+        out = _sum_into({}, ((k1 + k2, c1 * c2) for k1, c1 in self.packed.items() for k2, c2 in right))
+        return _from_packed(self.dim, _guarded(self.dim, out))
 
     __rmul__ = __mul__
 
     def scale(self, c: Coeff) -> "Polynomial":
-        if not c:
-            return Polynomial.zero(self.dim)
-        p = Polynomial.__new__(Polynomial)
-        p.dim = self.dim
-        p.terms = {e: c * v for e, v in self.terms.items()}
-        return p
+        return _from_packed(self.dim, {k: c * v for k, v in self.packed.items()} if c else {})
 
     def diff(self, i: int) -> "Polynomial":
-        """Partial derivative with respect to the i-th coordinate (0-based)."""
-        out: dict[tuple, Coeff] = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k:
-                e2 = e[:i] + (k - 1,) + e[i + 1 :]
-                acc = out.get(e2)
-                s = k * c if acc is None else acc + k * c
-                if s:
-                    out[e2] = s
-                elif acc is not None:
-                    del out[e2]
-        p = Polynomial.__new__(Polynomial)
-        p.dim, p.terms = self.dim, out
-        return p
+        """Partial derivative with respect to the i-th coordinate (0-based); distinct keys stay distinct."""
+        shift, one = layout(self.dim)[0][i]
+        out = {}
+        for k, c in self.packed.items():
+            e = k >> shift & EXP_MAX
+            if e:
+                out[k - one] = e * c
+        return _from_packed(self.dim, out)
 
     # -- display -----------------------------------------------------------
 
@@ -162,4 +182,3 @@ class Polynomial:
         from .grammar import render_polynomial
 
         return f"Polynomial({self.dim}, {render_polynomial(self)!r})"
-

@@ -11,24 +11,26 @@ import random
 from itertools import combinations
 
 from .forms import DifferentialForm, MultiVectorField
-from .poly import Polynomial
+from .poly import EXP_MAX, ExponentOverflow, Polynomial, _from_packed, layout
 
 
 def trial_rng(seed: int, label: str, trial: int) -> random.Random:
     return random.Random(f"{seed}|{label}|{trial}")
 
 
-def _monomials(rng: random.Random, dim: int, max_degree: int, terms: int) -> dict[tuple, int]:
-    """The nonzero {exponents: coeff} sum of ``terms`` random monomials; redrawn while it cancels."""
+def _monomials(rng: random.Random, dim: int, max_degree: int, terms: int) -> dict[int, int]:
+    """The nonzero {packed key: coeff} sum of ``terms`` random monomials; redrawn while it cancels."""
+    if max_degree > EXP_MAX:
+        raise ExponentOverflow(f"max_degree {max_degree} exceeds {EXP_MAX}")
+    fields = layout(dim)[0]
     while True:
-        acc: dict[tuple, int] = {}
+        acc: dict[int, int] = {}
         for _ in range(terms):
             total = rng.randint(0, max_degree)
-            exps = [0] * dim
+            key = 0
             for _ in range(total):
-                exps[rng.randrange(dim)] += 1
+                key += fields[rng.randrange(dim)][1]
             c = rng.choice((-9, -8, -7, -6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6, 7, 8, 9))
-            key = tuple(exps)
             s = acc.pop(key, 0) + c
             if s:  # zero when c cancels an earlier monomial
                 acc[key] = s
@@ -39,7 +41,7 @@ def _monomials(rng: random.Random, dim: int, max_degree: int, terms: int) -> dic
 def random_polynomial(rng: random.Random, dim: int, max_degree: int, terms: int = 2) -> Polynomial:
     """Nonzero sum of ``terms`` random monomials of total degree <= max_degree,
     with integer coefficients in [-9, 9] \\ {0}; redrawn while the sum cancels."""
-    return Polynomial(dim, _monomials(rng, dim, max_degree, terms))
+    return _from_packed(dim, _monomials(rng, dim, max_degree, terms))
 
 
 def random_form(
@@ -52,11 +54,11 @@ def random_form(
     """Random homogeneous form; each basis component present with prob ``density``,
     its coefficient drawn as ``random_polynomial`` draws one."""
     masks = [sum(1 << i for i in idx) for idx in combinations(range(dim), degree)]
-    terms = {(m, e): c for m in masks if rng.random() < density
-             for e, c in _monomials(rng, dim, max_degree, 2).items()}
+    terms = {k | m: c for m in masks if rng.random() < density
+             for k, c in _monomials(rng, dim, max_degree, 2).items()}
     if not terms:  # keep campaign inputs nonzero
         m = masks[rng.randrange(len(masks))]
-        terms = {(m, e): c for e, c in _monomials(rng, dim, max_degree, 2).items()}
+        terms = {k | m: c for k, c in _monomials(rng, dim, max_degree, 2).items()}
     return DifferentialForm._raw(dim, degree, terms)
 
 

@@ -17,8 +17,9 @@ executable record of the convention.  Within one sample of that row the
 relations share operator values: each operator runs once per form.
 
 Because omega and pi are constant, L, Lam and delta are computed directly on
-the stored terms {(m, e): c} of ``forms`` (bit i of the basis mask m stands
-for dx_{i+1}), with (q, p) = (2i, 2i+1) 0-based, pair mask P = 0b11 << 2i and
+the stored terms {key: c} of ``forms`` (basis mask m in the low bits of the
+key, bit i standing for dx_{i+1}; guarded exponent fields above, ``poly``),
+with (q, p) = (2i, 2i+1) 0-based, pair mask P = 0b11 << 2i and
 below(m, j) = popcount(m & ((1 << j) - 1)) the position of j in the basis:
 
     L(f dx_m)     = sum over pair masks P with m & P == 0 of f dx_(m | P)
@@ -26,20 +27,30 @@ below(m, j) = popcount(m & ((1 << j) - 1)) the position of j in the basis:
     delta(f dx_m) = sum over j in m of s(j) (-1)^below(m, j) (d f / d x_{j^1}) dx_(m ^ 1 << j)
 
 with s(j) = +1 for odd j (a p) and -1 for even j (a q).  L and Lam carry no
-sign, since q and p are adjacent in every sorted index tuple; delta takes one
-step per set bit j of m.  For delta: iota_X d + d iota_X = d_X for a constant
-field X, hence per pair [iota_{e_p} iota_{e_q}, d] = iota_{e_p} d_q -
-iota_{e_q} d_p.  A result has the degree its operator maps to, even outside
-0..2n (``forms``).  All three add the terms c x^e of f one by one into the
+sign, since q and p are adjacent in every sorted index tuple: they map a key
+to key | P and key ^ P.  delta takes one step per set bit j of m, each the
+derivative key - one_(j^1) of ``forms``' table-driven kernel.  For delta:
+iota_X d + d iota_X = d_X for a constant field X, hence per pair
+[iota_{e_p} iota_{e_q}, d] = iota_{e_p} d_q - iota_{e_q} d_p.  A result has
+the degree its operator maps to, even outside 0..2n (``forms``).  All three add the terms c x^e of f one by one into the
 accumulator that the kernels of ``forms`` use.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
-from .forms import DifferentialForm, MultiVectorField, contract_vector, d
-from .poly import Polynomial
+from .forms import DifferentialForm, MultiVectorField, _derivation, contract_vector, d
+from .poly import Polynomial, layout
+
+
+@lru_cache(maxsize=1 << 16)
+def _delta_steps(dim: int, m: int) -> tuple:
+    """delta on basis m: the pos-th index j of m leaves and x^e loses one_(j^1), with (-1)^pos, negated for even j."""
+    fields = layout(dim)[0]
+    basis = [j for j in range(dim) if m >> j & 1]
+    return tuple((-(1 << j) - fields[j ^ 1][1], fields[j ^ 1][0], not (pos ^ j) & 1) for pos, j in enumerate(basis))
 
 
 class SymplecticSpace:
@@ -67,14 +78,14 @@ class SymplecticSpace:
     def L(self, a: DifferentialForm) -> DifferentialForm:
         """Raising operator: wedge with omega.  Adds each pair disjoint from the basis."""
         self._check(a)
-        pieces = (((m | pm, e), c) for (m, e), c in a.terms.items() for pm in self._pair_masks if not m & pm)
-        return DifferentialForm._collect_terms(self.dim, a.degree + 2, pieces)
+        pieces = ((key | pm, c) for key, c in a.terms.items() for pm in self._pair_masks if not key & pm)
+        return DifferentialForm._collect_terms(self.dim, a.degree + 2, pieces, False)
 
     def Lam(self, a: DifferentialForm) -> DifferentialForm:
         """Lowering operator: contraction with pi.  Removes each pair inside the basis."""
         self._check(a)
-        pieces = (((m ^ pm, e), c) for (m, e), c in a.terms.items() for pm in self._pair_masks if m & pm == pm)
-        return DifferentialForm._collect_terms(self.dim, a.degree - 2, pieces)
+        pieces = ((key ^ pm, c) for key, c in a.terms.items() for pm in self._pair_masks if key & pm == pm)
+        return DifferentialForm._collect_terms(self.dim, a.degree - 2, pieces, False)
 
     def H(self, a: DifferentialForm) -> DifferentialForm:
         """Degree-counting operator a |-> (n - deg a) * a."""
@@ -88,22 +99,8 @@ class SymplecticSpace:
         so dx_j in the basis is removed with the sign (-1)^below(m, j) and the
         derivative along its partner j^1, negated for even (q) j.
         """
-
-        def pieces():
-            for (m, e), c in a.terms.items():
-                t, pos = m, 0
-                while t:  # one step per index j of the basis, lowest first
-                    bit = t & -t
-                    t ^= bit
-                    j = bit.bit_length() - 1
-                    i = j ^ 1
-                    k = e[i]
-                    if k:  # sign (-1)^pos, negated for even j
-                        yield (m ^ bit, e[:i] + (k - 1,) + e[i + 1 :]), -k * c if not (pos ^ j) & 1 else k * c
-                    pos += 1
-
         self._check(a)
-        return DifferentialForm._collect_terms(self.dim, a.degree - 1, pieces())
+        return _derivation(a, a.degree - 1, _delta_steps)
 
     def _check(self, a: DifferentialForm):
         if a.dim != self.dim:

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from koszul import DifferentialForm, MultiVectorField, Polynomial
+from koszul.poly import EXP_BITS, layout
 from koszul.randgen import random_form, random_polynomial, trial_rng
 
 SEED = 20240718
@@ -83,11 +84,15 @@ def wedge_reference(a, b):
 
 
 def assert_stored_canonically(a):
-    """The storage invariant of a form's term dict {(basis mask, exponents): coeff}."""
-    for (m, e), c in a.terms.items():
+    """The storage invariant of a form's term dict {packed key: coeff} (layout in ``koszul.poly``)."""
+    guard = layout(a.dim)[1]
+    low = (1 << a.dim) - 1
+    for key, c in a.terms.items():
+        m = key & low
         assert m.bit_count() == a.degree, f"basis mask {m:b} does not have {a.degree} bits"
-        assert 0 <= m < 1 << a.dim and len(e) == a.dim, f"key {(m, e)} outside R^{a.dim}"
-        assert c and isinstance(c, (int, Fraction)), f"coefficient {c!r} stored at {(m, e)}"
+        assert 0 <= key < 1 << a.dim + EXP_BITS * a.dim, f"key {key:#x} outside R^{a.dim}"
+        assert not key & guard, f"key {key:#x} has a guard bit set"
+        assert c and isinstance(c, (int, Fraction)), f"coefficient {c!r} stored at {key:#x}"
     return a
 
 

@@ -23,7 +23,8 @@ from koszul import (
     verify_quotient_congruence,
     verify_strict_morphism,
 )
-from koszul.brackets import _alt_sum, m_k
+import koszul.brackets
+from koszul.brackets import _alt_sum, lefschetz_sum, m_k
 from koszul.forms import _Alternating
 
 from _util import rand_form, rand_frac_poly, rand_poly
@@ -126,10 +127,21 @@ def test_alt_sum_wedges_linearly(monkeypatch, n):
     monkeypatch.setattr(_Alternating, "wedge", recording)
     for k in range(1, 2 * n + 3):
         operand_degrees.clear()
-        _alt_sum([rand_poly(f"alt-shape-{n}-{k}-{i}", 0, s.dim) for i in range(k)])
-        # the recurrence total_i = total_(i-1) ^ df_i +- f_i run_(i-1), run_i = run_(i-1) ^ df_i
-        assert len(operand_degrees) == max(0, 2 * k - 3), f"k={k}: {operand_degrees}"
+        out = _alt_sum([rand_poly(f"alt-shape-{n}-{k}-{i}", 0, s.dim) for i in range(k)])
+        # the recurrence total_i = total_(i-1) ^ df_i +- f_i run_(i-1), run_i = run_(i-1) ^ df_i, which
+        # stops early, with the zero form, only once run_i and total_i are both zero
+        full = len(operand_degrees) == max(0, 2 * k - 3)
+        assert full or (out.is_zero() and len(operand_degrees) < 2 * k - 3), f"k={k}: {operand_degrees}"
         assert all(1 in pair for pair in operand_degrees), f"k={k}: a product of two big forms"
+
+
+def test_alt_sum_stops_once_run_and_total_vanish(monkeypatch):
+    # constant functions: R_2 and T_2 are zero, so the 4-form is zero after 2 of the 2k - 3 = 7 wedges
+    calls = []
+    wedge = _Alternating.wedge
+    monkeypatch.setattr(_Alternating, "wedge", lambda a, b: calls.append(b.degree) or wedge(a, b))
+    out = _alt_sum([Polynomial.constant(6, c) for c in (2, -1, 3, 5, 7)])
+    assert out.is_zero() and out.degree == 4 and len(calls) == 2
 
 
 # -- coefficients --------------------------------------------------------------
@@ -209,6 +221,15 @@ def test_tilde_l_antisymmetric(s2):
     base = tilde_l(s2, fs)
     swapped = [fs[1], fs[0], fs[2], fs[3]]
     assert tilde_l(s2, swapped) == -base
+
+
+def test_tilde_l_above_the_top_degree_is_zero_at_once(s1, monkeypatch):
+    # on R^2 a bracket of 4 functions is a 3-form: zero by degree, with no alternating sum built
+    fs = [rand_poly(f"tl-top-{i}", 0, 2) for i in range(4)]
+    expected = lefschetz_sum(s1, 4, _alt_sum(fs))
+    monkeypatch.setattr(koszul.brackets, "_alt_sum", None)
+    out = tilde_l(s1, fs)
+    assert out == expected and out.is_zero() and out.degree == 3
 
 
 def test_tilde_l_requires_arity_two():

@@ -51,6 +51,13 @@ REFUSALS = {
     "huge-basis": (["eval", "--dim", "3", "dx" + HUGE], "too long (at position 0)"),
     "huge-inferred-dim": (["eval", "v" + HUGE], "error: dimension must be in 0..64, got an index of more than 100"),
     "huge-bracket": (["bracket", "--symplectic", "1", "--arity", "1", "v" + HUGE], "parse error: number of 5000"),
+    # exponents above 32767 do not fit a packed monomial key: refused in the input, or where a product makes one
+    "eval-exponent-bound": (["eval", "--dim", "2", "v1^20000 v1^20000"], "exponent of v1 exceeds 32767 (at position 9)"),
+    "bracket-exponent-overflow": (["bracket", "--symplectic", "1", "--arity", "2", "v1^20000 dx2", "v1^20000 v2 dx2"],
+                                  "error: an exponent exceeds 32767"),
+    "verify-degree-above-bound": (["verify", "--degree", "32768"], "error: degree must be >= 1 and <= 32767"),
+    "verify-exponent-overflow": (["verify", "--suite", "chain", "--half-dim", "1", "--degree", "32767", "--trials", "1"],
+                                 "error: an exponent exceeds 32767"),
 }
 
 

@@ -13,7 +13,8 @@ from koszul import (
     d_poly,
     parse_form,
 )
-from koszul.randgen import random_form, random_vector_field
+from koszul.poly import EXP_MAX, ExponentOverflow
+from koszul.randgen import random_form, random_polynomial, random_vector_field
 
 from _util import (
     assert_stored_canonically,
@@ -278,3 +279,52 @@ def test_multivector_wedge_and_equality():
     Y = MultiVectorField.basis(3, (1,))
     assert X.wedge(Y) == MultiVectorField.basis(3, (0, 1))
     assert Y.wedge(X) == -MultiVectorField.basis(3, (0, 1))
+
+
+# -- exponent bound --------------------------------------------------------------
+
+
+def _power(dim, exponent):
+    return Polynomial(dim, {(exponent,) + (0,) * (dim - 1): 1})
+
+
+@pytest.mark.parametrize("kernel", ["wedge", "times-polynomial", "contract_vector", "contract_bivector"])
+def test_every_product_kernel_raises_past_the_exponent_bound(kernel):
+    # each kernel that adds keys: a result exponent of EXP_MAX is stored, EXP_MAX + 1 raises
+    def run(extra):
+        f, g = _power(2, EXP_MAX - 1), _power(2, extra)
+        if kernel == "wedge":
+            return DifferentialForm(2, 1, {(0,): f}).wedge(DifferentialForm(2, 1, {(1,): g}))
+        if kernel == "times-polynomial":
+            return DifferentialForm(2, 1, {(0,): f}) * g
+        if kernel == "contract_vector":
+            return contract_vector(MultiVectorField(2, 1, {(0,): g}), DifferentialForm(2, 1, {(0,): f}))
+        return contract_bivector(MultiVectorField(2, 2, {(0, 1): g}), DifferentialForm(2, 2, {(0, 1): f}))
+
+    top = assert_stored_canonically(run(1))
+    assert [e for p in top.components().values() for e in p.terms] == [(EXP_MAX, 0)]
+    with pytest.raises(ExponentOverflow):
+        run(2)
+
+
+def test_derivatives_read_the_top_exponent():
+    top = DifferentialForm(2, 1, {(1,): _power(2, EXP_MAX)})
+    assert d(top) == DifferentialForm(2, 2, {(0, 1): _power(2, EXP_MAX - 1) * EXP_MAX})
+    assert SymplecticSpace(1).delta(top).as_polynomial() == _power(2, EXP_MAX - 1) * EXP_MAX
+
+
+def test_random_inputs_refuse_degrees_above_the_bound():
+    r = rng("exp-bound")
+    assert random_form(r, 2, 1, EXP_MAX).degree == 1  # reachable, and stored with clear guards
+    with pytest.raises(ExponentOverflow):
+        random_form(r, 2, 1, EXP_MAX + 1)
+    with pytest.raises(ExponentOverflow):
+        random_polynomial(r, 2, EXP_MAX + 1)
+
+
+def test_empty_operands_give_the_zero_form_of_the_product_degree():
+    a = rand_form("empty-op", 0, 4, 2)
+    zero1 = DifferentialForm.zero(4, 1)
+    assert a.wedge(zero1).degree == 3 and zero1.wedge(a).is_zero()
+    assert (a * Polynomial.zero(4)).is_zero() and (a * Polynomial.zero(4)).degree == 2
+    assert (DifferentialForm.zero(4, 2) * rand_poly("empty-op-p", 0, 4)).degree == 2

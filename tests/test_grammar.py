@@ -109,3 +109,13 @@ def test_parse_accepts_space_objects():
 
     assert parse_form("v1 dx2", SymplecticSpace(1)) == parse_form("v1 dx2", 2)
     assert parse_form("dx1^dx2", VolumeSpace(3)) == parse_form("dx1^dx2", 3)
+
+
+def test_exponent_bound_is_a_parse_error_at_the_token():
+    assert parse_polynomial("v1^32767 v2", 2) == Polynomial(2, {(32767, 1): 1})
+    with pytest.raises(FormSyntaxError, match="exponent of v1 exceeds 32767") as err:
+        parse_form("v1^32768", 2)
+    assert err.value.pos == 0
+    with pytest.raises(FormSyntaxError, match="exponent of v1 exceeds 32767") as err:
+        parse_form("v2 + v1^20000 v1^20000", 2)  # repeated factors add up past the bound
+    assert err.value.pos == 14

@@ -296,6 +296,20 @@ def test_each_argument_is_lifted_once(family, monkeypatch):
         assert len(calls) <= n + comb(n, 2) + extra, (n, len(calls))
 
 
+@pytest.mark.parametrize("family", ["symplectic", "volume"])
+def test_rows_without_a_surviving_term_lift_nothing(family):
+    # n = 1 and n = 2 ground rows and mixed-degree rows are exact zeros: no argument is lifted
+    fam = symplectic_family(SymplecticSpace(2)) if family == "symplectic" else volume_family(VolumeSpace(4))
+    calls = []
+    counting = replace(fam, lift=lambda a: calls.append(a) or fam.lift(a))
+    ground = [fam.element(rand_form(f"nolift/{family}/{k}", 0, 4, fam.ground_form_degree)) for k in range(3)]
+    two_off = fam.ground_form_degree + (2 if family == "symplectic" else -2)  # l_1 of it is still off the ground
+    other = fam.element(rand_form(f"nolift/{family}/x", 0, 4, two_off))
+    for args in (ground[:1], ground[:2], [other, *ground[:2]]):
+        assert linfty_residual(counting, args).form.is_zero()
+    assert calls == []
+
+
 def test_enumeration_stays_polynomial(monkeypatch):
     # 18 ground arguments have 2^18 unshuffles; at most n + C(n, 2) + 1 heads
     # are candidates, each tested twice, plus one test per i skipped whole

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from koszul import Polynomial
+from koszul.poly import EXP_MAX, ExponentOverflow
 
 from _util import rand_poly
 
@@ -72,3 +73,35 @@ def test_arithmetic_stays_exact():
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         Polynomial.zero(2) + Polynomial.zero(3)
+
+
+# -- packed keys ----------------------------------------------------------------
+
+
+def test_terms_is_the_decoded_tuple_view():
+    # the benchmark tracer iterates the first key of ``terms``: it must stay {exponent tuple: coeff}
+    p = Polynomial(3, {(2, 0, 1): Fraction(1, 2), (0, 0, 0): -4})
+    assert p.terms == {(2, 0, 1): Fraction(1, 2), (0, 0, 0): -4}
+    assert all(type(e) is tuple and len(e) == 3 for e in p.terms)
+    assert not any(next(iter(Polynomial.constant(3, 5).terms)))
+    assert p.packed[0] == -4 and len(p.packed) == 2
+
+
+def test_exponents_above_the_bound_are_refused():
+    assert Polynomial(2, {(EXP_MAX, 0): 1}).terms == {(EXP_MAX, 0): 1}
+    with pytest.raises(ExponentOverflow):
+        Polynomial(2, {(EXP_MAX + 1, 0): 1})
+    with pytest.raises(ValueError):
+        Polynomial(2, {(-1, 0): 1})
+
+
+def test_product_overflow_is_raised_at_the_boundary():
+    v1, v2 = Polynomial(2, {(1, 0): 1}), Polynomial(2, {(0, EXP_MAX): 1})
+    high = Polynomial(2, {(EXP_MAX - 1, 3): 2})
+    assert (high * v1).terms == {(EXP_MAX, 3): 2}
+    assert (v1 * v2).terms == {(1, EXP_MAX): 1}  # a full field next to a nonzero one
+    with pytest.raises(ExponentOverflow):
+        high * v1 * v1
+    with pytest.raises(ExponentOverflow):
+        v2 * Polynomial(2, {(0, 1): 1})
+    assert (high * v1).diff(0).terms == {(EXP_MAX - 1, 3): 2 * EXP_MAX}
