@@ -1,14 +1,16 @@
 """Differential forms and multivector fields on R^m with polynomial coefficients.
 
-A homogeneous k-form is one sparse dict ``{key: c}`` over its terms
-c x^e dx_I, c a nonzero int or Fraction and key one int in the layout of
-``poly``: bits [0, dim) are the basis I as a bitmask m, bit i standing for
-dx_{i+1} (0b101 is dx1^dx3), and e_i is the guarded 16-bit field at bit
-dim + 16 i.  A polynomial's key has m = 0, so a function and its 0-form
-share one dict.  Multivector fields are stored the same way, bit i standing
-for e_{i+1}.  The public constructor and ``components()`` speak the decoded
-view instead: {basis tuple: Polynomial}, a basis k-form being a strictly
-increasing tuple of 0-based coordinate indices, ``(0, 2)`` for dx1^dx3.
+A homogeneous k-form is a ``poly._Terms``: its one sparse dict ``packed``
+{key: c} over its terms c x^e dx_I, c a nonzero int or Fraction and key one
+int in the layout of ``poly``: bits [0, dim) are the basis I as a bitmask m,
+bit i standing for dx_{i+1} (0b101 is dx1^dx3), and e_i is the guarded
+16-bit field at bit dim + 16 i.  A polynomial's key has m = 0, so a function
+and its 0-form share one dict.  Multivector fields are stored the same way,
+bit i standing for e_{i+1}.  Sums, scalar and polynomial multiples, equality
+and hash come from ``_Terms``; this module adds what reads the basis mask.
+The public constructor and ``components()`` speak the decoded view instead:
+{basis tuple: Polynomial}, a basis k-form being a strictly increasing tuple
+of 0-based coordinate indices, ``(0, 2)`` for dx1^dx3.
 
 A form's ``degree`` is the degree its operation maps to, so a zero form may
 have any integer degree (d of a top form is a zero (dim + 1)-form); a
@@ -44,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
-from .poly import EXP_MAX, Polynomial, _from_packed, _guarded, _sum_into, layout
+from .poly import EXP_MAX, Polynomial, _Terms, layout
 
 Scalar = Union[int, Fraction, Polynomial]
 
@@ -63,10 +65,10 @@ def _odd_above(m: int) -> int:
     return x
 
 
-class _Alternating:
-    """Shared guts of DifferentialForm and MultiVectorField."""
+class _Alternating(_Terms):
+    """Shared guts of DifferentialForm and MultiVectorField: ``_Terms`` with a basis mask in every key."""
 
-    __slots__ = ("dim", "degree", "terms")
+    __slots__ = ()
 
     def __init__(self, dim: int, degree: int, terms: Mapping[tuple, Polynomial] | None = None):
         self.dim = dim
@@ -84,11 +86,7 @@ class _Alternating:
                 m = sum(1 << i for i in idx)
                 for key, c in p.packed.items():
                     flat[key | m] = c
-        self.terms = flat
-
-    @classmethod
-    def zero(cls, dim: int, degree: int = 0):
-        return cls._raw(dim, degree, {})
+        self.packed = flat
 
     @classmethod
     def basis(cls, dim: int, indices: Iterable[int], coeff: Scalar = 1):
@@ -101,88 +99,22 @@ class _Alternating:
         """The decoded view {basis tuple: Polynomial}, in lexicographic order of the tuples."""
         low = (1 << self.dim) - 1
         groups: dict[int, dict] = {}
-        for key, c in self.terms.items():
+        for key, c in self.packed.items():
             groups.setdefault(key & low, {})[key & ~low] = c
         decoded = sorted((_indices(m), m) for m in groups)
-        return {idx: _from_packed(self.dim, groups[m]) for idx, m in decoded}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        if self.dim != other.dim:
-            return False
-        if not self.terms and not other.terms:
-            return True  # zero is zero in every degree
-        return self.degree == other.degree and self.terms == other.terms
-
-    def __hash__(self):
-        if not self.terms:  # zero compares equal across degrees, so hash alike
-            return hash((type(self).__name__, self.dim))
-        return hash((type(self).__name__, self.dim, self.degree, frozenset(self.terms.items())))
-
-    def _check(self, other):
-        if type(other) is not type(self) or self.dim != other.dim:
-            raise ValueError("operands live on different spaces")
-
-    def __add__(self, other, negate: bool = False):
-        self._check(other)
-        if not other.terms:  # before self, so zero + zero keeps the left degree
-            return self
-        if not self.terms:
-            return -other if negate else other
-        if self.degree != other.degree:
-            raise ValueError(f"cannot add degrees {self.degree} and {other.degree}")
-        pieces = ((k, -c) for k, c in other.terms.items()) if negate else other.terms.items()
-        return self._raw(self.dim, self.degree, _sum_into(dict(self.terms), pieces))
-
-    def __sub__(self, other):
-        return self.__add__(other, True)
-
-    def __neg__(self):
-        return self._raw(self.dim, self.degree, {k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, s: Scalar):
-        """Multiply by a scalar or a polynomial coefficient."""
-        if isinstance(s, (int, Fraction)):
-            return self._raw(self.dim, self.degree, {k: c * s for k, c in self.terms.items()} if s else {})
-        if s.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {s.dim}")
-        if not self.terms or not s.packed:
-            return self._raw(self.dim, self.degree, {})
-        pieces = ((k + k2, c * c2) for k, c in self.terms.items() for k2, c2 in s.packed.items())
-        return self._collect_terms(self.dim, self.degree, pieces)
-
-    __rmul__ = __mul__
-
-    @classmethod
-    def _raw(cls, dim, degree, terms):
-        obj = cls.__new__(cls)
-        obj.dim, obj.degree, obj.terms = dim, degree, terms
-        return obj
-
-    @classmethod
-    def _collect_terms(cls, dim, degree, pieces, adds_exponents=True):
-        """The form summing the (key, nonzero c) pairs of ``pieces``; guarded when keys were added."""
-        terms = _sum_into({}, pieces)
-        return cls._raw(dim, degree, _guarded(dim, terms) if adds_exponents else terms)
+        return {idx: Polynomial._raw(self.dim, 0, groups[m]) for idx, m in decoded}
 
     def wedge(self, other):
         self._check(other)
         deg = self.degree + other.degree
-        if deg > self.dim or not self.terms or not other.terms:
+        if deg > self.dim or not self.packed or not other.packed:
             return self._raw(self.dim, deg, {})
         low = (1 << self.dim) - 1
-        right = [(k2 & low, k2, c2) for k2, c2 in other.terms.items()]
+        right = [(k2 & low, k2, c2) for k2, c2 in other.packed.items()]
 
         def pieces():
             odd = above = None
-            for k1, c1 in self.terms.items():
+            for k1, c1 in self.packed.items():
                 if k1 & low != above:  # a parity mask per run of equal bases
                     above = k1 & low
                     odd = _odd_above(above)
@@ -202,9 +134,9 @@ class DifferentialForm(_Alternating):
         return cls._raw(p.dim, 0, p.packed)
 
     def as_polynomial(self) -> Polynomial:
-        if self.degree != 0 and self.terms:
+        if self.degree != 0 and self.packed:
             raise ValueError(f"form of degree {self.degree} is not a function")
-        return _from_packed(self.dim, self.terms)
+        return Polynomial._raw(self.dim, 0, self.packed)
 
     def __repr__(self):
         from .grammar import render_form
@@ -233,7 +165,7 @@ def _derivation(a: DifferentialForm, degree: int, steps) -> DifferentialForm:
 
     def pieces():
         basis = None
-        for key, c in a.terms.items():
+        for key, c in a.packed.items():
             if key & low != basis:  # one table per run of equal bases
                 basis = key & low
                 table = steps(a.dim, basis)
@@ -267,7 +199,7 @@ def _by_basis(x: MultiVectorField) -> dict[int, list]:
     """The terms of ``x`` grouped by basis mask m, with m taken out of each key: {m: [(key ^ m, c), ...]}."""
     low = (1 << x.dim) - 1
     groups: dict[int, list] = {}
-    for key, c in x.terms.items():
+    for key, c in x.packed.items():
         groups.setdefault(key & low, []).append((key & ~low, c))
     return groups
 
@@ -284,7 +216,7 @@ def contract_vector(X: MultiVectorField, a: DifferentialForm) -> DifferentialFor
     comps = _by_basis(X)
 
     def pieces():
-        for key, c in a.terms.items():
+        for key, c in a.packed.items():
             for bit, xs in comps.items():
                 if key & bit:
                     rest = key ^ bit
@@ -310,7 +242,7 @@ def contract_bivector(pi: MultiVectorField, a: DifferentialForm) -> Differential
     comps = [(pm, (pm & (pm - 1)) - ((pm & -pm) << 1), ws) for pm, ws in _by_basis(pi).items()]
 
     def pieces():
-        for key, c in a.terms.items():
+        for key, c in a.packed.items():
             for pm, between, ws in comps:
                 if key & pm == pm:
                     rest = key ^ pm

@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 
 from .forms import DifferentialForm, MultiVectorField
-from .poly import EXP_MAX, Polynomial
+from .poly import EXP_MAX, Polynomial, _pack, _sum_into
 
 
 class FormSyntaxError(ValueError):
@@ -85,7 +85,7 @@ def parse_form(text: str, space) -> DifferentialForm:
     if not tokens:
         raise FormSyntaxError("empty expression", 0)
 
-    parsed: list[tuple[Fraction, tuple, tuple, int]] = []  # coeff, exps, basis, pos
+    parsed: list[tuple[Fraction, tuple, int, int]] = []  # coeff, exps, basis mask, pos
     k = 0
     nt = len(tokens)
     while k < nt:
@@ -164,25 +164,13 @@ def parse_form(text: str, space) -> DifferentialForm:
             raise FormSyntaxError(f"unexpected token {tokens[k][1]!r}", tokens[k][2])
         if basis_sign == 0:
             continue  # repeated dx index: the term is zero
-        parsed.append((coeff * basis_sign, tuple(exps), tuple(sorted(basis)), term_pos))
+        parsed.append((coeff * basis_sign, tuple(exps), sum(1 << i for i in basis), term_pos))
 
-    degrees = {len(b) for c, _, b, _ in parsed if c}
+    degrees = {m.bit_count() for c, _, m, _ in parsed if c}
     if len(degrees) > 1:
         raise FormSyntaxError(f"sum mixes degrees {sorted(degrees)}", parsed[0][3])
-    degree = degrees.pop() if degrees else 0
-
-    terms: dict[tuple, dict] = {}
-    for c, e, b, _ in parsed:
-        if not c:
-            continue
-        bucket = terms.setdefault(b, {})
-        acc = bucket.get(e, 0) + c
-        if acc:
-            bucket[e] = acc
-        elif e in bucket:
-            del bucket[e]
-    form_terms = {b: Polynomial(dim, mono) for b, mono in terms.items() if mono}
-    return DifferentialForm(dim, degree, form_terms)
+    packed = _sum_into({}, ((_pack(dim, e) | m, c) for c, e, m, _ in parsed if c))
+    return DifferentialForm._raw(dim, degrees.pop() if degrees else 0, packed)
 
 
 def parse_polynomial(text: str, space) -> Polynomial:

@@ -1,4 +1,4 @@
-"""Exact multivariate polynomials over the rationals.
+"""Exact multivariate polynomials over the rationals, and the term-map core they share with forms.
 
 A polynomial in coordinates v1..vm is a sparse map ``packed`` from monomial
 keys to nonzero coefficients, ints or ``fractions.Fraction``, so all
@@ -11,6 +11,12 @@ field at bit m + 16 i.  Every stored key keeps the top bit of each field, its
 guard, clear, so e_i <= EXP_MAX and the sum of two keys never carries from
 one field into the next: a monomial product is one int add, a derivative
 key - one_i, and ``key & guard`` after an add is an exact overflow test.
+
+``_Terms`` holds such a map with its ``dim`` and ``degree`` and implements,
+once, what does not look at the basis mask: sum, difference, negation,
+products with a scalar or a polynomial, equality, hash and the zero test.
+``Polynomial`` is its degree-0 case; the forms and multivector fields of
+``forms`` are the others.
 """
 
 from __future__ import annotations
@@ -71,37 +77,115 @@ def _sum_into(out: dict, pieces) -> dict:
     return out
 
 
-def _from_packed(dim: int, packed: dict) -> "Polynomial":
-    """The polynomial whose stored map is ``packed`` (keys of mask 0), taken as is."""
-    p = Polynomial.__new__(Polynomial)
-    p.dim, p.packed = dim, packed
-    return p
+class _Terms:
+    """The arithmetic that polynomials and forms share: one sparse map ``packed``
+    {key: nonzero coeff} on R^dim, of one ``degree`` (0 for a polynomial).
+
+    ``*`` takes a scalar or a ``Polynomial`` factor and leaves any other to the
+    other operand, so a product of two forms is refused rather than read as a
+    product of coefficients."""
+
+    __slots__ = ("dim", "degree", "packed")
+
+    @classmethod
+    def _raw(cls, dim: int, degree: int, packed: dict):
+        """The value whose stored map is ``packed``, taken as is."""
+        obj = cls.__new__(cls)
+        obj.dim, obj.degree, obj.packed = dim, degree, packed
+        return obj
+
+    @classmethod
+    def _collect_terms(cls, dim, degree, pieces, adds_exponents=True):
+        """The value summing the (key, nonzero c) pairs of ``pieces``; guarded when keys were added."""
+        packed = _sum_into({}, pieces)
+        return cls._raw(dim, degree, _guarded(dim, packed) if adds_exponents else packed)
+
+    @classmethod
+    def zero(cls, dim: int, degree: int = 0):
+        return cls._raw(dim, degree, {})
+
+    def is_zero(self) -> bool:
+        return not self.packed
+
+    def __bool__(self) -> bool:
+        return bool(self.packed)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.dim != other.dim:
+            return False
+        if not self.packed and not other.packed:
+            return True  # zero is zero in every degree
+        return self.degree == other.degree and self.packed == other.packed
+
+    def __hash__(self):
+        if not self.packed:  # zero compares equal across degrees, so hash alike
+            return hash(self.dim)
+        return hash((self.dim, self.degree, frozenset(self.packed.items())))
+
+    def _check(self, other, kind=None):
+        """Refuse ``other`` unless it is a ``kind`` (by default this type) on the same R^dim."""
+        if type(other) is not (kind or type(self)):
+            raise ValueError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if other.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+
+    def __add__(self, other, negate: bool = False):
+        self._check(other)
+        if not other.packed:  # before self, so zero + zero keeps the left degree
+            return self
+        if not self.packed:
+            return -other if negate else other
+        if self.degree != other.degree:
+            raise ValueError(f"cannot add degrees {self.degree} and {other.degree}")
+        pieces = ((k, -c) for k, c in other.packed.items()) if negate else other.packed.items()
+        return self._raw(self.dim, self.degree, _sum_into(dict(self.packed), pieces))
+
+    def __sub__(self, other):
+        return self.__add__(other, True)
+
+    def __neg__(self):
+        return self._raw(self.dim, self.degree, {k: -c for k, c in self.packed.items()})
+
+    def __mul__(self, other):
+        """Multiply by a scalar or a polynomial: each product of terms adds keys and multiplies coefficients."""
+        if type(other) is Polynomial:
+            self._check(other, Polynomial)
+            if not self.packed or not other.packed:
+                return self._raw(self.dim, self.degree, {})
+            right = other.packed.items()
+            pieces = ((k1 + k2, c1 * c2) for k1, c1 in self.packed.items() for k2, c2 in right)
+            return self._raw(self.dim, self.degree, _guarded(self.dim, _sum_into({}, pieces)))
+        if isinstance(other, (int, Fraction)):
+            return self._raw(self.dim, self.degree, {k: c * other for k, c in self.packed.items()} if other else {})
+        return NotImplemented
+
+    __rmul__ = __mul__
 
 
-class Polynomial:
-    __slots__ = ("dim", "packed")
+class Polynomial(_Terms):
+    """A polynomial: the degree-0 ``_Terms``, its keys of basis mask 0."""
+
+    __slots__ = ()
 
     def __init__(self, dim: int, terms: Mapping[tuple, Coeff] | None = None):
-        self.dim = dim
+        self.dim, self.degree = dim, 0
         packed = {_pack(dim, exps): c for exps, c in (terms or {}).items()}
         self.packed = {k: c for k, c in packed.items() if c}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, dim: int) -> "Polynomial":
-        return _from_packed(dim, {})
-
-    @classmethod
     def constant(cls, dim: int, c: Coeff) -> "Polynomial":
-        return _from_packed(dim, {0: c} if c else {})
+        return cls._raw(dim, 0, {0: c} if c else {})
 
     @classmethod
     def coordinate(cls, dim: int, i: int) -> "Polynomial":
         """The coordinate function v_{i+1} (0-based index i)."""
         if not 0 <= i < dim:
             raise ValueError(f"coordinate index {i} out of range for dim {dim}")
-        return _from_packed(dim, {layout(dim)[0][i][1]: 1})
+        return cls._raw(dim, 0, {layout(dim)[0][i][1]: 1})
 
     # -- queries -----------------------------------------------------------
 
@@ -111,9 +195,6 @@ class Polynomial:
         fields = layout(self.dim)[0]
         return {tuple(k >> s & EXP_MAX for s, _ in fields): c for k, c in self.packed.items()}
 
-    def is_zero(self) -> bool:
-        return not self.packed
-
     def constant_value(self) -> Coeff:
         return self.packed.get(0, 0)
 
@@ -121,46 +202,7 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         return max(map(sum, self.terms), default=-1)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.dim == other.dim and self.packed == other.packed
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.packed.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self.packed)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _check(self, other: "Polynomial"):
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def __add__(self, other: "Polynomial", negate: bool = False) -> "Polynomial":
-        self._check(other)
-        pieces = ((k, -c) for k, c in other.packed.items()) if negate else other.packed.items()
-        return _from_packed(self.dim, _sum_into(dict(self.packed), pieces))
-
-    def __neg__(self) -> "Polynomial":
-        return _from_packed(self.dim, {k: -c for k, c in self.packed.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self.__add__(other, True)
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        self._check(other)
-        right = other.packed.items()
-        out = _sum_into({}, ((k1 + k2, c1 * c2) for k1, c1 in self.packed.items() for k2, c2 in right))
-        return _from_packed(self.dim, _guarded(self.dim, out))
-
-    __rmul__ = __mul__
-
-    def scale(self, c: Coeff) -> "Polynomial":
-        return _from_packed(self.dim, {k: c * v for k, v in self.packed.items()} if c else {})
+    # -- calculus ----------------------------------------------------------
 
     def diff(self, i: int) -> "Polynomial":
         """Partial derivative with respect to the i-th coordinate (0-based); distinct keys stay distinct."""
@@ -170,7 +212,7 @@ class Polynomial:
             e = k >> shift & EXP_MAX
             if e:
                 out[k - one] = e * c
-        return _from_packed(self.dim, out)
+        return self._raw(self.dim, 0, out)
 
     # -- display -----------------------------------------------------------
 

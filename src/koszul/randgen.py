@@ -11,7 +11,7 @@ import random
 from itertools import combinations
 
 from .forms import DifferentialForm, MultiVectorField
-from .poly import EXP_MAX, ExponentOverflow, Polynomial, _from_packed, layout
+from .poly import EXP_MAX, ExponentOverflow, Polynomial, layout
 
 
 def trial_rng(seed: int, label: str, trial: int) -> random.Random:
@@ -41,7 +41,7 @@ def _monomials(rng: random.Random, dim: int, max_degree: int, terms: int) -> dic
 def random_polynomial(rng: random.Random, dim: int, max_degree: int, terms: int = 2) -> Polynomial:
     """Nonzero sum of ``terms`` random monomials of total degree <= max_degree,
     with integer coefficients in [-9, 9] \\ {0}; redrawn while the sum cancels."""
-    return _from_packed(dim, _monomials(rng, dim, max_degree, terms))
+    return Polynomial._raw(dim, 0, _monomials(rng, dim, max_degree, terms))
 
 
 def random_form(

@@ -17,9 +17,9 @@ executable record of the convention.  Within one sample of that row the
 relations share operator values: each operator runs once per form.
 
 Because omega and pi are constant, L, Lam and delta are computed directly on
-the stored terms {key: c} of ``forms`` (basis mask m in the low bits of the
-key, bit i standing for dx_{i+1}; guarded exponent fields above, ``poly``),
-with (q, p) = (2i, 2i+1) 0-based, pair mask P = 0b11 << 2i and
+a form's stored map ``packed`` {key: c} (``poly._Terms``: basis mask m in
+the low bits of the key, bit i standing for dx_{i+1}; guarded exponent fields
+above), with (q, p) = (2i, 2i+1) 0-based, pair mask P = 0b11 << 2i and
 below(m, j) = popcount(m & ((1 << j) - 1)) the position of j in the basis:
 
     L(f dx_m)     = sum over pair masks P with m & P == 0 of f dx_(m | P)
@@ -78,13 +78,13 @@ class SymplecticSpace:
     def L(self, a: DifferentialForm) -> DifferentialForm:
         """Raising operator: wedge with omega.  Adds each pair disjoint from the basis."""
         self._check(a)
-        pieces = ((key | pm, c) for key, c in a.terms.items() for pm in self._pair_masks if not key & pm)
+        pieces = ((key | pm, c) for key, c in a.packed.items() for pm in self._pair_masks if not key & pm)
         return DifferentialForm._collect_terms(self.dim, a.degree + 2, pieces, False)
 
     def Lam(self, a: DifferentialForm) -> DifferentialForm:
         """Lowering operator: contraction with pi.  Removes each pair inside the basis."""
         self._check(a)
-        pieces = ((key ^ pm, c) for key, c in a.terms.items() for pm in self._pair_masks if key & pm == pm)
+        pieces = ((key ^ pm, c) for key, c in a.packed.items() for pm in self._pair_masks if key & pm == pm)
         return DifferentialForm._collect_terms(self.dim, a.degree - 2, pieces, False)
 
     def H(self, a: DifferentialForm) -> DifferentialForm:

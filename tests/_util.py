@@ -87,7 +87,7 @@ def assert_stored_canonically(a):
     """The storage invariant of a form's term dict {packed key: coeff} (layout in ``koszul.poly``)."""
     guard = layout(a.dim)[1]
     low = (1 << a.dim) - 1
-    for key, c in a.terms.items():
+    for key, c in a.packed.items():
         m = key & low
         assert m.bit_count() == a.degree, f"basis mask {m:b} does not have {a.degree} bits"
         assert 0 <= key < 1 << a.dim + EXP_BITS * a.dim, f"key {key:#x} outside R^{a.dim}"

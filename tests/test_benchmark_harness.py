@@ -49,3 +49,6 @@ def test_tracer_yields_every_declared_layer_metric_and_restores_bindings():
     assert "campaign.verify_s" in metrics  # run.py turns it into trace.overhead_s
     assert [name for name in declared if name not in metrics and name != "trace.overhead_s"] == []
     assert metrics["linfty.l.calls"][0] > 0
+    # a kernel method moved where the tracer cannot see it would zero these declared metrics
+    for name in ("poly.mul.calls", "poly.add.calls", "forms.add.calls", "forms.wedge.calls"):
+        assert metrics[name][0] > 0, name

@@ -274,6 +274,18 @@ def test_dimension_mismatch_rejected():
         basis(3, 0) * Polynomial.coordinate(2, 0)
 
 
+def test_mixed_operands_are_refused_or_commute():
+    f = Polynomial.coordinate(2, 0)
+    a = DifferentialForm.basis(2, (0,))
+    with pytest.raises(TypeError):  # not a product of coefficients: dx1 * dx1 is no 1-form
+        a * a
+    with pytest.raises(TypeError):
+        MultiVectorField.basis(2, (0,)) * a
+    with pytest.raises(ValueError):
+        f + a
+    assert f * a == a * f == DifferentialForm.basis(2, (0,), f)
+
+
 def test_multivector_wedge_and_equality():
     X = MultiVectorField.basis(3, (0,))
     Y = MultiVectorField.basis(3, (1,))

@@ -67,7 +67,7 @@ def test_arithmetic_stays_exact():
         total = total + third
     assert total == Polynomial.constant(1, 1)
     p = rand_poly("exact", 0, 2)
-    assert p.scale(Fraction(1, 7)).scale(7) == p
+    assert p * Fraction(1, 7) * 7 == p
 
 
 def test_dimension_mismatch_raises():
