@@ -23,15 +23,22 @@ Building blocks:
 The defining recursion is ce_partial({.,.}, tilde_l_k) = delta . tilde_l_(k+1),
 checked exactly by ``verify_chain_identity``.  P_k = (-1)^k sum_j a(k,j) L^j Lam^j
 is linear, so ``lefschetz_sum`` applies it once to ce_partial({.,.}, k alt_m), with
-1/k folded into a(k,j)/k: exact over Q, and integer inputs keep the sums over Z.
-It reads the coefficient table, so mutation tests can target single coefficients.
+1/k folded into a(k,j)/k.  It reads the coefficient table, so mutation tests can
+target single coefficients.
+
+A residual is zero iff D times it is, for any integer D != 0.  Each ``verify_*``
+computes D times its residual, with D clearing its denominators (the ``scale`` of
+``lefschetz_sum``), so on integer inputs every sum stays over Z with no Fraction;
+it divides by D only a nonzero residual, which then reads as the unscaled value.
+"Pass" still means the zero form over Q, and ``alt_m``, ``tilde_l`` and
+``l_bracket`` keep their exact rational values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterator, Sequence
 
 from .forms import DifferentialForm, d, d_poly
@@ -103,11 +110,19 @@ def m_k(s: SymplecticSpace, fs: Sequence[Polynomial]) -> DifferentialForm:
 
 
 def lefschetz_sum(
-    s: SymplecticSpace, k: int, base: DifferentialForm, table: CoefficientTable | None = None
+    s: SymplecticSpace, k: int, base: DifferentialForm, table: CoefficientTable | None = None, scale: int = 1
 ) -> DifferentialForm:
-    """(-1)^k sum_j (a(k,j)/k) L^j Lam^j base, where ``base`` is k alt_m or a sum of such."""
+    """(-1)^k sum_j (scale a(k,j)/k) L^j Lam^j base, where ``base`` is k alt_m or a sum of such.
+
+    Whole coefficients are stored as ints: a ``scale`` clearing the denominators keeps integer sums over Z."""
     table = table or _DEFAULT_TABLE
-    total = base * (table.a(k, 0) / k)
+
+    def coefficient(j):
+        a = table.a(k, j)
+        c = Fraction(a.numerator * scale, a.denominator * k)
+        return c.numerator if c.denominator == 1 else c
+
+    total = base * coefficient(0)
     lam = base
     for j in range(1, (k - 1) // 2 + 1):
         lam = s.Lam(lam)
@@ -116,19 +131,19 @@ def lefschetz_sum(
         term = lam
         for _ in range(j):
             term = s.L(term)
-        total = total + term * (table.a(k, j) / k)
+        total = total + term * coefficient(j)
     return -total if k & 1 else total
 
 
 def tilde_l(
-    s: SymplecticSpace, fs: Sequence[Polynomial], table: CoefficientTable | None = None
+    s: SymplecticSpace, fs: Sequence[Polynomial], table: CoefficientTable | None = None, scale: int = 1
 ) -> DifferentialForm:
-    """Arity-k function bracket: (-1)^k (sum_j a(k,j) L^j Lam^j) alt_m."""
+    """Arity-k function bracket: (-1)^k (sum_j a(k,j) L^j Lam^j) alt_m, times ``scale``."""
     if len(fs) < 2:
         raise ValueError("defined for arity >= 2")
     if len(fs) - 1 > s.dim:  # a (k-1)-form above the top degree
         return DifferentialForm.zero(s.dim, len(fs) - 1)
-    return lefschetz_sum(s, len(fs), _alt_sum(fs), table)
+    return lefschetz_sum(s, len(fs), _alt_sum(fs), table, scale)
 
 
 def symplectic_family(
@@ -154,7 +169,12 @@ def l_bracket(s: SymplecticSpace, k: int, args: Sequence, table: CoefficientTabl
     return fam.l(k, elems)
 
 
-# -- identity residuals -----------------------------------------------------
+# -- identity residuals: each computed times an integer D, see the module docstring --
+
+
+def _unscaled(residual, scale: int):
+    """``residual`` / ``scale``, divided only when nonzero, so a failure reads as the unscaled residual."""
+    return residual * Fraction(1, scale) if residual else residual
 
 
 def verify_chain_identity(
@@ -162,40 +182,40 @@ def verify_chain_identity(
 ) -> DifferentialForm:
     """Residual of ce_partial({.,.}, tilde_l_k) - delta . tilde_l_(k+1) on k+1 functions.
 
-    Left side: P_k(ce_partial({.,.}, k alt_m)) with 1/k in P_k's coefficients, exact by linearity."""
+    Left side: P_k(ce_partial({.,.}, k alt_m)), exact by linearity.  D is the lcm of the
+    denominators of a(k',j)/k' for k' = k, k+1, read from ``table`` so a mutant keeps its own."""
     if k < 2:
         raise ValueError("chain identity starts at arity 2")
     if len(fs) != k + 1:
         raise ValueError(f"need {k + 1} functions, got {len(fs)}")
-    lhs = lefschetz_sum(s, k, ce_partial(s.poisson_bracket, _alt_sum, fs), table)
-    rhs = s.delta(tilde_l(s, fs, table))
-    return lhs - rhs
+    table = table or _DEFAULT_TABLE
+    scale = lcm(*(Fraction(table.a(kk, j), kk).denominator for kk in (k, k + 1) for j in range((kk + 1) // 2)))
+    lhs = lefschetz_sum(s, k, ce_partial(s.poisson_bracket, _alt_sum, fs), table, scale)
+    return _unscaled(lhs - s.delta(tilde_l(s, fs, table, scale)), scale)
 
 
 def verify_alt_m_identity(s: SymplecticSpace, k: int, fs: Sequence[Polynomial]) -> DifferentialForm:
     """Residual of ce_partial({.,.}, alt_m_k) - (-delta + (1/k) d Lam) alt_m_(k+1).
 
-    The coboundary sums the unscaled k alt_m and divides by k once (exact by linearity)."""
+    D = k(k+1): (k+1) ce_partial({.,.}, k alt_m) - (-k delta + d Lam)((k+1) alt_m)."""
     if k < 1:
         raise ValueError("arity must be >= 1")
     if len(fs) != k + 1:
         raise ValueError(f"need {k + 1} functions, got {len(fs)}")
-    lhs = ce_partial(s.poisson_bracket, _alt_sum, fs) * Fraction(1, k)
-    am = alt_m(s, fs)
-    rhs = -s.delta(am) + d(s.Lam(am)) * Fraction(1, k)
-    return lhs - rhs
+    top = _alt_sum(fs)
+    lhs = ce_partial(s.poisson_bracket, _alt_sum, fs) * (k + 1)
+    return _unscaled(lhs - (s.delta(top) * -k + d(s.Lam(top))), k * (k + 1))
 
 
 def verify_strict_morphism(s: SymplecticSpace, alpha: DifferentialForm, beta: DifferentialForm) -> Polynomial:
     """Residual of delta(l_2(alpha, beta)) = {delta alpha, delta beta}.
 
     Zero means delta is a strict morphism from the bracket family onto the
-    Poisson algebra of functions.
+    Poisson algebra of functions.  D = 2: delta(2 alt_m(f, g)) - 2{f, g}.
     """
     f = s.delta(alpha).as_polynomial()
     g = s.delta(beta).as_polynomial()
-    l2 = tilde_l(s, [f, g])
-    return s.delta(l2).as_polynomial() - s.poisson_bracket(f, g)
+    return _unscaled(s.delta(_alt_sum([f, g])).as_polynomial() - s.poisson_bracket(f, g) * 2, 2)
 
 
 def verify_quotient_congruence(
@@ -205,14 +225,11 @@ def verify_quotient_congruence(
 
     Residual of (delta(a) d delta(b) - l_2(a, b)) + delta((1/2) delta(a) delta(b) omega);
     the difference of the two representatives is half d(fg), which the omega
-    witness exhibits as a delta-boundary.
+    witness exhibits as a delta-boundary.  D = 2: 2 f dg - 2 alt_m(f, g) + delta(fg omega).
     """
     f = s.delta(alpha).as_polynomial()
     g = s.delta(beta).as_polynomial()
-    representative = d_poly(g) * f
-    l2 = tilde_l(s, [f, g])
-    witness = s.omega * (f * g) * Fraction(1, 2)
-    return (representative - l2) + s.delta(witness)
+    return _unscaled(d_poly(g) * f * 2 - _alt_sum([f, g]) + s.delta(s.omega * (f * g)), 2)
 
 
 def _recursions_at(k: int, j: int) -> list[tuple[str, Fraction, Fraction]]:

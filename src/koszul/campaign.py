@@ -65,6 +65,11 @@ _VOLUME_DIM_SUITES = ("linfty-volume", "all")
 # the recursion check costs about k_max^3: under a second at 200 on a
 # 2-core machine, over a minute at 800
 K_MAX = 200
+# operators and chain draw forms of every degree (C(2n, n) bases), 4-7 times the cost per step;
+# measured on a 2-core machine, --half-dim 5, 6, 7 take 1.7, 7.7, 38 s (operators) and 6.6, 46,
+# over 150 s (chain).  alt-relation, linfty-symplectic and poisson stay under 2 s up to 40.
+HALF_DIM_MAX = 6
+_HALF_DIM_CAPPED = ("operators", "chain", "all")
 
 
 @dataclass
@@ -90,6 +95,8 @@ class CampaignConfig:
             raise ValueError("density must be in (0, 1]")
         if any(n < 1 for n in self.half_dims):
             raise ValueError("half-dimensions must be >= 1")
+        if self.suite in _HALF_DIM_CAPPED and any(n > HALF_DIM_MAX for n in self.half_dims):
+            raise ValueError(f"half-dimensions must be <= {HALF_DIM_MAX} for suite {self.suite}: each step costs 4-7x")
         if any(m < 3 for m in self.volume_dims):
             raise ValueError("volume dimensions must be >= 3")
         for name, dims in (("half-dimensions", self.half_dims), ("volume dimensions", self.volume_dims)):

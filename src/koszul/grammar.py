@@ -180,11 +180,6 @@ def parse_polynomial(text: str, space) -> Polynomial:
     return form.as_polynomial()
 
 
-def _render_coeff(c) -> str:
-    f = Fraction(c)
-    return str(f)
-
-
 def _render_monomial(exps: tuple) -> list[str]:
     parts = []
     for i, e in enumerate(exps):
@@ -210,7 +205,7 @@ def _render_terms(obj, prefix: str) -> str:
             if idx:
                 parts.append(_render_basis(idx, prefix))
             if mag != 1 or not parts:
-                parts.insert(0, _render_coeff(mag))
+                parts.insert(0, str(mag))
             chunks.append((sign, " ".join(parts)))
     if not chunks:
         return "0"

@@ -411,6 +411,120 @@ def test_chain_identity_validates_arguments(s1):
         verify_chain_identity(s1, 2, [rand_poly("bad2", 0, 2)] * 2)
 
 
+# -- integer-scaled residuals ------------------------------------------------------------
+
+
+class _RecordingSpace(SymplecticSpace):
+    """Keeps every value that L, Lam, delta and the Poisson bracket return."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.seen = []
+
+    def _keep(self, out):
+        self.seen.append(out)
+        return out
+
+    def L(self, a):
+        return self._keep(super().L(a))
+
+    def Lam(self, a):
+        return self._keep(super().Lam(a))
+
+    def delta(self, a):
+        return self._keep(super().delta(a))
+
+    def poisson_bracket(self, f, g):
+        return self._keep(super().poisson_bracket(f, g))
+
+
+@pytest.fixture
+def scaled_sides(monkeypatch):
+    """Every alternating sum, coboundary and Lefschetz sum the residuals build, and each residual before division."""
+    seen = []
+    for name in ("_alt_sum", "ce_partial", "lefschetz_sum"):
+        fn = getattr(koszul.brackets, name)
+        monkeypatch.setattr(koszul.brackets, name, lambda *a, fn=fn, **kw: seen.append(fn(*a, **kw)) or seen[-1])
+    unscaled = koszul.brackets._unscaled
+
+    def recording(residual, scale):
+        seen.append(residual)
+        return unscaled(residual, scale)
+
+    monkeypatch.setattr(koszul.brackets, "_unscaled", recording)
+    return seen
+
+
+def _coefficient_types(values):
+    return {type(c) for x in values for c in x.packed.values()}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_residual_sums_stay_integer_on_integer_inputs(scaled_sides, n):
+    # the pass path of every bracket-layer residual sums ints only; a Fraction anywhere means a 1/k leaked in
+    s = _RecordingSpace(n)
+    polys = lambda label, t, count: [rand_poly(f"{label}-{i}", t, s.dim) for i in range(count)]
+    forms = lambda label, t: [rand_form(f"{label}-{i}", t, s.dim, 1) for i in range(2)]
+    checks = {f"chain k={k}": (verify_chain_identity, lambda t, k=k: [k, polys(f"int-ch-{n}-{k}", t, k + 1)])
+              for k in range(2, 2 * n + 1)}
+    checks.update({f"alt k={k}": (verify_alt_m_identity, lambda t, k=k: [k, polys(f"int-alt-{n}-{k}", t, k + 1)])
+                   for k in range(1, 2 * n + 1)})
+    checks["morphism"] = (verify_strict_morphism, lambda t: forms(f"int-mor-{n}", t))
+    checks["congruence"] = (verify_quotient_congruence, lambda t: forms(f"int-qc-{n}", t))
+    for name, (check, draw) in checks.items():
+        types = set()
+        for t in range(3):
+            scaled_sides.clear()
+            s.seen.clear()
+            assert check(s, *draw(t)).is_zero(), name
+            types |= _coefficient_types(scaled_sides + s.seen)
+        assert types == {int}, name  # and not vacuous: some side was nonzero
+
+
+def _lefschetz_reference(s, k, base, table):
+    total = DifferentialForm.zero(s.dim, base.degree)
+    for j in range(0, (k - 1) // 2 + 1):
+        term = base
+        for _ in range(j):
+            term = s.Lam(term)
+        for _ in range(j):
+            term = s.L(term)
+        total = total + term * (table.a(k, j) / k)
+    return total * (-1) ** k
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lefschetz_sum_default_scale_is_the_rational_sum(n):
+    s = SymplecticSpace(n)
+    for table in (CoefficientTable(), CoefficientTable.perturbed(3, 1)):
+        for k in range(2, s.dim + 2):
+            fs = [rand_poly(f"ls-{n}-{k}-{i}", 0, s.dim) for i in range(k)]
+            out = lefschetz_sum(s, k, _alt_sum(fs), table)
+            assert out == _lefschetz_reference(s, k, _alt_sum(fs), table), f"k={k}"
+            assert Fraction in _coefficient_types([out]) or out.is_zero(), f"k={k}: 1/k was not applied"
+            assert lefschetz_sum(s, k, _alt_sum(fs), table, scale=6 * k) == out * (6 * k), f"k={k}"
+            assert tilde_l(s, fs, table) == out, f"k={k}"
+
+
+@pytest.mark.parametrize("k, table", [
+    (2, CoefficientTable({(3, 1): Fraction(1, 7)})),  # at k + 1
+    (3, CoefficientTable({(3, 1): Fraction(1, 7)})),  # at k
+    (3, CoefficientTable({(4, 1): Fraction(1, 11)})),  # at k + 1
+], ids=["a31-at-k+1", "a31-at-k", "a41-at-k+1"])
+def test_chain_scale_is_read_from_the_table_in_use(scaled_sides, k, table):
+    # a fresh prime denominator: a scale taken from the default table leaves a Fraction in the scaled sides
+    s = SymplecticSpace(2)
+    live, types = False, set()
+    for fs in _draws("int", f"fresh-prime-{k}", s.dim, k + 1):
+        scaled_sides.clear()
+        residual = verify_chain_identity(s, k, fs, table)
+        types |= _coefficient_types(scaled_sides)
+        assert residual == _chain_reference(s, k, fs, table)
+        live = live or not residual.is_zero()
+    assert live, "the override left every draw intact"
+    assert types == {int}
+
+
 # -- the alt_m derivative identity ------------------------------------------------------
 
 

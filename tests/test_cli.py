@@ -43,6 +43,13 @@ REFUSALS = {
     "verify-density-0": (["verify", "--density", "0"], "density must be in (0, 1]"),
     "verify-density-nan": (["verify", "--density", "nan"], "density must be in (0, 1]"),
     "verify-volume-dim-2": (["verify", "--volume-dim", "2"], "volume dimensions must be >= 3"),
+    # operators and chain cost 4-7 times more per half-dimension: refused above the ceiling before any campaign starts
+    "verify-half-dim-above-ceiling": (["verify", "--half-dim", "7"],
+                                      "error: half-dimensions must be <= 6 for suite all"),
+    "verify-operators-half-dim-7": (["verify", "--suite", "operators", "--half-dim", "7"],
+                                    "error: half-dimensions must be <= 6 for suite operators"),
+    "verify-half-dim-30": (["verify", "--suite", "chain", "--half-dim", "1,30"],
+                           "error: half-dimensions must be <= 6 for suite chain"),
     # numbers too long for int(): one line naming the token's position, not a traceback
     "huge-index": (["eval", "--dim", "3", "v" + HUGE], "number of 5000 characters is too long (at position 0)"),
     "huge-coefficient": (["eval", "--dim", "3", HUGE + " v1"], "too long (at position 0)"),
@@ -390,6 +397,12 @@ def test_verify_degree_zero_exit_2(capsys):
 def test_empty_dims_allowed_where_unused():
     CampaignConfig(suite="chain", volume_dims=()).validate()
     CampaignConfig(suite="linfty-volume", half_dims=()).validate()
+
+
+@pytest.mark.parametrize("suite", ["alt-relation", "linfty-symplectic", "poisson"])
+def test_half_dim_ceiling_spares_suites_that_stay_cheap(suite):
+    # these three take under 2 s at --half-dim 40, so the operators and chain ceiling does not apply
+    CampaignConfig(suite=suite, half_dims=(1, 40)).validate()
 
 
 @pytest.mark.parametrize("half_dim, seed, check", [(2, 158000007, "a(5,0)"), (3, 92, "a(7,1)")])
