@@ -52,6 +52,7 @@ from .poisson import (
     sl2_dual,
     standard_symplectic,
     symplectic_obstruction_witness,
+    symplectic_witness_residual,
     zero_poisson,
 )
 
@@ -101,6 +102,7 @@ __all__ = [
     "obstruction",
     "obstruction_identity_residual",
     "symplectic_obstruction_witness",
+    "symplectic_witness_residual",
     "omega1_bracket",
     "jacobiator_residual",
 ]

@@ -43,7 +43,7 @@ from typing import Iterator, Sequence
 
 from .forms import DifferentialForm, d, d_poly
 from .linfty import BracketFamily, GradedElement, ce_partial
-from .poly import Polynomial
+from .poly import Polynomial, _unscaled
 from .symplectic import SymplecticSpace
 
 
@@ -170,11 +170,6 @@ def l_bracket(s: SymplecticSpace, k: int, args: Sequence, table: CoefficientTabl
 
 
 # -- identity residuals: each computed times an integer D, see the module docstring --
-
-
-def _unscaled(residual, scale: int):
-    """``residual`` / ``scale``, divided only when nonzero, so a failure reads as the unscaled residual."""
-    return residual * Fraction(1, scale) if residual else residual
 
 
 def verify_chain_identity(

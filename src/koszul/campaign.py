@@ -45,12 +45,11 @@ from .forms import DifferentialForm, contract_bivector, contract_vector, d
 from .grammar import parse_form, render_form, render_polynomial
 from .linfty import BracketFamily, linfty_residual
 from .poisson import (
-    obstruction,
-    obstruction_identity_residual,
     jacobiator_residual,
+    obstruction_identity_residual,
     sl2_dual,
     standard_symplectic,
-    symplectic_obstruction_witness,
+    symplectic_witness_residual,
     zero_poisson,
 )
 from .poly import EXP_MAX, Polynomial
@@ -379,10 +378,8 @@ def suite_poisson(cfg: CampaignConfig) -> Iterable[Check]:
     # symplectic witness: obstruction = delta(witness), exactly
     for n in cfg.half_dims:
         s = SymplecticSpace(n)
-        ps = standard_symplectic(n)
         yield Check("poisson", _stream(cfg, f"poisson-witness/R{2 * n}", trials, _polys(cfg, s.dim, 3)),
-                    {f"standard-symplectic({n}) obstruction = delta(witness)":
-                     lambda *fs: obstruction(ps, *fs) - ps.delta(symplectic_obstruction_witness(s, *fs))})
+                    {f"standard-symplectic({n}) obstruction = delta(witness)": partial(symplectic_witness_residual, s)})
 
 
 def _mismatch(label: str, lhs: Fraction, rhs: Fraction) -> Polynomial:

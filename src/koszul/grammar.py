@@ -170,7 +170,8 @@ def parse_form(text: str, space) -> DifferentialForm:
     if len(degrees) > 1:
         raise FormSyntaxError(f"sum mixes degrees {sorted(degrees)}", parsed[0][3])
     packed = _sum_into({}, ((_pack(dim, e) | m, c) for c, e, m, _ in parsed if c))
-    return DifferentialForm._raw(dim, degrees.pop() if degrees else 0, packed)
+    whole = {key: c.numerator if c.denominator == 1 else c for key, c in packed.items()}  # sums stay over Z
+    return DifferentialForm._raw(dim, degrees.pop() if degrees else 0, whole)
 
 
 def parse_polynomial(text: str, space) -> Polynomial:

@@ -12,7 +12,17 @@ the pinned conventions, where delta(f dg) = {f, g}):
 
 ``obstruction_identity_residual`` checks it; on a standard symplectic space it
 rearranges, via df = -delta(f omega), into an explicit 2-form witness with
-obstruction(f, g, h) = delta(witness).
+obstruction(f, g, h) = delta(witness), which ``symplectic_witness_residual``
+checks.  ``jacobiator_residual`` checks the lift of the bracket to 1-forms,
+[a, [b, c]] + cyc = (1/2) obstruction(delta a, delta b, delta c).
+
+Like the bracket-layer checks of ``brackets``, the witness and jacobiator
+checks compute D times their residual, D = 3 and 4, from the integer sums
+f dg - g df, f dg^dh + cyc and f{g,h} + cyc, so on integer inputs they stay
+over Z with no Fraction.  They divide by D (``poly._unscaled``) only a nonzero
+residual, which then reads as the unscaled value.  ``omega1_bracket`` and
+``symplectic_obstruction_witness`` keep their exact rational values, built
+from the same integer sums.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .forms import DifferentialForm, MultiVectorField, contract_bivector, d, d_poly
-from .poly import Polynomial
+from .poly import Polynomial, _unscaled
 from .symplectic import SymplecticSpace
 
 
@@ -84,8 +94,11 @@ class PoissonSpace:
 
 def standard_symplectic(n: int) -> PoissonSpace:
     """The bivector of the standard symplectic structure on R^(2n)."""
-    s = SymplecticSpace(n)
-    return PoissonSpace(s.dim, s.pi, name=f"standard-symplectic({n})")
+    return _standard(SymplecticSpace(n))
+
+
+def _standard(s: SymplecticSpace) -> PoissonSpace:
+    return PoissonSpace(s.dim, s.pi, name=f"standard-symplectic({s.n})")
 
 
 def sl2_dual() -> PoissonSpace:
@@ -110,32 +123,37 @@ def _cyclic(f: Polynomial, g: Polynomial, h: Polynomial):
     return ((f, g, h), (g, h, f), (h, f, g))
 
 
+def _omega(f: Polynomial, g: Polynomial) -> DifferentialForm:
+    """f dg - g df: twice the 1-form bracket of forms with delta f and g, over Z on integer inputs."""
+    return d_poly(g) * f - d_poly(f) * g
+
+
+def _with_brackets(p: PoissonSpace, f, g, h) -> list:
+    """[(f, {g,h}), (g, {h,f}), (h, {f,g})]: the cyclic terms, each bracket computed once."""
+    return [(a, p.bracket(b, c)) for a, b, c in _cyclic(f, g, h)]
+
+
+def _obstruction(m: int, terms) -> DifferentialForm:
+    """f d{g,h} - {g,h} df + cyc, from ``_with_brackets``."""
+    return sum((_omega(a, bc) for a, bc in terms), DifferentialForm.zero(m, 1))
+
+
 def obstruction(p: PoissonSpace, f: Polynomial, g: Polynomial, h: Polynomial) -> DifferentialForm:
     """The 1-form f d{g,h} - {g,h} df + cyclic.
 
     Its class modulo delta-exact 1-forms is what blocks lifting the bracket.
     """
-    total = DifferentialForm.zero(p.m, 1)
-    for a, b, c in _cyclic(f, g, h):
-        bc = p.bracket(b, c)
-        total = total + d_poly(bc) * a - d_poly(a) * bc
-    return total
+    return _obstruction(p.m, _with_brackets(p, f, g, h))
 
 
-def _wedge_cycle(p: PoissonSpace, f, g, h) -> DifferentialForm:
+def _wedge_cycle(m: int, f, g, h) -> DifferentialForm:
     """f dg^dh + g dh^df + h df^dg."""
-    total = DifferentialForm.zero(p.m, 2)
-    for a, b, c in _cyclic(f, g, h):
-        total = total + d_poly(b).wedge(d_poly(c)) * a
-    return total
+    return sum((d_poly(b).wedge(d_poly(c)) * a for a, b, c in _cyclic(f, g, h)), DifferentialForm.zero(m, 2))
 
 
-def _bracket_cycle(p: PoissonSpace, f, g, h) -> Polynomial:
-    """f{g,h} + g{h,f} + h{f,g}."""
-    total = Polynomial.zero(p.m)
-    for a, b, c in _cyclic(f, g, h):
-        total = total + a * p.bracket(b, c)
-    return total
+def _bracket_cycle(m: int, terms) -> Polynomial:
+    """f{g,h} + g{h,f} + h{f,g}, from ``_with_brackets``."""
+    return sum((a * bc for a, bc in terms), Polynomial.zero(m))
 
 
 def obstruction_identity_residual(
@@ -146,8 +164,14 @@ def obstruction_identity_residual(
     Vanishes identically for every Poisson bivector; this is the structure-
     independent rearrangement behind the witness construction below.
     """
-    lhs = p.delta(_wedge_cycle(p, f, g, h)) * 2 - d_poly(_bracket_cycle(p, f, g, h))
-    return lhs + obstruction(p, f, g, h) * 3
+    terms = _with_brackets(p, f, g, h)
+    lhs = p.delta(_wedge_cycle(p.m, f, g, h)) * 2 - d_poly(_bracket_cycle(p.m, terms))
+    return lhs + _obstruction(p.m, terms) * 3
+
+
+def _witness_sum(s: SymplecticSpace, f, g, h, terms) -> DifferentialForm:
+    """-3 times the witness: 2(f dg^dh + cyc) + (f{g,h} + cyc) omega, over Z on integer inputs."""
+    return _wedge_cycle(s.dim, f, g, h) * 2 + s.omega * _bracket_cycle(s.dim, terms)
 
 
 def symplectic_obstruction_witness(
@@ -158,10 +182,19 @@ def symplectic_obstruction_witness(
     Combining the identity above with d(u) = -delta(u omega) gives
     W = -(2/3)(f dg^dh + cyc) - (1/3)(f{g,h} + cyc) omega.
     """
-    p = PoissonSpace(s.dim, s.pi, name="standard-symplectic")
-    wedge_part = _wedge_cycle(p, f, g, h) * Fraction(-2, 3)
-    omega_part = s.omega * _bracket_cycle(p, f, g, h) * Fraction(-1, 3)
-    return wedge_part + omega_part
+    return _witness_sum(s, f, g, h, _with_brackets(_standard(s), f, g, h)) * Fraction(-1, 3)
+
+
+def symplectic_witness_residual(
+    s: SymplecticSpace, f: Polynomial, g: Polynomial, h: Polynomial
+) -> DifferentialForm:
+    """Residual of obstruction(f, g, h) = delta(W) for the witness W above.
+
+    D = 3: 3 obstruction(f, g, h) + delta(2(f dg^dh + cyc) + (f{g,h} + cyc) omega).
+    """
+    p = _standard(s)
+    terms = _with_brackets(p, f, g, h)
+    return _unscaled(_obstruction(s.dim, terms) * 3 + p.delta(_witness_sum(s, f, g, h, terms)), 3)
 
 
 def omega1_bracket(p: PoissonSpace, alpha: DifferentialForm, beta: DifferentialForm) -> DifferentialForm:
@@ -170,9 +203,7 @@ def omega1_bracket(p: PoissonSpace, alpha: DifferentialForm, beta: DifferentialF
     Antisymmetric; kills delta-closed arguments, so the kernel of delta is
     central at the representative level.
     """
-    f = p.delta(alpha).as_polynomial()
-    g = p.delta(beta).as_polynomial()
-    return (d_poly(g) * f - d_poly(f) * g) * Fraction(1, 2)
+    return _omega(p.delta(alpha).as_polynomial(), p.delta(beta).as_polynomial()) * Fraction(1, 2)
 
 
 def jacobiator_residual(
@@ -181,11 +212,12 @@ def jacobiator_residual(
     beta: DifferentialForm,
     gamma: DifferentialForm,
 ) -> DifferentialForm:
-    """Residual of ([a,[b,c]] + cyclic) = (1/2) obstruction(delta a, delta b, delta c)."""
-    nested = DifferentialForm.zero(p.m, 1)
-    for a, b, c in ((alpha, beta, gamma), (beta, gamma, alpha), (gamma, alpha, beta)):
-        nested = nested + omega1_bracket(p, a, omega1_bracket(p, b, c))
-    f = p.delta(alpha).as_polynomial()
-    g = p.delta(beta).as_polynomial()
-    h = p.delta(gamma).as_polynomial()
-    return nested - obstruction(p, f, g, h) * Fraction(1, 2)
+    """Residual of ([a,[b,c]] + cyclic) = (1/2) obstruction(delta a, delta b, delta c).
+
+    D = 4, with f, g, h = delta a, delta b, delta c, each computed once and [a, b] = Omega(f, g)/2
+    for Omega = ``_omega``: 4 residual = Omega(f, delta Omega(g, h)) + cyc - 2 obstruction(f, g, h).
+    """
+    f, g, h = (p.delta(x).as_polynomial() for x in (alpha, beta, gamma))
+    nested = sum((_omega(a, p.delta(_omega(b, c)).as_polynomial()) for a, b, c in _cyclic(f, g, h)),
+                 DifferentialForm.zero(p.m, 1))
+    return _unscaled(nested - obstruction(p, f, g, h) * 2, 4)

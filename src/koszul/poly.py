@@ -77,6 +77,14 @@ def _sum_into(out: dict, pieces) -> dict:
     return out
 
 
+def _unscaled(residual, scale: int):
+    """``residual`` / ``scale`` for a residual computed ``scale`` times over, divided only when nonzero.
+
+    A residual is zero iff ``scale`` times it is, so an integer ``scale`` clearing the denominators
+    keeps a passing check over Z; a failure still reads as the unscaled residual."""
+    return residual * Fraction(1, scale) if residual else residual
+
+
 class _Terms:
     """The arithmetic that polynomials and forms share: one sparse map ``packed``
     {key: nonzero coeff} on R^dim, of one ``degree`` (0 for a polynomial).

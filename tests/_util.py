@@ -33,6 +33,26 @@ def rand_frac_poly(label: str, trial: int, dim: int, max_degree: int = 3) -> Pol
     return Polynomial(dim, {e: Fraction(c, 3 + 4 * i) for i, (e, c) in enumerate(sorted(p.terms.items()))})
 
 
+def doubled_wedge(wedge):
+    """A mutant of ``wedge`` that doubles its result on spaces of dimension >= 3."""
+
+    def doubled(self, other):
+        out = wedge(self, other)
+        return out * 2 if self.dim >= 3 else out
+
+    return doubled
+
+
+def doubled_mul(mul):
+    """A mutant of ``Polynomial.__mul__`` that doubles polynomial products on spaces of dimension >= 3."""
+
+    def doubled(self, other):
+        out = mul(self, other)
+        return out * 2 if isinstance(other, Polynomial) and out.dim >= 3 else out
+
+    return doubled
+
+
 def merge_indices(a: tuple, b: tuple) -> tuple[int, tuple]:
     """Merge two strictly increasing index tuples.
 

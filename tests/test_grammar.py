@@ -97,6 +97,13 @@ def test_parse_polynomial():
         parse_polynomial("v1 dx1", 2)
 
 
+def test_parsed_whole_coefficients_are_ints():
+    # so that sums with a parsed form stay over Z; a whole sum of fractions counts too
+    p = parse_polynomial("2 v1 v2 - 1/2 + 1/3 v1 + 2/3 v1", 2)
+    assert {e: type(c) for e, c in p.terms.items()} == {(1, 1): int, (0, 0): Fraction, (1, 0): int}
+    assert p.terms[(1, 0)] == 1
+
+
 def test_dangling_operator_rejected():
     with pytest.raises(FormSyntaxError):
         parse_form("v1 +", 2)

@@ -1,5 +1,9 @@
+from fractions import Fraction
+from functools import partial
+
 import pytest
 
+import koszul.poisson
 from koszul import (
     DifferentialForm,
     MultiVectorField,
@@ -17,10 +21,12 @@ from koszul import (
     sl2_dual,
     standard_symplectic,
     symplectic_obstruction_witness,
+    symplectic_witness_residual,
     zero_poisson,
 )
+from koszul.forms import _Alternating
 
-from _util import rand_form, rand_poly
+from _util import doubled_mul, doubled_wedge, rand_form, rand_poly
 
 
 PRESETS = [standard_symplectic(1), standard_symplectic(2), sl2_dual(), zero_poisson(3)]
@@ -207,3 +213,133 @@ def test_bivector_validation():
         PoissonSpace(3, MultiVectorField.basis(3, (0,)))
     with pytest.raises(ValueError):
         PoissonSpace(4, MultiVectorField.basis(3, (0, 1)))
+
+
+# -- integer-scaled residuals ------------------------------------------------------------
+#
+# The references below are the rational formulas the scaled residuals replaced: each
+# computes the residual itself, with 1/2 and 1/3 as Fraction factors.
+
+
+def _cyclic_reference(f, g, h):
+    return ((f, g, h), (g, h, f), (h, f, g))
+
+
+def _obstruction_reference(p, f, g, h):
+    total = DifferentialForm.zero(p.m, 1)
+    for a, b, c in _cyclic_reference(f, g, h):
+        bc = p.bracket(b, c)
+        total = total + d_poly(bc) * a - d_poly(a) * bc
+    return total
+
+
+def _omega1_reference(p, alpha, beta):
+    f = p.delta(alpha).as_polynomial()
+    g = p.delta(beta).as_polynomial()
+    return (d_poly(g) * f - d_poly(f) * g) * Fraction(1, 2)
+
+
+def _jacobiator_reference(p, alpha, beta, gamma):
+    nested = DifferentialForm.zero(p.m, 1)
+    for a, b, c in _cyclic_reference(alpha, beta, gamma):
+        nested = nested + _omega1_reference(p, a, _omega1_reference(p, b, c))
+    f, g, h = (p.delta(x).as_polynomial() for x in (alpha, beta, gamma))
+    return nested - _obstruction_reference(p, f, g, h) * Fraction(1, 2)
+
+
+def _witness_reference(s, f, g, h):
+    p = standard_symplectic(s.n)
+    wedges = DifferentialForm.zero(s.dim, 2)
+    brackets = Polynomial.zero(s.dim)
+    for a, b, c in _cyclic_reference(f, g, h):
+        wedges = wedges + d_poly(b).wedge(d_poly(c)) * a
+        brackets = brackets + a * p.bracket(b, c)
+    return wedges * Fraction(-2, 3) + s.omega * brackets * Fraction(-1, 3)
+
+
+def _witness_residual_reference(s, f, g, h):
+    p = standard_symplectic(s.n)
+    return _obstruction_reference(p, f, g, h) - p.delta(_witness_reference(s, f, g, h))
+
+
+_SYMPLECTIC = [SymplecticSpace(1), SymplecticSpace(2)]
+_MUTANTS = {"intact": None, "wedge": (_Alternating, "wedge", doubled_wedge),
+            "poly-mul": (Polynomial, "__mul__", doubled_mul)}
+
+
+@pytest.mark.parametrize("mutant", sorted(_MUTANTS))
+def test_scaled_residuals_equal_the_rational_formulas(monkeypatch, mutant):
+    # under each mutant one of the residuals is nonzero, so its division by D is compared too
+    if _MUTANTS[mutant]:
+        target, attr, wrap = _MUTANTS[mutant]
+        monkeypatch.setattr(target, attr, wrap(getattr(target, attr)))
+    live = set()
+    for seed in range(4):
+        for p in PRESETS:
+            forms = [rand_form(f"jref-{p.name}-{i}", seed, p.m, 1) for i in range(3)]
+            residual = jacobiator_residual(p, *forms)
+            assert residual == _jacobiator_reference(p, *forms), (p.name, seed)
+            assert omega1_bracket(p, *forms[:2]) == _omega1_reference(p, *forms[:2]), (p.name, seed)
+            live |= {"jacobiator"} if residual else set()
+        for s in _SYMPLECTIC:
+            fs = [rand_poly(f"wref-{s.n}-{i}", seed, s.dim) for i in range(3)]
+            residual = symplectic_witness_residual(s, *fs)
+            assert residual == _witness_residual_reference(s, *fs), (s.n, seed)
+            assert symplectic_obstruction_witness(s, *fs) == _witness_reference(s, *fs), (s.n, seed)
+            p = standard_symplectic(s.n)
+            assert obstruction(p, *fs) == _obstruction_reference(p, *fs), (s.n, seed)
+            live |= {"witness"} if residual else set()
+    # on R3 and R4 the wedge mutant doubles {,}, which the jacobiator reads on its obstruction side
+    # only, while every term of the witness residual doubles with it; the product mutant doubles
+    # f{g,h} + cyc in the witness and reaches no product the jacobiator takes
+    assert live == {"intact": set(), "wedge": {"jacobiator"}, "poly-mul": {"witness"}}[mutant]
+
+
+@pytest.fixture
+def scaled_poisson(monkeypatch):
+    """Every delta value the Poisson residuals take, and each residual before division."""
+    seen = []
+    delta = PoissonSpace.delta
+    monkeypatch.setattr(PoissonSpace, "delta", lambda self, a: seen.append(delta(self, a)) or seen[-1])
+    unscaled = koszul.poisson._unscaled
+
+    def recording(residual, scale):
+        seen.append(residual)
+        return unscaled(residual, scale)
+
+    monkeypatch.setattr(koszul.poisson, "_unscaled", recording)
+    return seen
+
+
+def _coefficient_types(values):
+    return {type(c) for x in values for c in x.packed.values()}
+
+
+_SCALED_CASES = {
+    **{f"jacobiator-{p.name}": (jacobiator_residual, p, partial(rand_form, dim=p.m, degree=1)) for p in PRESETS},
+    **{f"witness-R{s.dim}": (symplectic_witness_residual, s, partial(rand_poly, dim=s.dim)) for s in _SYMPLECTIC},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALED_CASES))
+def test_poisson_residual_sums_stay_integer_on_integer_inputs(scaled_poisson, name):
+    # the pass path sums ints only; a Fraction anywhere means a 1/2 or 1/3 leaked in
+    check, space, draw = _SCALED_CASES[name]
+    types = set()
+    for t in range(3):
+        scaled_poisson.clear()
+        assert check(space, *(draw(f"pint-{name}-{i}", t) for i in range(3))).is_zero()
+        types |= _coefficient_types(scaled_poisson)
+    # and not vacuous, except on the zero structure, where delta and every residual vanish
+    assert types == (set() if space.pi.is_zero() else {int})
+
+
+def test_jacobiator_computes_each_delta_once(monkeypatch):
+    # delta a, delta b, delta c and the three delta Omega(.,.): the rational form made 15 calls
+    calls = []
+    delta = PoissonSpace.delta
+    monkeypatch.setattr(PoissonSpace, "delta", lambda self, a: calls.append(a) or delta(self, a))
+    p = sl2_dual()
+    forms = [rand_form(f"jcount-{i}", 0, 3, 1) for i in range(3)]
+    assert jacobiator_residual(p, *forms).is_zero()
+    assert len(calls) == 6

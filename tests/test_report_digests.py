@@ -16,6 +16,8 @@ from koszul.campaign import CampaignConfig, run_campaign
 from koszul.forms import _Alternating
 from koszul.poly import Polynomial
 
+from _util import doubled_mul, doubled_wedge
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 from workloads import PINNED_SEED, WORKLOADS, campaign_kwargs  # noqa: E402
 
@@ -32,22 +34,6 @@ def test_pinned_report_digest(name):
 # each mutant doubles a kernel's result on spaces of dimension >= 3 (R2 stays
 # intact), so the failing checks record inputs and residuals of every type.
 FAILING_CONFIG = {"suite": "all", "trials": 3, "half_dims": (1, 2), "volume_dims": (3,)}
-
-
-def _doubled_wedge(wedge):
-    def doubled(self, other):
-        out = wedge(self, other)
-        return out * 2 if self.dim >= 3 else out
-
-    return doubled
-
-
-def _doubled_mul(mul):
-    def doubled(self, other):
-        out = mul(self, other)
-        return out * 2 if isinstance(other, Polynomial) and out.dim >= 3 else out
-
-    return doubled
 
 
 def _digest(report):
@@ -79,12 +65,12 @@ def test_linfty_tower_digest():
 @pytest.mark.parametrize(
     "target, attr, mutant, failing_suites, failing_check, digest",
     [
-        (_Alternating, "wedge", _doubled_wedge, {"chain", "alt-relation", "linfty-symplectic", "poisson"},
+        (_Alternating, "wedge", doubled_wedge, {"chain", "alt-relation", "linfty-symplectic", "poisson"},
          "R4 partial(l~_2) = delta l~_3",
          "bfab4e824959005bbf044efdb44230dba58795952de0a10d0db670487a8ec394"),
         # form kernels multiply coefficients term by term, so this mutant reaches forms only
         # through polynomial-level products ({f, g}, f g, ...)
-        (Polynomial, "__mul__", _doubled_mul, {"chain", "alt-relation", "linfty-symplectic", "poisson"},
+        (Polynomial, "__mul__", doubled_mul, {"chain", "alt-relation", "linfty-symplectic", "poisson"},
          "sl2star obstruction identity",
          "c899407f880bae4fa2bb44ad04406a38a78886b82788d13f1199a73b303c82cc"),
     ],
