@@ -146,9 +146,7 @@ def tilde_l(
     return lefschetz_sum(s, len(fs), _alt_sum(fs), table, scale)
 
 
-def symplectic_family(
-    s: SymplecticSpace, table: CoefficientTable | None = None
-) -> BracketFamily:
+def symplectic_family(s: SymplecticSpace) -> BracketFamily:
     """The grounded bracket family on Omega^(2n) -> ... -> Omega^1 with l_1 = delta; a lifts to delta a."""
     return BracketFamily(
         name=f"symplectic(n={s.n})",
@@ -158,15 +156,14 @@ def symplectic_family(
         form_degree_of=lambda ldegree: 1 - ldegree,
         differential=s.delta,
         lift=lambda a: s.delta(a).as_polynomial(),
-        higher=lambda fs: tilde_l(s, fs, table),
+        higher=lambda fs: tilde_l(s, fs),
     )
 
 
-def l_bracket(s: SymplecticSpace, k: int, args: Sequence, table: CoefficientTable | None = None) -> GradedElement:
-    """Evaluate the arity-k bracket; accepts forms or graded elements."""
-    fam = symplectic_family(s, table)
-    elems = [x if isinstance(x, GradedElement) else fam.element(x) for x in args]
-    return fam.l(k, elems)
+def l_bracket(s: SymplecticSpace, k: int, forms: Sequence[DifferentialForm]) -> GradedElement:
+    """Evaluate the arity-k bracket on forms."""
+    fam = symplectic_family(s)
+    return fam.l(k, [fam.element(x) for x in forms])
 
 
 # -- identity residuals: each computed times an integer D, see the module docstring --

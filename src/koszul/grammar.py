@@ -1,9 +1,11 @@
 """Text grammar for forms with polynomial coefficients.
 
-Terms are joined by ``+``/``-``; a term is an optional rational (``p/q`` or an
-integer), followed by monomial factors ``vK`` or ``vK^e``, followed by an
-optional basis form ``dxK^dxK^...``.  Whitespace between tokens is ignored.
-The exponents of one coordinate in a term add up to at most ``EXP_MAX``.
+Terms are joined by ``+``/``-``, which only the first term may omit; a term is
+an optional rational (``p/q`` or an integer), followed by monomial factors
+``vK`` or ``vK^e``, followed by an optional basis form ``dxK^dxK^...``.
+Whitespace between tokens is ignored.  The exponents of one coordinate in a
+term add up to at most ``EXP_MAX``.  A ``FormSyntaxError`` quotes the
+offending token in full and gives its position.
 
     3/2 v1^2 dx1^dx2  - v2 dx1^dx3  + 7
 
@@ -29,34 +31,18 @@ class FormSyntaxError(ValueError):
         self.pos = pos
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<basis>dx(?P<bidx>\d+))"
-    r"|(?P<var>v(?P<vidx>\d+))"
-    r"|(?P<num>\d+(?:\s*/\s*\d+)?)"
-    r"|(?P<op>[+\-^]))"
-)
+_TOKEN = re.compile(r"\s*(?:(?P<dx>dx\d+)|(?P<v>v\d+)|(?P<num>\d+(?:\s*/\s*\d+)?)|(?P<op>[+\-^])|(?P<bad>\S))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, start) of each token, then the sentinel ("end", "", len(text))."""
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            raise FormSyntaxError(f"unexpected character {text[bad]!r}", bad)
-        if m.group("basis"):
-            tokens.append(("basis", m.group("bidx"), m.start("basis")))
-        elif m.group("var"):
-            tokens.append(("var", m.group("vidx"), m.start("var")))
-        elif m.group("num"):
-            tokens.append(("num", m.group("num").replace(" ", ""), m.start("num")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):  # contiguous: every non-space character matches some kind
+        kind = m.lastgroup
+        if kind == "bad":
+            raise FormSyntaxError(f"unexpected character {m.group(kind)!r}", m.start(kind))
+        tokens.append((kind, m.group(kind).replace(" ", ""), m.start(kind)))  # "3 / 4" reads "3/4"
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -68,6 +54,15 @@ def _number(convert, digits: str, pos: int):
         raise FormSyntaxError("zero denominator", pos) from None
     except ValueError:  # the token is digits and at most one "/": only the integer-string limit gets here
         raise FormSyntaxError(f"number of {len(digits)} characters is too long", pos) from None
+
+
+def _index(token: tuple[str, str, int], dim: int, what: str) -> int:
+    """The 0-based index of a ``vK`` or ``dxK`` token (its kind is its prefix), checked against ``dim``."""
+    kind, text, pos = token
+    i = _number(int, text[len(kind):], pos) - 1
+    if not 0 <= i < dim:
+        raise FormSyntaxError(f"unknown {what} {text} (dimension is {dim})", pos)
+    return i
 
 
 def _space_dim(space) -> int:
@@ -82,94 +77,64 @@ def parse_form(text: str, space) -> DifferentialForm:
     """
     dim = _space_dim(space)
     tokens = _tokenize(text)
-    if not tokens:
+    if len(tokens) == 1:
         raise FormSyntaxError("empty expression", 0)
-
-    parsed: list[tuple[Fraction, tuple, int, int]] = []  # coeff, exps, basis mask, pos
     k = 0
-    nt = len(tokens)
-    while k < nt:
-        sign = 1
-        kind, val, pos = tokens[k]
-        if parsed:
-            if kind != "op" or val not in "+-":
-                raise FormSyntaxError("expected '+' or '-' between terms", pos)
-            if val == "-":
-                sign = -1
-            k += 1
-        elif kind == "op" and val in "+-":  # leading sign
-            if val == "-":
-                sign = -1
-            k += 1
-        if k >= nt:
-            raise FormSyntaxError("dangling sign", pos)
 
-        coeff = Fraction(sign)
+    def take(want: str):
+        """Consume and return the next token if ``want`` is its kind or its text, else None."""
+        nonlocal k
+        if want not in tokens[k][:2]:
+            return None
+        k += 1
+        return tokens[k - 1]
+
+    parsed: list[tuple[int | Fraction, int, int, int]] = []  # coeff, packed key, basis mask, pos
+    while tokens[k][0] != "end":
+        at = tokens[k]
+        sign = take("+") or take("-")
+        if k and not sign:  # the first term may carry a sign, every later one needs one
+            raise FormSyntaxError(f"unexpected token {at[1]!r}" if at[0] != "op"
+                                  else "expected '+' or '-' between terms", at[2])
+        if tokens[k][0] == "end":
+            raise FormSyntaxError("dangling sign", at[2])
+
+        start, term_pos = k, tokens[k][2]
+        coeff = -1 if sign and sign[1] == "-" else 1
+        if num := take("num"):
+            coeff *= _number(Fraction, num[1], num[2])
         exps = [0] * dim
-        basis: list[int] = []
-        term_pos = tokens[k][2]
-        got_anything = False
-
-        kind, val, pos = tokens[k]
-        if kind == "num":
-            coeff *= _number(Fraction, val, pos)
-            got_anything = True
-            k += 1
-
-        def _is_op(idx: int, which: str) -> bool:
-            return idx < nt and tokens[idx][0] == "op" and tokens[idx][1] == which
-
-        while k < nt and tokens[k][0] == "var":
-            _, vidx, pos = tokens[k]
-            i = _number(int, vidx, pos) - 1
-            if not 0 <= i < dim:
-                raise FormSyntaxError(f"unknown coordinate v{vidx} (dimension is {dim})", pos)
-            k += 1
+        while var := take("v"):
+            i = _index(var, dim, "coordinate")
             e = 1
-            if _is_op(k, "^") and k + 1 < nt and tokens[k + 1][0] == "num":
-                ev = tokens[k + 1][1]
-                if "/" in ev:
-                    raise FormSyntaxError("exponent must be an integer", tokens[k + 1][2])
-                e = _number(int, ev, tokens[k + 1][2])
-                k += 2
-            elif _is_op(k, "^") and (k + 1 >= nt or tokens[k + 1][0] != "basis"):
-                raise FormSyntaxError("expected integer exponent after '^'", tokens[k][2])
+            if tokens[k][1] == "^" and tokens[k + 1][0] != "dx":  # a '^' before dxK ends the term
+                caret, power = take("^"), take("num")
+                if not power:
+                    raise FormSyntaxError("expected integer exponent after '^'", caret[2])
+                if "/" in power[1]:
+                    raise FormSyntaxError("exponent must be an integer", power[2])
+                e = _number(int, power[1], power[2])
             exps[i] += e
             if exps[i] > EXP_MAX:  # the largest exponent a stored monomial holds
-                raise FormSyntaxError(f"exponent of v{i + 1} exceeds {EXP_MAX}", pos)
-            got_anything = True
-
-        basis_sign = 1
-        if k < nt and tokens[k][0] == "basis":
-            while True:
-                _, bidx, pos = tokens[k]
-                i = _number(int, bidx, pos) - 1
-                if not 0 <= i < dim:
-                    raise FormSyntaxError(f"unknown basis form dx{bidx} (dimension is {dim})", pos)
-                if i in basis:
-                    basis_sign = 0  # keep scanning the term
-                elif sum(b > i for b in basis) & 1:  # dx_i moves past the factors above it
-                    basis_sign = -basis_sign
-                basis.append(i)
-                k += 1
-                got_anything = True
-                if _is_op(k, "^") and k + 1 < nt and tokens[k + 1][0] == "basis":
-                    k += 1
-                    continue
-                break
-
-        if not got_anything:
-            raise FormSyntaxError("empty term", pos)
-        if k < nt and tokens[k][0] not in ("op",):
-            raise FormSyntaxError(f"unexpected token {tokens[k][1]!r}", tokens[k][2])
-        if basis_sign == 0:
-            continue  # repeated dx index: the term is zero
-        parsed.append((coeff * basis_sign, tuple(exps), sum(1 << i for i in basis), term_pos))
+                raise FormSyntaxError(f"exponent of v{i + 1} exceeds {EXP_MAX}", var[2])
+        mask = repeated = 0
+        basis = take("dx")
+        while basis:
+            i = _index(basis, dim, "basis form")
+            repeated |= mask >> i & 1  # dx_i twice: the term is zero, but is still scanned
+            if (mask >> i).bit_count() & 1:  # dx_i moves past the factors above it
+                coeff = -coeff
+            mask |= 1 << i
+            basis = tokens[k][1] == "^" and tokens[k + 1][0] == "dx" and take("^") and take("dx")
+        if k == start:
+            raise FormSyntaxError("empty term", term_pos)
+        if not repeated:
+            parsed.append((coeff, _pack(dim, tuple(exps)) | mask, mask, term_pos))
 
     degrees = {m.bit_count() for c, _, m, _ in parsed if c}
     if len(degrees) > 1:
         raise FormSyntaxError(f"sum mixes degrees {sorted(degrees)}", parsed[0][3])
-    packed = _sum_into({}, ((_pack(dim, e) | m, c) for c, e, m, _ in parsed if c))
+    packed = _sum_into({}, ((key, c) for c, key, _, _ in parsed if c))
     whole = {key: c.numerator if c.denominator == 1 else c for key, c in packed.items()}  # sums stay over Z
     return DifferentialForm._raw(dim, degrees.pop() if degrees else 0, whole)
 

@@ -5,8 +5,8 @@ The bracket is {f, g} = iota_pi(df ^ dg) and the differential is
 delta = iota_pi d - d iota_pi, with the contraction order pinned in ``forms``.
 delta^2 = 0 exactly iff pi is Poisson.
 
-For every Poisson bivector the following holds identically (all signs under
-the pinned conventions, where delta(f dg) = {f, g}):
+For every bivector, Poisson or not, the following holds identically (all
+signs under the pinned conventions, where delta(f dg) = {f, g}):
 
     2 delta(f dg^dh + cyc) - d(f{g,h} + cyc) = -3 (f d{g,h} - {g,h} df + cyc)
 
@@ -14,7 +14,9 @@ the pinned conventions, where delta(f dg) = {f, g}):
 rearranges, via df = -delta(f omega), into an explicit 2-form witness with
 obstruction(f, g, h) = delta(witness), which ``symplectic_witness_residual``
 checks.  ``jacobiator_residual`` checks the lift of the bracket to 1-forms,
-[a, [b, c]] + cyc = (1/2) obstruction(delta a, delta b, delta c).
+[a, [b, c]] + cyc = (1/2) obstruction(delta a, delta b, delta c), which also
+holds for every bivector.  So of the checks run on a bivector, only
+delta^2 = 0 tells a Poisson one from one that is not.
 
 Like the bracket-layer checks of ``brackets``, the witness and jacobiator
 checks compute D times their residual, D = 3 and 4, from the integer sums
@@ -161,8 +163,8 @@ def obstruction_identity_residual(
 ) -> DifferentialForm:
     """Residual of 2 delta(f dg^dh + cyc) - d(f{g,h} + cyc) + 3 obstruction = 0.
 
-    Vanishes identically for every Poisson bivector; this is the structure-
-    independent rearrangement behind the witness construction below.
+    Vanishes identically for every bivector, Poisson or not; this is the
+    structure-independent rearrangement behind the witness construction below.
     """
     terms = _with_brackets(p, f, g, h)
     lhs = p.delta(_wedge_cycle(p.m, f, g, h)) * 2 - d_poly(_bracket_cycle(p.m, terms))

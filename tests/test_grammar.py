@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -126,3 +127,71 @@ def test_exponent_bound_is_a_parse_error_at_the_token():
     with pytest.raises(FormSyntaxError, match="exponent of v1 exceeds 32767") as err:
         parse_form("v2 + v1^20000 v1^20000", 2)  # repeated factors add up past the bound
     assert err.value.pos == 14
+
+
+HUGE = "1" * 5000  # past Python's 4,300-digit limit on int(str)
+
+# Every refusal of the parser, with its exact message and position, at dimension 3.
+REFUSALS = [
+    ("", "empty expression", 0),
+    ("   ", "empty expression", 0),
+    ("v1 ? v2", "unexpected character '?'", 3),
+    ("dx", "unexpected character 'd'", 0),
+    ("v1 -", "dangling sign", 3),
+    ("1/0 v1", "zero denominator", 0),
+    (HUGE + " v1", "number of 5000 characters is too long", 0),
+    ("1/" + HUGE, "number of 5002 characters is too long", 0),
+    ("v" + HUGE, "number of 5000 characters is too long", 0),
+    ("v1^" + HUGE, "number of 5000 characters is too long", 3),
+    ("dx" + HUGE, "number of 5000 characters is too long", 0),
+    ("v4", "unknown coordinate v4 (dimension is 3)", 0),
+    ("v00", "unknown coordinate v00 (dimension is 3)", 0),
+    ("dx9", "unknown basis form dx9 (dimension is 3)", 0),
+    ("v1^1/2", "exponent must be an integer", 3),
+    ("v1^", "expected integer exponent after '^'", 2),
+    ("v1^v2", "expected integer exponent after '^'", 2),
+    ("v1^40000", "exponent of v1 exceeds 32767", 0),
+    ("v01^40000", "exponent of v1 exceeds 32767", 0),
+    ("- + v1", "empty term", 2),
+    ("v1^2^3", "expected '+' or '-' between terms", 4),
+    ("v1^dx1", "expected '+' or '-' between terms", 2),
+    ("dx1 ^ v1", "expected '+' or '-' between terms", 4),
+    ("dx1^dx1 ^ v1", "expected '+' or '-' between terms", 8),  # also after a term that is zero
+    ("dx1 v1", "unexpected token 'v1'", 4),  # the whole token, not its index digits
+    ("v1 dx2 dx1", "unexpected token 'dx1'", 7),
+    ("2 3 / 4", "unexpected token '3/4'", 2),
+    ("3 dx1 + dx1^dx2", "sum mixes degrees [1, 2]", 0),
+    ("dx1^dx1 + v1 + dx1", "sum mixes degrees [0, 1]", 10),  # at the first term without a repeated dxK
+]
+
+
+@pytest.mark.parametrize("text, message, pos", REFUSALS, ids=[repr(t[:12]) for t, _, _ in REFUSALS])
+def test_every_refusal_names_its_message_and_position(text, message, pos):
+    with pytest.raises(FormSyntaxError) as err:
+        parse_form(text, 3)
+    assert (str(err.value), err.value.pos) == (f"{message} (at position {pos})", pos)
+
+
+def test_parse_polynomial_refuses_a_form_at_position_zero():
+    with pytest.raises(FormSyntaxError) as err:
+        parse_polynomial("v1 dx1", 2)
+    assert (str(err.value), err.value.pos) == ("expected a function (degree-0 expression) (at position 0)", 0)
+
+
+FUZZ_PIECES = ["v1", "v2", "v3", "v4", "dx", "dx1", "dx2", "dx3", "0", "2", "3/2", "1/0", "^", "+", "-", "@", "v1^40000"]
+
+
+def test_random_strings_parse_and_round_trip_or_raise_a_syntax_error():
+    # 4,000 strings, about 0.1 s: nothing but FormSyntaxError may escape the parser
+    rng = random.Random(20240718)
+    parsed = 0
+    for _ in range(4000):
+        text = "".join(rng.choice(FUZZ_PIECES) + rng.choice(["", " "]) for _ in range(rng.randint(0, 7)))
+        try:
+            x = parse_form(text, 3)
+        except FormSyntaxError as err:
+            assert 0 <= err.pos <= len(text), text
+            continue
+        assert parse_form(render_form(x), 3) == x, text
+        parsed += 1
+    assert 200 <= parsed <= 3800  # both outcomes are exercised

@@ -208,6 +208,20 @@ def test_jacobiator_with_delta_closed_argument():
     assert res.is_zero()
 
 
+def test_only_delta_squared_detects_a_bivector_that_is_not_poisson():
+    # the obstruction identity and the jacobiator hold for every bivector, Poisson or not
+    p = PoissonSpace.from_entries(3, [(1, 2, "v3"), (2, 3, "v3"), (1, 3, "v1 v2")], name="not-poisson")
+    assert not p.jacobi_ok_on_coordinates()
+    for t in range(6):
+        fs = [rand_poly(f"np-ob-{i}", t, 3) for i in range(3)]
+        forms = [rand_form(f"np-jac-{i}", t, 3, 1) for i in range(3)]
+        assert not obstruction(p, *fs).is_zero()  # neither row is vacuous
+        assert obstruction_identity_residual(p, *fs).is_zero()
+        assert not obstruction(p, *(p.delta(a).as_polynomial() for a in forms)).is_zero()
+        assert jacobiator_residual(p, *forms).is_zero()
+        assert not p.delta(p.delta(rand_form("np-d2", t, 3, 3))).is_zero()
+
+
 def test_bivector_validation():
     with pytest.raises(ValueError):
         PoissonSpace(3, MultiVectorField.basis(3, (0,)))
