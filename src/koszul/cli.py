@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _infer_dim(expr: str) -> int:
     """The largest coordinate index in ``expr``, 2 if it has none."""
-    indices = re.findall(r"(?:dx|v)(\d+)", expr)
+    indices = re.findall(r"(?:dx|v)([0-9]+)", expr)
     if any(len(i) > 100 for i in indices):  # above DIM_MAX; not converted: int() refuses over 4,300 digits
         raise UsageError(f"dimension must be in 0..{DIM_MAX}, got an index of more than 100 digits")
     return max(map(int, indices), default=2)

@@ -36,8 +36,9 @@ below(m, i) = popcount(m & ((1 << i) - 1)) the number of indices of m below i:
 
 * ``wedge`` skips pairs with m1 & m2, merges to m1 | m2 and takes the parity
   of the pairs (x in m1, y in m2) with x > y;
-* ``contract_vector`` removes bit i with (-1)^below(m, i); ``contract_bivector``
-  removes bits i < j with (-1) to the number of bits of m strictly between them.
+* ``contract_vector`` and ``contract_bivector`` share one rule: an r-vector basis
+  P leaves a basis m containing it with (-1)^(r(r-1)/2 + popcount(m & S_P)), S_P
+  the XOR over i in P of (1 << i) - 1; for r = 1 that is (-1)^below(m, i).
 """
 
 from __future__ import annotations
@@ -195,13 +196,21 @@ def d_poly(p: Polynomial) -> DifferentialForm:
     return d(DifferentialForm.from_polynomial(p))
 
 
-def _by_basis(x: MultiVectorField) -> dict[int, list]:
-    """The terms of ``x`` grouped by basis mask m, with m taken out of each key: {m: [(key ^ m, c), ...]}."""
-    low = (1 << x.dim) - 1
-    groups: dict[int, list] = {}
-    for key, c in x.packed.items():
-        groups.setdefault(key & low, []).append((key & ~low, c))
-    return groups
+def _contract(X: MultiVectorField, a: DifferentialForm) -> DifferentialForm:
+    """iota_X a for an r-vector X: a basis P = {p1 < ... < pr} of X contracts as
+    iota_{e_pr} . ... . iota_{e_p1}, with the sign above; S_P is ``_odd_above(P)``."""
+    low = (1 << X.dim) - 1
+    flip = X.degree * (X.degree - 1) // 2
+    xs = [(k & low, _odd_above(k & low), k & ~low, c) for k, c in X.packed.items()]
+
+    def pieces():
+        for key, c in a.packed.items():
+            for pm, s_p, k2, c2 in xs:
+                if key & pm == pm:
+                    s = -c if (key & s_p).bit_count() + flip & 1 else c
+                    yield key - pm + k2, s * c2
+
+    return DifferentialForm._collect_terms(a.dim, a.degree - X.degree, pieces())
 
 
 def contract_vector(X: MultiVectorField, a: DifferentialForm) -> DifferentialForm:
@@ -213,18 +222,7 @@ def contract_vector(X: MultiVectorField, a: DifferentialForm) -> DifferentialFor
         raise ValueError(f"expected a vector field, got degree {X.degree}")
     if X.dim != a.dim:
         raise ValueError("vector field and form live on different spaces")
-    comps = _by_basis(X)
-
-    def pieces():
-        for key, c in a.packed.items():
-            for bit, xs in comps.items():
-                if key & bit:
-                    rest = key ^ bit
-                    s = -c if (key & (bit - 1)).bit_count() & 1 else c
-                    for k2, c2 in xs:
-                        yield rest + k2, s * c2
-
-    return DifferentialForm._collect_terms(a.dim, a.degree - 1, pieces())
+    return _contract(X, a)
 
 
 def contract_bivector(pi: MultiVectorField, a: DifferentialForm) -> DifferentialForm:
@@ -238,16 +236,4 @@ def contract_bivector(pi: MultiVectorField, a: DifferentialForm) -> Differential
         raise ValueError(f"expected a bivector, got degree {pi.degree}")
     if pi.dim != a.dim:
         raise ValueError("bivector and form live on different spaces")
-    # per bivector basis i < j: the bits strictly between i and j, whose count gives the sign
-    comps = [(pm, (pm & (pm - 1)) - ((pm & -pm) << 1), ws) for pm, ws in _by_basis(pi).items()]
-
-    def pieces():
-        for key, c in a.packed.items():
-            for pm, between, ws in comps:
-                if key & pm == pm:
-                    rest = key ^ pm
-                    s = -c if (key & between).bit_count() & 1 else c
-                    for k2, c2 in ws:
-                        yield rest + k2, s * c2
-
-    return DifferentialForm._collect_terms(a.dim, a.degree - 2, pieces())
+    return _contract(pi, a)

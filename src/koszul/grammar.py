@@ -3,9 +3,10 @@
 Terms are joined by ``+``/``-``, which only the first term may omit; a term is
 an optional rational (``p/q`` or an integer), followed by monomial factors
 ``vK`` or ``vK^e``, followed by an optional basis form ``dxK^dxK^...``.
-Whitespace between tokens is ignored.  The exponents of one coordinate in a
-term add up to at most ``EXP_MAX``.  A ``FormSyntaxError`` quotes the
-offending token in full and gives its position.
+Digits are ASCII 0-9; whitespace between tokens and around a number's ``/`` is
+ignored.  The exponents of one coordinate in a term add up to at most
+``EXP_MAX``.  A ``FormSyntaxError`` quotes the offending token in full and
+gives its position.
 
     3/2 v1^2 dx1^dx2  - v2 dx1^dx3  + 7
 
@@ -31,7 +32,7 @@ class FormSyntaxError(ValueError):
         self.pos = pos
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<dx>dx\d+)|(?P<v>v\d+)|(?P<num>\d+(?:\s*/\s*\d+)?)|(?P<op>[+\-^])|(?P<bad>\S))")
+_TOKEN = re.compile(r"\s*(?:(?P<dx>dx[0-9]+)|(?P<v>v[0-9]+)|(?P<num>[0-9]+(?:\s*/\s*[0-9]+)?)|(?P<op>[+\-^])|(?P<bad>\S))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -41,7 +42,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         kind = m.lastgroup
         if kind == "bad":
             raise FormSyntaxError(f"unexpected character {m.group(kind)!r}", m.start(kind))
-        tokens.append((kind, m.group(kind).replace(" ", ""), m.start(kind)))  # "3 / 4" reads "3/4"
+        tokens.append((kind, re.sub(r"\s", "", m.group(kind)), m.start(kind)))  # "3 / 4" reads "3/4"
     tokens.append(("end", "", len(text)))
     return tokens
 

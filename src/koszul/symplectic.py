@@ -25,6 +25,7 @@ below(m, j) = popcount(m & ((1 << j) - 1)) the position of j in the basis:
     L(f dx_m)     = sum over pair masks P with m & P == 0 of f dx_(m | P)
     Lam(f dx_m)   = sum over pair masks P with m & P == P of f dx_(m ^ P)
     delta(f dx_m) = sum over j in m of s(j) (-1)^below(m, j) (d f / d x_{j^1}) dx_(m ^ 1 << j)
+    X_f           = sum over j of -s(j) (d f / d x_j) e_(j^1)
 
 with s(j) = +1 for odd j (a p) and -1 for even j (a q).  L and Lam carry no
 sign, since q and p are adjacent in every sorted index tuple: they map a key
@@ -41,7 +42,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable
 
-from .forms import DifferentialForm, MultiVectorField, _derivation, contract_vector, d
+from .forms import DifferentialForm, MultiVectorField, _derivation, contract_vector, d, d_poly
 from .poly import Polynomial, layout
 
 
@@ -109,16 +110,17 @@ class SymplecticSpace:
     # -- Hamiltonian mechanics -------------------------------------------------
 
     def hamiltonian_vector_field(self, f: Polynomial) -> MultiVectorField:
-        """The unique X with iota_X omega = -df."""
-        terms = {}
-        for i in range(self.n):
-            q, p = 2 * i, 2 * i + 1
-            dq, dp = f.diff(q), f.diff(p)
-            if not dp.is_zero():
-                terms[(q,)] = -dp
-            if not dq.is_zero():
-                terms[(p,)] = dq
-        return MultiVectorField(self.dim, 1, terms)
+        """The unique X with iota_X omega = -df, read off df (closed form above)."""
+        self._check(f)
+        low = (1 << self.dim) - 1
+        packed = {}
+        for key, c in d_poly(f).packed.items():
+            bit = key & low
+            if bit & low // 3:  # a q, low // 3 being 0b0101...: d_q f dx_q becomes d_q f e_p
+                packed[key ^ bit | bit << 1] = c
+            else:  # d_p f dx_p becomes -d_p f e_q
+                packed[key ^ bit | bit >> 1] = -c
+        return MultiVectorField._raw(self.dim, 1, packed)
 
     def omega_eval(self, X: MultiVectorField, Y: MultiVectorField) -> Polynomial:
         """omega(X, Y) = iota_Y iota_X omega."""

@@ -2,7 +2,9 @@
 
 On R^m (m >= 3) with mu = dx1^...^dxm, every (m-2)-form alpha determines the
 unique vector field X_alpha with iota_{X_alpha} mu = -d alpha; such fields are
-divergence-free since d iota_{X_alpha} mu = -d(d alpha) = 0.  The brackets
+divergence-free since d iota_{X_alpha} mu = -d(d alpha) = 0.  As iota_{e_i} mu
+= (-1)^i dx_(rest), a term c of d alpha at key k (``forms``), its basis lacking
+index i, is the term -(-1)^i c of X_alpha at k ^ ((1 << m) - 1).  The brackets
 
     l_k(alpha_1, ..., alpha_k)
         = -(-1)^(k(k+1)/2) iota_{X_(alpha_k)} ... iota_{X_(alpha_1)} mu
@@ -36,20 +38,13 @@ class VolumeSpace:
 
 
 def exact_divfree_vf(v: VolumeSpace, alpha: DifferentialForm) -> MultiVectorField:
-    """The unique X with iota_X mu = -d alpha, for a potential (m-2)-form alpha."""
+    """The unique X with iota_X mu = -d alpha, for a potential (m-2)-form alpha (closed form above)."""
     m = v.m
-    if alpha.degree != m - 2:
-        raise ValueError(f"potential must have degree {m - 2}, got {alpha.degree}")
-    da = d(alpha)
-    terms = {}
-    full = set(range(m))
-    for idx, p in da.components().items():
-        (missing,) = full - set(idx)
-        # iota_{e_i} mu = (-1)^i dx_(rest), so the component is -(-1)^i * coeff
-        comp = p if missing & 1 else -p
-        if not comp.is_zero():
-            terms[(missing,)] = comp
-    return MultiVectorField(m, 1, terms)
+    if (alpha.dim, alpha.degree) != (m, m - 2):
+        raise ValueError(f"potential must be a {m - 2}-form on R^{m}, got a {alpha.degree}-form on R^{alpha.dim}")
+    full, odd = (1 << m) - 1, sum(1 << i for i in range(1, m, 2))
+    terms = ((key ^ full, c) for key, c in d(alpha).packed.items())  # e_i, i the index missing from key's basis
+    return MultiVectorField._raw(m, 1, {key: c if key & odd else -c for key, c in terms})
 
 
 def volume_bracket(v: VolumeSpace, alphas: Sequence[DifferentialForm]) -> DifferentialForm:

@@ -50,5 +50,6 @@ def test_tracer_yields_every_declared_layer_metric_and_restores_bindings():
     assert [name for name in declared if name not in metrics and name != "trace.overhead_s"] == []
     assert metrics["linfty.l.calls"][0] > 0
     # a kernel method moved where the tracer cannot see it would zero these declared metrics
-    for name in ("poly.mul.calls", "poly.add.calls", "forms.add.calls", "forms.wedge.calls"):
+    for name in ("poly.mul.calls", "poly.add.calls", "forms.add.calls", "forms.wedge.calls", "forms.contract.calls",
+                 "volume.exact_divfree_vf.calls"):
         assert metrics[name][0] > 0, name

@@ -32,6 +32,7 @@ REFUSALS = {
     "eval-zero-denominator": (["eval", "--dim", "2", "1/0"], "parse error: zero denominator"),
     "eval-empty": (["eval", "--dim", "2", ""], "parse error: empty expression"),
     "eval-bad-character": (["eval", "--dim", "2", "v1 ? v2"], "unexpected character '?'"),
+    "eval-unicode-digit": (["eval", "v\u0663 dx1"], "parse error: unexpected character 'v' (at position 0)"),
     "eval-rational-exponent": (["eval", "--dim", "2", "v1^1/2"], "exponent must be an integer"),
     "eval-L-after-d": (["eval", "--dim", "2", "--apply", "d", "--apply", "L", "v1"], "operator L needs --symplectic"),
     "bracket-half-dim-0": (["bracket", "--symplectic", "0", "--arity", "2", "v1", "v2"], "half-dimension must be >= 1"),

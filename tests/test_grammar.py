@@ -66,6 +66,11 @@ def test_whitespace_insensitive():
     assert a == b
 
 
+@pytest.mark.parametrize("text, same_as", [("1\t/2", "1/2"), ("1 /\n2 v1", "1/2 v1")])
+def test_any_whitespace_around_a_number_slash_is_dropped(text, same_as):
+    assert parse_form(text, 3) == parse_form(same_as, 3)
+
+
 def test_parse_render_roundtrip_random():
     for t in range(15):
         for degree in (0, 1, 2, 3):
@@ -147,6 +152,8 @@ REFUSALS = [
     ("v4", "unknown coordinate v4 (dimension is 3)", 0),
     ("v00", "unknown coordinate v00 (dimension is 3)", 0),
     ("dx9", "unknown basis form dx9 (dimension is 3)", 0),
+    ("v\u0663 dx\u0661", "unexpected character 'v'", 0),  # digits are ASCII 0-9, not Arabic-Indic 3 and 1
+    ("\u0663/2 v1", "unexpected character '\u0663'", 0),
     ("v1^1/2", "exponent must be an integer", 3),
     ("v1^", "expected integer exponent after '^'", 2),
     ("v1^v2", "expected integer exponent after '^'", 2),
