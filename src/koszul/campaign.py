@@ -14,8 +14,10 @@ every suite.
 
 Each trial draws its inputs from ``trial_rng(seed, label, t)``, and the JSON
 rendering is canonical, so identical configs produce byte-identical reports.
-The labels, and the order of draws under each, are part of that contract: a
-renamed label changes the report.
+The labels, the order of draws under each, and the rule that turns the
+generator's bits into an integer below n (``randgen``: n.bit_length() bits,
+drawn again while >= n, as CPython's ``randrange`` does) are part of that
+contract: a renamed label or another rule changes the report.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ K_MAX = 200
 # over 150 s (chain).  alt-relation, linfty-symplectic and poisson stay under 2 s up to 40.
 HALF_DIM_MAX = 6
 _HALF_DIM_CAPPED = ("operators", "chain", "all")
+# suites with chain mutation rows that no linear input breaks (R2's, and a(5,j) on R4)
+_QUADRATIC_SUITES = ("chain", "all")
 
 
 @dataclass
@@ -90,6 +94,9 @@ class CampaignConfig:
             raise ValueError("trials must be >= 1")
         if not 1 <= self.max_degree <= EXP_MAX:  # constant inputs make every identity vacuous
             raise ValueError(f"degree must be >= 1 and <= {EXP_MAX}")
+        if self.max_degree < 2 and self.suite in _QUADRATIC_SUITES:
+            raise ValueError(f"degree must be >= 2 for suite {self.suite}: "
+                             "linear inputs leave some chain mutation rows unbroken")
         if not 0 < self.density <= 1:
             raise ValueError("density must be in (0, 1]")
         if any(n < 1 for n in self.half_dims):

@@ -54,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--volume-dim", dest="volume_dims", type=_int_list, default=(3, 4), metavar="M[,M...]",
                     help="dimensions for the volume suite (default 3,4)")
     pv.add_argument("--degree", dest="max_degree", type=int, default=3, metavar="DEGREE",
-                    help=f"max polynomial degree of random inputs, 1..{EXP_MAX} (constant inputs check nothing)")
+                    help=f"max polynomial degree of random inputs, 1..{EXP_MAX}; chain, all: 2..{EXP_MAX} (constant"
+                         " inputs check nothing, linear ones leave some chain mutants unbroken)")
     pv.add_argument("--density", type=float, default=0.7, help="basis-term density of random forms")
     pv.add_argument("--trials", type=int, default=25)
     pv.add_argument("--seed", type=int, default=7)

@@ -147,6 +147,8 @@ class _Terms:
             return -other if negate else other
         if self.degree != other.degree:
             raise ValueError(f"cannot add degrees {self.degree} and {other.degree}")
+        if negate and self.packed == other.packed:  # a passing residual is a difference of equal maps
+            return self._raw(self.dim, self.degree, {})
         pieces = ((k, -c) for k, c in other.packed.items()) if negate else other.packed.items()
         return self._raw(self.dim, self.degree, _sum_into(dict(self.packed), pieces))
 

@@ -18,7 +18,7 @@ from koszul.campaign import CampaignConfig, run_campaign
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "benchmarks"))
 from layers import layer_metrics  # noqa: E402
-from tracer import Tracer  # noqa: E402
+from tracer import Tracer, traced_functions  # noqa: E402
 
 
 def bindings() -> dict:
@@ -53,3 +53,11 @@ def test_tracer_yields_every_declared_layer_metric_and_restores_bindings():
     for name in ("poly.mul.calls", "poly.add.calls", "forms.add.calls", "forms.wedge.calls", "forms.contract.calls",
                  "volume.exact_divfree_vf.calls"):
         assert metrics[name][0] > 0, name
+
+
+def test_randgen_spans_are_its_four_public_generators():
+    # the tracer wraps every public randgen function: a public per-draw helper would add a span
+    # per integer drawn and inflate trace.overhead_s
+    traced = {name for name in traced_functions() if name.startswith("randgen.")}
+    assert traced == {f"randgen.{name}" for name in
+                      ("trial_rng", "random_polynomial", "random_form", "random_vector_field")}

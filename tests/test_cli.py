@@ -64,6 +64,10 @@ REFUSALS = {
     "bracket-exponent-overflow": (["bracket", "--symplectic", "1", "--arity", "2", "v1^20000 dx2", "v1^20000 v2 dx2"],
                                   "error: an exponent exceeds 32767"),
     "verify-degree-above-bound": (["verify", "--degree", "32768"], "error: degree must be >= 1 and <= 32767"),
+    # linear inputs break no R2 chain mutant (nor R4's a(5,*)): a run would report false failures
+    "verify-chain-degree-1": (["verify", "--suite", "chain", "--degree", "1"],
+                              "error: degree must be >= 2 for suite chain: linear inputs leave some chain mutation"),
+    "verify-all-degree-1": (["verify", "--degree", "1"], "error: degree must be >= 2 for suite all"),
     "verify-exponent-overflow": (["verify", "--suite", "chain", "--half-dim", "1", "--degree", "32767", "--trials", "1"],
                                  "error: an exponent exceeds 32767"),
 }
@@ -393,6 +397,12 @@ def test_verify_degree_zero_exit_2(capsys):
     # constant inputs make every identity structurally zero: a vacuous run
     assert_refused(capsys, ["verify", "--suite", "chain", "--half-dim", "1", "--trials", "1", "--degree", "0"],
                    "degree must be >= 1")
+
+
+@pytest.mark.parametrize("suite", ["operators", "alt-relation", "linfty-symplectic", "linfty-volume", "poisson",
+                                   "coefficients"])
+def test_degree_1_is_accepted_by_suites_without_chain_mutants(suite):
+    CampaignConfig(suite=suite, max_degree=1).validate()
 
 
 def test_empty_dims_allowed_where_unused():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from koszul import Polynomial
+from koszul import DifferentialForm, MultiVectorField, Polynomial, parse_form
 from koszul.poly import EXP_MAX, ExponentOverflow
 
 from _util import rand_poly
@@ -105,3 +105,32 @@ def test_product_overflow_is_raised_at_the_boundary():
     with pytest.raises(ExponentOverflow):
         v2 * Polynomial(2, {(0, 1): 1})
     assert (high * v1).diff(0).terms == {(EXP_MAX - 1, 3): 2 * EXP_MAX}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Polynomial(3, {(1, 0, 2): 3, (0, 1, 0): -1}),
+    lambda: parse_form("v1 dx1^dx2 - 3 v3^2 dx2^dx3", 3),
+    lambda: MultiVectorField(3, 1, {(0,): Polynomial(3, {(1, 1, 0): 2}), (2,): Polynomial.constant(3, 5)}),
+], ids=["polynomial", "form", "vector-field"])
+def test_difference_of_equal_maps_is_the_zero_of_that_degree(make):
+    x = make()
+    same = x * Fraction(1)  # equal map, its coefficients Fractions where x's are ints
+    assert {type(c) for c in x.packed.values()} == {int} and {type(c) for c in same.packed.values()} == {Fraction}
+    for lhs, rhs in ((x, x), (x, make()), (x, same), (same, x)):
+        out = lhs - rhs
+        assert type(out) is type(x) and out.packed == {} and (out.dim, out.degree) == (x.dim, x.degree)
+    zero = type(x).zero(x.dim, x.degree)
+    assert x - zero is x and x + zero is x
+
+
+def test_equal_operand_difference_keeps_every_refusal():
+    p = Polynomial(3, {(1, 0, 0): 1})
+    a = parse_form("v1 dx1", 3)
+    with pytest.raises(ValueError, match="cannot combine"):
+        p - DifferentialForm._raw(3, 0, dict(p.packed))
+    with pytest.raises(ValueError, match="cannot combine"):
+        a - MultiVectorField._raw(3, 1, dict(a.packed))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        p - Polynomial._raw(4, 0, dict(p.packed))
+    with pytest.raises(ValueError, match="cannot add degrees 1 and 2"):
+        a - DifferentialForm._raw(3, 2, dict(a.packed))
