@@ -29,7 +29,6 @@ from .linfty import (
     unshuffles,
 )
 from .brackets import (
-    CoefficientTable,
     alt_m,
     bracket_coefficient,
     coefficient_recursions,
@@ -84,7 +83,6 @@ __all__ = [
     "series_coefficient",
     "bracket_coefficient",
     "coefficient_recursions",
-    "CoefficientTable",
     "symplectic_family",
     "l_bracket",
     "verify_chain_identity",

@@ -23,8 +23,9 @@ Building blocks:
 The defining recursion is ce_partial({.,.}, tilde_l_k) = delta . tilde_l_(k+1),
 checked exactly by ``verify_chain_identity``.  P_k = (-1)^k sum_j a(k,j) L^j Lam^j
 is linear, so ``lefschetz_sum`` applies it once to ce_partial({.,.}, k alt_m), with
-1/k folded into a(k,j)/k.  It reads the coefficient table, so mutation tests can
-target single coefficients.
+1/k folded into a(k,j)/k.  It takes the coefficients as a function ``a(k, j)``,
+``bracket_coefficient`` unless given, so a mutant such as ``raised_coefficient``
+can change one coefficient.
 
 A residual is zero iff D times it is, for any integer D != 0.  Each ``verify_*``
 computes D times its residual, with D clearing its denominators (the ``scale`` of
@@ -36,10 +37,9 @@ it divides by D only a nonzero residual, which then reads as the unscaled value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .forms import DifferentialForm, d, d_poly
 from .linfty import BracketFamily, GradedElement, ce_partial
@@ -61,24 +61,9 @@ def bracket_coefficient(k: int, j: int) -> Fraction:
     return series_coefficient(k, j)
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Coefficient lookup with optional per-entry overrides (for mutation tests)."""
-
-    overrides: dict[tuple[int, int], Fraction] = field(default_factory=dict)
-
-    def a(self, k: int, j: int) -> Fraction:
-        if (k, j) in self.overrides:
-            return self.overrides[(k, j)]
-        return bracket_coefficient(k, j)
-
-    @classmethod
-    def perturbed(cls, k: int, j: int) -> "CoefficientTable":
-        """The default table with a(k,j) raised by 1."""
-        return cls({(k, j): bracket_coefficient(k, j) + 1})
-
-
-_DEFAULT_TABLE = CoefficientTable()
+def raised_coefficient(k: int, j: int) -> Callable[[int, int], Fraction]:
+    """``bracket_coefficient`` with a(k, j) raised by 1: a chain mutant."""
+    return lambda kk, jj: bracket_coefficient(kk, jj) + (1 if (kk, jj) == (k, j) else 0)
 
 
 def _alt_sum(fs: Sequence[Polynomial]) -> DifferentialForm:
@@ -110,16 +95,17 @@ def m_k(s: SymplecticSpace, fs: Sequence[Polynomial]) -> DifferentialForm:
 
 
 def lefschetz_sum(
-    s: SymplecticSpace, k: int, base: DifferentialForm, table: CoefficientTable | None = None, scale: int = 1
+    s: SymplecticSpace, k: int, base: DifferentialForm, a: Callable | None = None, scale: int = 1
 ) -> DifferentialForm:
     """(-1)^k sum_j (scale a(k,j)/k) L^j Lam^j base, where ``base`` is k alt_m or a sum of such.
 
-    Whole coefficients are stored as ints: a ``scale`` clearing the denominators keeps integer sums over Z."""
-    table = table or _DEFAULT_TABLE
+    ``a`` defaults to ``bracket_coefficient``.  Whole coefficients are stored as ints: a ``scale``
+    clearing the denominators keeps integer sums over Z."""
+    a = a or bracket_coefficient
 
     def coefficient(j):
-        a = table.a(k, j)
-        c = Fraction(a.numerator * scale, a.denominator * k)
+        c = a(k, j)
+        c = Fraction(c.numerator * scale, c.denominator * k)
         return c.numerator if c.denominator == 1 else c
 
     total = base * coefficient(0)
@@ -136,14 +122,14 @@ def lefschetz_sum(
 
 
 def tilde_l(
-    s: SymplecticSpace, fs: Sequence[Polynomial], table: CoefficientTable | None = None, scale: int = 1
+    s: SymplecticSpace, fs: Sequence[Polynomial], a: Callable | None = None, scale: int = 1
 ) -> DifferentialForm:
     """Arity-k function bracket: (-1)^k (sum_j a(k,j) L^j Lam^j) alt_m, times ``scale``."""
     if len(fs) < 2:
         raise ValueError("defined for arity >= 2")
     if len(fs) - 1 > s.dim:  # a (k-1)-form above the top degree
         return DifferentialForm.zero(s.dim, len(fs) - 1)
-    return lefschetz_sum(s, len(fs), _alt_sum(fs), table, scale)
+    return lefschetz_sum(s, len(fs), _alt_sum(fs), a, scale)
 
 
 def symplectic_family(s: SymplecticSpace) -> BracketFamily:
@@ -170,20 +156,20 @@ def l_bracket(s: SymplecticSpace, k: int, forms: Sequence[DifferentialForm]) -> 
 
 
 def verify_chain_identity(
-    s: SymplecticSpace, k: int, fs: Sequence[Polynomial], table: CoefficientTable | None = None
+    s: SymplecticSpace, k: int, fs: Sequence[Polynomial], a: Callable | None = None
 ) -> DifferentialForm:
     """Residual of ce_partial({.,.}, tilde_l_k) - delta . tilde_l_(k+1) on k+1 functions.
 
     Left side: P_k(ce_partial({.,.}, k alt_m)), exact by linearity.  D is the lcm of the
-    denominators of a(k',j)/k' for k' = k, k+1, read from ``table`` so a mutant keeps its own."""
+    denominators of a(k',j)/k' for k' = k, k+1, read from ``a`` so a mutant keeps its own."""
     if k < 2:
         raise ValueError("chain identity starts at arity 2")
     if len(fs) != k + 1:
         raise ValueError(f"need {k + 1} functions, got {len(fs)}")
-    table = table or _DEFAULT_TABLE
-    scale = lcm(*(Fraction(table.a(kk, j), kk).denominator for kk in (k, k + 1) for j in range((kk + 1) // 2)))
-    lhs = lefschetz_sum(s, k, ce_partial(s.poisson_bracket, _alt_sum, fs), table, scale)
-    return _unscaled(lhs - s.delta(tilde_l(s, fs, table, scale)), scale)
+    a = a or bracket_coefficient
+    scale = lcm(*(Fraction(a(kk, j), kk).denominator for kk in (k, k + 1) for j in range((kk + 1) // 2)))
+    lhs = lefschetz_sum(s, k, ce_partial(s.poisson_bracket, _alt_sum, fs), a, scale)
+    return _unscaled(lhs - s.delta(tilde_l(s, fs, a, scale)), scale)
 
 
 def verify_alt_m_identity(s: SymplecticSpace, k: int, fs: Sequence[Polynomial]) -> DifferentialForm:

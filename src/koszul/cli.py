@@ -20,7 +20,7 @@ from contextlib import nullcontext
 from dataclasses import fields
 
 from .brackets import symplectic_family
-from .campaign import HALF_DIM_MAX, K_MAX, SUITES, CampaignConfig, run_campaign
+from .campaign import ARITY_MAX, HALF_DIM_MAX, K_MAX, SUITES, CampaignConfig, run_campaign
 from .forms import d
 from .grammar import FormSyntaxError, parse_form, render_form
 from .poly import EXP_MAX, ExponentOverflow
@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--density", type=float, default=0.7, help="basis-term density of random forms")
     pv.add_argument("--trials", type=int, default=25)
     pv.add_argument("--seed", type=int, default=7)
-    pv.add_argument("--arity-max", type=int, default=5, help="highest identity arity to check")
+    pv.add_argument("--arity-max", type=int, default=5,
+                    help=f"highest identity arity to check, 1..{ARITY_MAX} (the check costs about A^3)")
     pv.add_argument("--k-max", type=int, default=9,
                     help=f"coefficient recursion bound, 2..{K_MAX} (the check costs about k^3)")
     pv.add_argument("--format", dest="fmt", default="text", choices=("text", "json"))

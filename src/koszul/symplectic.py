@@ -34,7 +34,8 @@ derivative key - one_(j^1) of ``forms``' table-driven kernel.  For delta:
 iota_X d + d iota_X = d_X for a constant field X, hence per pair
 [iota_{e_p} iota_{e_q}, d] = iota_{e_p} d_q - iota_{e_q} d_p.  A result has
 the degree its operator maps to, even outside 0..2n (``forms``).  All three add the terms c x^e of f one by one into the
-accumulator that the kernels of ``forms`` use.
+accumulator that the kernels of ``forms`` use.  The bracket is X_f g = iota_{X_f} dg,
+one contraction by the field above.
 """
 
 from __future__ import annotations
@@ -122,17 +123,9 @@ class SymplecticSpace:
                 packed[key ^ bit | bit >> 1] = -c
         return MultiVectorField._raw(self.dim, 1, packed)
 
-    def omega_eval(self, X: MultiVectorField, Y: MultiVectorField) -> Polynomial:
-        """omega(X, Y) = iota_Y iota_X omega."""
-        return contract_vector(Y, contract_vector(X, self.omega)).as_polynomial()
-
     def poisson_bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        """{f, g} = omega(X_f, X_g); bilinear, antisymmetric, Jacobi."""
-        out = Polynomial.zero(self.dim)
-        for i in range(self.n):
-            q, p = 2 * i, 2 * i + 1
-            out = out + f.diff(q) * g.diff(p) - f.diff(p) * g.diff(q)
-        return out
+        """{f, g} = X_f g = iota_{X_f} dg; bilinear, antisymmetric, Jacobi."""
+        return contract_vector(self.hamiltonian_vector_field(f), d_poly(g)).as_polynomial()
 
 
 def operator_relations(

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from koszul import (
-    CoefficientTable,
     DifferentialForm,
     Polynomial,
     SymplecticSpace,
@@ -24,7 +23,7 @@ from koszul import (
     verify_strict_morphism,
 )
 import koszul.brackets
-from koszul.brackets import _alt_sum, lefschetz_sum, m_k
+from koszul.brackets import _alt_sum, lefschetz_sum, m_k, raised_coefficient
 from koszul.forms import _Alternating
 
 from _util import rand_form, rand_frac_poly, rand_poly
@@ -284,11 +283,11 @@ def test_chain_identity_random(n, k):
 
 
 def test_chain_identity_perturbed_coefficient_fails(s1):
-    table = CoefficientTable.perturbed(3, 1)  # a(3,1) -> 1/2 + 1
+    a = raised_coefficient(3, 1)  # a(3,1) -> 1/2 + 1
     hit = False
     for t in range(6):
         fs = [rand_poly(f"chp-{i}", t, 2) for i in range(3)]
-        if not verify_chain_identity(s1, 2, fs, table).is_zero():
+        if not verify_chain_identity(s1, 2, fs, a).is_zero():
             hit = True
             break
     assert hit
@@ -299,12 +298,12 @@ def test_mutation_sensitivity_every_coefficient(n):
     s = SymplecticSpace(n)
     for k in range(2, 2 * n + 2):
         for j in range(0, (k - 1) // 2 + 1):
-            table = CoefficientTable.perturbed(k, j)
+            a = raised_coefficient(k, j)
             broke = False
             for t in range(6):
                 for kk in range(max(2, k - 1), min(2 * n, k) + 1):
                     fs = [rand_poly(f"mut-{n}-{k}-{j}-{kk}-{i}", t, s.dim) for i in range(kk + 1)]
-                    if not verify_chain_identity(s, kk, fs, table).is_zero():
+                    if not verify_chain_identity(s, kk, fs, a).is_zero():
                         broke = True
                         break
                 if broke:
@@ -316,9 +315,9 @@ def test_mutation_sensitivity_every_coefficient(n):
 # These references keep the unfactored sums, one tilde_l_k or alt_m_k per pair.
 
 
-def _chain_reference(s, k, fs, table=None):
-    lhs = ce_partial(s.poisson_bracket, lambda xs: tilde_l(s, xs, table), fs)
-    return lhs - s.delta(tilde_l(s, fs, table))
+def _chain_reference(s, k, fs, a=None):
+    lhs = ce_partial(s.poisson_bracket, lambda xs: tilde_l(s, xs, a), fs)
+    return lhs - s.delta(tilde_l(s, fs, a))
 
 
 def _alt_m_reference(s, k, fs):
@@ -354,10 +353,10 @@ def test_factored_chain_residual_equals_unfactored(n, kind):
         # each coefficient on either side of the identity reaches the factored residual
         for kk in (k, k + 1):
             for j in range(0, (kk - 1) // 2 + 1):
-                table = CoefficientTable.perturbed(kk, j)
+                a = raised_coefficient(kk, j)
                 assert _live_and_equal(
-                    lambda xs: verify_chain_identity(s, k, xs, table),
-                    lambda xs: _chain_reference(s, k, xs, table),
+                    lambda xs: verify_chain_identity(s, k, xs, a),
+                    lambda xs: _chain_reference(s, k, xs, a),
                     _draws(kind, f"fac-{n}-{k}-a{kk}{j}", s.dim, k + 1),
                 ), f"perturbed a({kk},{j}) left every k={k} draw intact"
 
@@ -481,7 +480,7 @@ def test_residual_sums_stay_integer_on_integer_inputs(scaled_sides, n):
         assert types == {int}, name  # and not vacuous: some side was nonzero
 
 
-def _lefschetz_reference(s, k, base, table):
+def _lefschetz_reference(s, k, base, a):
     total = DifferentialForm.zero(s.dim, base.degree)
     for j in range(0, (k - 1) // 2 + 1):
         term = base
@@ -489,37 +488,42 @@ def _lefschetz_reference(s, k, base, table):
             term = s.Lam(term)
         for _ in range(j):
             term = s.L(term)
-        total = total + term * (table.a(k, j) / k)
+        total = total + term * (a(k, j) / k)
     return total * (-1) ** k
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_lefschetz_sum_default_scale_is_the_rational_sum(n):
     s = SymplecticSpace(n)
-    for table in (CoefficientTable(), CoefficientTable.perturbed(3, 1)):
+    for a in (None, raised_coefficient(3, 1)):
         for k in range(2, s.dim + 2):
             fs = [rand_poly(f"ls-{n}-{k}-{i}", 0, s.dim) for i in range(k)]
-            out = lefschetz_sum(s, k, _alt_sum(fs), table)
-            assert out == _lefschetz_reference(s, k, _alt_sum(fs), table), f"k={k}"
+            out = lefschetz_sum(s, k, _alt_sum(fs), a)
+            assert out == _lefschetz_reference(s, k, _alt_sum(fs), a or bracket_coefficient), f"k={k}"
             assert Fraction in _coefficient_types([out]) or out.is_zero(), f"k={k}: 1/k was not applied"
-            assert lefschetz_sum(s, k, _alt_sum(fs), table, scale=6 * k) == out * (6 * k), f"k={k}"
-            assert tilde_l(s, fs, table) == out, f"k={k}"
+            assert lefschetz_sum(s, k, _alt_sum(fs), a, scale=6 * k) == out * (6 * k), f"k={k}"
+            assert tilde_l(s, fs, a) == out, f"k={k}"
 
 
-@pytest.mark.parametrize("k, table", [
-    (2, CoefficientTable({(3, 1): Fraction(1, 7)})),  # at k + 1
-    (3, CoefficientTable({(3, 1): Fraction(1, 7)})),  # at k
-    (3, CoefficientTable({(4, 1): Fraction(1, 11)})),  # at k + 1
+def _overriding(k, j, value):
+    """``bracket_coefficient`` with a(k, j) replaced by ``value``."""
+    return lambda kk, jj: value if (kk, jj) == (k, j) else bracket_coefficient(kk, jj)
+
+
+@pytest.mark.parametrize("k, a", [
+    (2, _overriding(3, 1, Fraction(1, 7))),  # at k + 1
+    (3, _overriding(3, 1, Fraction(1, 7))),  # at k
+    (3, _overriding(4, 1, Fraction(1, 11))),  # at k + 1
 ], ids=["a31-at-k+1", "a31-at-k", "a41-at-k+1"])
-def test_chain_scale_is_read_from_the_table_in_use(scaled_sides, k, table):
-    # a fresh prime denominator: a scale taken from the default table leaves a Fraction in the scaled sides
+def test_chain_scale_is_read_from_the_table_in_use(scaled_sides, k, a):
+    # a fresh prime denominator: a scale taken from the default a(k, j) leaves a Fraction in the scaled sides
     s = SymplecticSpace(2)
     live, types = False, set()
     for fs in _draws("int", f"fresh-prime-{k}", s.dim, k + 1):
         scaled_sides.clear()
-        residual = verify_chain_identity(s, k, fs, table)
+        residual = verify_chain_identity(s, k, fs, a)
         types |= _coefficient_types(scaled_sides)
-        assert residual == _chain_reference(s, k, fs, table)
+        assert residual == _chain_reference(s, k, fs, a)
         live = live or not residual.is_zero()
     assert live, "the override left every draw intact"
     assert types == {int}

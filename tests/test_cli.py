@@ -41,6 +41,9 @@ REFUSALS = {
     "bracket-volume-ground": (["bracket", "--volume", "4", "--arity", "2", "dx1", "dx2"], "takes degree-2 forms"),
     "verify-k-max-1": (["verify", "--k-max", "1"], "k-max must be in 2..200"),
     "verify-trials-0": (["verify", "--trials", "0"], "trials must be >= 1"),
+    # the identities cost about A^3 in the arity: a large arity-max would hang, not fail
+    "verify-arity-max-above-ceiling": (["verify", "--suite", "linfty-symplectic", "--arity-max", "41"],
+                                       "error: arity-max must be in 1..40"),
     "verify-density-0": (["verify", "--density", "0"], "density must be in (0, 1]"),
     "verify-density-nan": (["verify", "--density", "nan"], "density must be in (0, 1]"),
     "verify-volume-dim-2": (["verify", "--volume-dim", "2"], "volume dimensions must be >= 3"),

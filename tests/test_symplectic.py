@@ -20,7 +20,7 @@ from koszul.campaign import CampaignConfig, Check, _run, operator_row
 from koszul.grammar import render_form
 from koszul.randgen import random_form, trial_rng
 
-from _util import rand_form, rand_frac_form, rand_poly, solve_constant_system
+from _util import rand_form, rand_frac_form, rand_frac_poly, rand_poly, solve_constant_system
 
 
 @pytest.fixture(scope="module")
@@ -68,17 +68,19 @@ def test_delta_kills_functions(s2):
     assert s2.delta(f).is_zero()
 
 
-def test_delta_of_f_dg_is_poisson_bracket(s1, s2):
-    # oracle: the coordinate-derivative formula, written out independently
-    for s in (s1, s2):
-        for t in range(10):
-            f = rand_poly("dfg-f", t, s.dim)
-            g = rand_poly("dfg-g", t, s.dim)
-            expected = Polynomial.zero(s.dim)
-            for i in range(s.n):
-                expected = expected + f.diff(2 * i) * g.diff(2 * i + 1) - f.diff(2 * i + 1) * g.diff(2 * i)
-            got = s.delta(d_poly(g) * f)
-            assert got == DifferentialForm.from_polynomial(expected)
+def test_delta_of_f_dg_is_poisson_bracket():
+    # oracle: the Darboux formula sum_i d_q f d_p g - d_p f d_q g, written out independently
+    for n in (1, 2, 3, 4):
+        s = SymplecticSpace(n)
+        for kind in (rand_poly, rand_frac_poly):
+            for t in range(10):
+                f = kind("dfg-f", t, s.dim)
+                g = kind("dfg-g", t, s.dim)
+                expected = Polynomial.zero(s.dim)
+                for i in range(s.n):
+                    expected = expected + f.diff(2 * i) * g.diff(2 * i + 1) - f.diff(2 * i + 1) * g.diff(2 * i)
+                assert s.poisson_bracket(f, g) == expected, (n, kind.__name__, t)
+                assert s.delta(d_poly(g) * f) == DifferentialForm.from_polynomial(expected), (n, kind.__name__, t)
 
 
 def test_delta_of_f_omega_is_minus_df(s1, s2):
@@ -186,7 +188,8 @@ def test_bracket_three_routes_agree(s2):
     for t in range(8):
         f = rand_poly("routes-f", t, 4)
         g = rand_poly("routes-g", t, 4)
-        via_fields = s2.omega_eval(s2.hamiltonian_vector_field(f), s2.hamiltonian_vector_field(g))
+        X_f, X_g = s2.hamiltonian_vector_field(f), s2.hamiltonian_vector_field(g)
+        via_fields = contract_vector(X_g, contract_vector(X_f, s2.omega)).as_polynomial()  # omega(X_f, X_g)
         via_pi = contract_bivector(s2.pi, d_poly(f).wedge(d_poly(g))).as_polynomial()
         assert s2.poisson_bracket(f, g) == via_fields == via_pi
 
