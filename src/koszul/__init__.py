@@ -26,7 +26,6 @@ from .linfty import (
     koszul_sign,
     linfty_residual,
     permutation_sign,
-    unshuffles,
 )
 from .brackets import (
     alt_m,
@@ -73,7 +72,6 @@ __all__ = [
     "operator_relations",
     "GradedElement",
     "BracketFamily",
-    "unshuffles",
     "permutation_sign",
     "koszul_sign",
     "ce_partial",

@@ -38,6 +38,7 @@ it divides by D only a nonzero residual, which then reads as the unscaled value.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
 from typing import Callable, Iterator, Sequence
 
@@ -47,6 +48,7 @@ from .poly import Polynomial, _unscaled
 from .symplectic import SymplecticSpace
 
 
+@lru_cache(maxsize=None)
 def series_coefficient(k: int, j: int) -> Fraction:
     """a(k, j) on the extended domain 0 <= j <= k-1 (used by recursion checks)."""
     if k < 2 or j < 0 or j > k - 1:
@@ -77,21 +79,13 @@ def _alt_sum(fs: Sequence[Polynomial]) -> DifferentialForm:
             return DifferentialForm.zero(fs[0].dim, len(fs) - 1)
         df = d_poly(fs[i])
         term = run * fs[i]
-        total = total.wedge(df) + (-term if i & 1 else term)
+        total = total.wedge(df) - term if i & 1 else total.wedge(df) + term
     return total
 
 
 def alt_m(s: SymplecticSpace, fs: Sequence[Polynomial]) -> DifferentialForm:
     """Antisymmetrized (f_1, ..., f_k) |-> f_1 df_2 ^ ... ^ df_k; a (k-1)-form."""
     return _alt_sum(fs) * Fraction(1, len(fs))
-
-
-def m_k(s: SymplecticSpace, fs: Sequence[Polynomial]) -> DifferentialForm:
-    """The unsymmetrized map f_1 df_2 ^ ... ^ df_k."""
-    total = DifferentialForm.from_polynomial(fs[0])
-    for f in fs[1:]:
-        total = total.wedge(d_poly(f))
-    return total
 
 
 def lefschetz_sum(

@@ -23,10 +23,10 @@ Sign conventions, pinned once and verified by the operator relation suite:
 * a decomposable bivector contracts first factor innermost:
   ``iota_{X^Y} = iota_Y . iota_X``, so iota_{e1^e2}(dx1^dx2) = 1.
 
-Every kernel is one loop over the term dict(s) that adds each term it makes
-into one accumulator dict: a monomial product is key1 + key2, its result
-checked once by ``poly._guarded``, and a derivative is key - one_i, read off
-one table per basis (``_derivation``).  Signs are popcount parities, with
+Every kernel is one loop that adds each term it makes straight into its
+output dict, dropping a key whose sum cancels: a monomial product is key1 +
+key2, the result checked once by ``poly._guarded``, and a derivative is
+key - one_i, read off one table per basis (``_derivation``).  Signs are popcount parities, with
 below(m, i) = popcount(m & ((1 << i) - 1)) the number of indices of m below i:
 
 * ``d`` adds dx_i in front and moves it past below(m, i) factors,
@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
-from .poly import EXP_MAX, Polynomial, _Terms, layout
+from .poly import EXP_MAX, Polynomial, _guarded, _Terms, layout
 
 Scalar = Union[int, Fraction, Polynomial]
 
@@ -57,6 +57,7 @@ def _indices(m: int) -> tuple:
     return tuple(i for i in range(m.bit_length()) if m >> i & 1)
 
 
+@lru_cache(maxsize=1 << 16)
 def _odd_above(m: int) -> int:
     """The mask with bit y set iff an odd number of bits of ``m`` lie above y."""
     x, s = m >> 1, 1
@@ -112,19 +113,21 @@ class _Alternating(_Terms):
             return self._raw(self.dim, deg, {})
         low = (1 << self.dim) - 1
         right = [(k2 & low, k2, c2) for k2, c2 in other.packed.items()]
-
-        def pieces():
-            odd = above = None
-            for k1, c1 in self.packed.items():
-                if k1 & low != above:  # a parity mask per run of equal bases
-                    above = k1 & low
-                    odd = _odd_above(above)
-                for m2, k2, c2 in right:
-                    if not k1 & m2:
-                        c = c1 * c2
-                        yield k1 + k2, -c if (odd & m2).bit_count() & 1 else c
-
-        return self._collect_terms(self.dim, deg, pieces())
+        out = {}
+        get = out.get
+        above = None
+        for k1, c1 in self.packed.items():
+            if k1 & low != above:  # a parity mask per run of equal bases
+                above = k1 & low
+                odd = _odd_above(above)
+            for m2, k2, c2 in right:
+                if not k1 & m2:
+                    key, c = k1 + k2, -c1 * c2 if (odd & m2).bit_count() & 1 else c1 * c2
+                    s = get(key)
+                    out[key] = s = c if s is None else s + c
+                    if not s:
+                        del out[key]
+        return self._raw(self.dim, deg, _guarded(self.dim, out))
 
 
 class DifferentialForm(_Alternating):
@@ -163,19 +166,21 @@ def _derivation(a: DifferentialForm, degree: int, steps) -> DifferentialForm:
     """The first-order operator whose ``steps(dim, m)`` are (dkey, shift, negate) triples: each
     term c x^e dx_m goes to (-1)^negate k c at key + dkey, k the exponent at ``shift``, if k > 0."""
     low = (1 << a.dim) - 1
-
-    def pieces():
-        basis = None
-        for key, c in a.packed.items():
-            if key & low != basis:  # one table per run of equal bases
-                basis = key & low
-                table = steps(a.dim, basis)
-            for dkey, shift, negate in table:
-                k = key >> shift & EXP_MAX
-                if k:
-                    yield key + dkey, -k * c if negate else k * c
-
-    return DifferentialForm._collect_terms(a.dim, degree, pieces(), False)
+    out = {}
+    get = out.get
+    basis = None
+    for key, c in a.packed.items():
+        if key & low != basis:  # one table per run of equal bases
+            basis = key & low
+            table = steps(a.dim, basis)
+        for dkey, shift, negate in table:
+            if k := key >> shift & EXP_MAX:
+                k2, c2 = key + dkey, -k * c if negate else k * c
+                s = get(k2)
+                out[k2] = s = c2 if s is None else s + c2
+                if not s:
+                    del out[k2]
+    return DifferentialForm._raw(a.dim, degree, out)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -192,8 +197,10 @@ def d(a: DifferentialForm) -> DifferentialForm:
 
 
 def d_poly(p: Polynomial) -> DifferentialForm:
-    """Differential of a function, as a 1-form."""
-    return d(DifferentialForm.from_polynomial(p))
+    """Differential of a function, as a 1-form; computed on first use and kept in ``p._df``."""
+    if (df := getattr(p, "_df", None)) is None:
+        p._df = df = d(DifferentialForm.from_polynomial(p))
+    return df
 
 
 def _contract(X: MultiVectorField, a: DifferentialForm) -> DifferentialForm:
@@ -202,15 +209,17 @@ def _contract(X: MultiVectorField, a: DifferentialForm) -> DifferentialForm:
     low = (1 << X.dim) - 1
     flip = X.degree * (X.degree - 1) // 2
     xs = [(k & low, _odd_above(k & low), k & ~low, c) for k, c in X.packed.items()]
-
-    def pieces():
-        for key, c in a.packed.items():
-            for pm, s_p, k2, c2 in xs:
-                if key & pm == pm:
-                    s = -c if (key & s_p).bit_count() + flip & 1 else c
-                    yield key - pm + k2, s * c2
-
-    return DifferentialForm._collect_terms(a.dim, a.degree - X.degree, pieces())
+    out = {}
+    get = out.get
+    for key, c in a.packed.items():
+        for pm, s_p, kx, cx in xs:
+            if key & pm == pm:
+                k2, c2 = key - pm + kx, -c * cx if (key & s_p).bit_count() + flip & 1 else c * cx
+                s = get(k2)
+                out[k2] = s = c2 if s is None else s + c2
+                if not s:
+                    del out[k2]
+    return DifferentialForm._raw(a.dim, a.degree - X.degree, _guarded(a.dim, out))
 
 
 def contract_vector(X: MultiVectorField, a: DifferentialForm) -> DifferentialForm:

@@ -109,18 +109,6 @@ class BracketFamily:
         return GradedElement(self.higher(tuple(self.lift(x.form) for x in args)), ldegree)
 
 
-def unshuffles(i: int, j: int) -> list[tuple[int, ...]]:
-    """All (i, j)-unshuffles of range(i + j), as position -> index tuples.
-
-    A permutation sigma qualifies iff it is increasing on the first i and on
-    the last j positions; there are binomial(i + j, i) of them.
-    """
-    if i < 0 or j < 0:
-        raise ValueError("block sizes must be non-negative")
-    n = i + j
-    return [head + tuple(x for x in range(n) if x not in head) for head in combinations(range(n), i)]
-
-
 def permutation_sign(sigma: Sequence[int]) -> int:
     """Parity of a permutation given as a sequence of images."""
     sign = 1

@@ -15,6 +15,8 @@ key - one_i, and ``key & guard`` after an add is an exact overflow test.
 ``_Terms`` holds such a map with its ``dim`` and ``degree`` and implements,
 once, what does not look at the basis mask: sum, difference, negation,
 products with a scalar or a polynomial, equality, hash and the zero test.
+Each kernel sums the terms it makes into its output dict in its own loop,
+dropping a key whose sum cancels; one that adds keys runs ``_guarded`` after.
 ``Polynomial`` is its degree-0 case; the forms and multivector fields of
 ``forms`` are the others.
 """
@@ -103,12 +105,6 @@ class _Terms:
         return obj
 
     @classmethod
-    def _collect_terms(cls, dim, degree, pieces, adds_exponents=True):
-        """The value summing the (key, nonzero c) pairs of ``pieces``; guarded when keys were added."""
-        packed = _sum_into({}, pieces)
-        return cls._raw(dim, degree, _guarded(dim, packed) if adds_exponents else packed)
-
-    @classmethod
     def zero(cls, dim: int, degree: int = 0):
         return cls._raw(dim, degree, {})
 
@@ -165,8 +161,16 @@ class _Terms:
             if not self.packed or not other.packed:
                 return self._raw(self.dim, self.degree, {})
             right = other.packed.items()
-            pieces = ((k1 + k2, c1 * c2) for k1, c1 in self.packed.items() for k2, c2 in right)
-            return self._raw(self.dim, self.degree, _guarded(self.dim, _sum_into({}, pieces)))
+            out = {}
+            get = out.get
+            for k1, c1 in self.packed.items():
+                for k2, c2 in right:
+                    key, c = k1 + k2, c1 * c2
+                    s = get(key)
+                    out[key] = s = c if s is None else s + c
+                    if not s:
+                        del out[key]
+            return self._raw(self.dim, self.degree, _guarded(self.dim, out))
         if isinstance(other, (int, Fraction)):
             return self._raw(self.dim, self.degree, {k: c * other for k, c in self.packed.items()} if other else {})
         return NotImplemented
@@ -175,9 +179,9 @@ class _Terms:
 
 
 class Polynomial(_Terms):
-    """A polynomial: the degree-0 ``_Terms``, its keys of basis mask 0."""
+    """A polynomial: the degree-0 ``_Terms``, its keys of basis mask 0; ``_df`` is df once ``forms.d_poly`` made it."""
 
-    __slots__ = ()
+    __slots__ = ("_df",)
 
     def __init__(self, dim: int, terms: Mapping[tuple, Coeff] | None = None):
         self.dim, self.degree = dim, 0
@@ -207,10 +211,6 @@ class Polynomial(_Terms):
 
     def constant_value(self) -> Coeff:
         return self.packed.get(0, 0)
-
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max(map(sum, self.terms), default=-1)
 
     # -- calculus ----------------------------------------------------------
 

@@ -33,9 +33,9 @@ to key | P and key ^ P.  delta takes one step per set bit j of m, each the
 derivative key - one_(j^1) of ``forms``' table-driven kernel.  For delta:
 iota_X d + d iota_X = d_X for a constant field X, hence per pair
 [iota_{e_p} iota_{e_q}, d] = iota_{e_p} d_q - iota_{e_q} d_p.  A result has
-the degree its operator maps to, even outside 0..2n (``forms``).  All three add the terms c x^e of f one by one into the
-accumulator that the kernels of ``forms`` use.  The bracket is X_f g = iota_{X_f} dg,
-one contraction by the field above.
+the degree its operator maps to, even outside 0..2n (``forms``).  All three add
+each term into their output dict as the kernels of ``forms`` do; L and Lam share
+one loop.  The bracket is X_f g = iota_{X_f} dg, one contraction by the field above.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ class SymplecticSpace:
         self.dim = 2 * n
         one = Polynomial.constant(self.dim, 1)
         pairs = {(2 * i, 2 * i + 1): one for i in range(n)}
-        self._pair_masks = tuple(3 << 2 * i for i in range(n))  # 0b11 << 2i for each (q, p)
+        masks = [3 << 2 * i for i in range(n)]  # 0b11 << 2i for each (q, p)
+        self._pairs = {2: [(pm, 0) for pm in masks], -2: [(pm, pm) for pm in masks]}  # L's and Lam's (P, m & P)
         self.omega = DifferentialForm(self.dim, 2, pairs)
         self.pi = MultiVectorField(self.dim, 2, pairs)
 
@@ -79,15 +80,25 @@ class SymplecticSpace:
 
     def L(self, a: DifferentialForm) -> DifferentialForm:
         """Raising operator: wedge with omega.  Adds each pair disjoint from the basis."""
-        self._check(a)
-        pieces = ((key | pm, c) for key, c in a.packed.items() for pm in self._pair_masks if not key & pm)
-        return DifferentialForm._collect_terms(self.dim, a.degree + 2, pieces, False)
+        return self._toggle_pairs(a, 2)
 
     def Lam(self, a: DifferentialForm) -> DifferentialForm:
         """Lowering operator: contraction with pi.  Removes each pair inside the basis."""
+        return self._toggle_pairs(a, -2)
+
+    def _toggle_pairs(self, a: DifferentialForm, step: int) -> DifferentialForm:
+        """L (step 2) or Lam (step -2): each term goes to key ^ P for each pair mask P with key & P as listed."""
         self._check(a)
-        pieces = ((key ^ pm, c) for key, c in a.packed.items() for pm in self._pair_masks if key & pm == pm)
-        return DifferentialForm._collect_terms(self.dim, a.degree - 2, pieces, False)
+        out = {}
+        get = out.get
+        for key, c in a.packed.items():
+            for pm, inside in self._pairs[step]:
+                if key & pm == inside:
+                    s = get(key ^ pm)
+                    out[key ^ pm] = s = c if s is None else s + c
+                    if not s:
+                        del out[key ^ pm]
+        return DifferentialForm._raw(self.dim, a.degree + step, out)
 
     def H(self, a: DifferentialForm) -> DifferentialForm:
         """Degree-counting operator a |-> (n - deg a) * a."""

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from koszul import DifferentialForm, MultiVectorField, Polynomial
-from koszul.poly import EXP_BITS, EXP_MAX, ExponentOverflow, layout
+from koszul import DifferentialForm, MultiVectorField, Polynomial, d_poly
+from koszul.forms import _d_steps, _odd_above
+from koszul.poly import EXP_BITS, EXP_MAX, ExponentOverflow, _guarded, _sum_into, layout
 from koszul.randgen import random_form, random_polynomial, trial_rng
+from koszul.symplectic import _delta_steps
 
 SEED = 20240718
 
@@ -53,6 +55,31 @@ def doubled_mul(mul):
         return out * 2 if isinstance(other, Polynomial) and out.dim >= 3 else out
 
     return doubled
+
+
+def total_degree(p: Polynomial) -> int:
+    """Total degree; -1 for the zero polynomial."""
+    return max(map(sum, p.terms), default=-1)
+
+
+def m_k(s, fs) -> DifferentialForm:
+    """The unsymmetrized map f_1 df_2 ^ ... ^ df_k."""
+    total = DifferentialForm.from_polynomial(fs[0])
+    for f in fs[1:]:
+        total = total.wedge(d_poly(f))
+    return total
+
+
+def unshuffles(i: int, j: int) -> list[tuple[int, ...]]:
+    """All (i, j)-unshuffles of range(i + j), as position -> index tuples.
+
+    A permutation sigma qualifies iff it is increasing on the first i and on
+    the last j positions; there are binomial(i + j, i) of them.
+    """
+    if i < 0 or j < 0:
+        raise ValueError("block sizes must be non-negative")
+    n = i + j
+    return [head + tuple(x for x in range(n) if x not in head) for head in combinations(range(n), i)]
 
 
 def merge_indices(a: tuple, b: tuple) -> tuple[int, tuple]:
@@ -194,3 +221,78 @@ def stdlib_random_vector_field(rng: random.Random, dim: int, max_degree: int) ->
     if not out:
         out[(rng.randrange(dim),)] = stdlib_random_polynomial(rng, dim, max_degree, 2)
     return MultiVectorField(dim, 1, out)
+
+
+# -- the kernel oracle: each kernel as a generator of (key, c) pairs summed by ``_sum_into``
+
+
+def _collected(cls, dim, degree, pieces, adds_exponents=True):
+    """The value summing the (key, nonzero c) pairs of ``pieces``; guarded when keys were added."""
+    packed = _sum_into({}, pieces)
+    return cls._raw(dim, degree, _guarded(dim, packed) if adds_exponents else packed)
+
+
+def generator_mul(a, p: Polynomial):
+    """``a * p`` for a polynomial ``p``: every product of terms adds keys and multiplies coefficients."""
+    pieces = ((k1 + k2, c1 * c2) for k1, c1 in a.packed.items() for k2, c2 in p.packed.items())
+    return _collected(type(a), a.dim, a.degree, pieces)
+
+
+def generator_wedge(a, b):
+    deg = a.degree + b.degree
+    if deg > a.dim or not a.packed or not b.packed:
+        return a._raw(a.dim, deg, {})
+    low = (1 << a.dim) - 1
+    right = [(k2 & low, k2, c2) for k2, c2 in b.packed.items()]
+
+    def pieces():
+        for k1, c1 in a.packed.items():
+            odd = _odd_above(k1 & low)
+            for m2, k2, c2 in right:
+                if not k1 & m2:
+                    c = c1 * c2
+                    yield k1 + k2, -c if (odd & m2).bit_count() & 1 else c
+
+    return _collected(type(a), a.dim, deg, pieces())
+
+
+def _generator_derivation(a, degree, steps):
+    low = (1 << a.dim) - 1
+
+    def pieces():
+        for key, c in a.packed.items():
+            for dkey, shift, negate in steps(a.dim, key & low):
+                k = key >> shift & EXP_MAX
+                if k:
+                    yield key + dkey, -k * c if negate else k * c
+
+    return _collected(DifferentialForm, a.dim, degree, pieces(), False)
+
+
+def generator_d(a):
+    return _generator_derivation(a, a.degree + 1, _d_steps)
+
+
+def generator_delta(s, a):
+    return _generator_derivation(a, a.degree - 1, _delta_steps)
+
+
+def generator_L(s, a):
+    pairs = [3 << 2 * i for i in range(s.n)]
+    pieces = ((key | pm, c) for key, c in a.packed.items() for pm in pairs if not key & pm)
+    return _collected(DifferentialForm, a.dim, a.degree + 2, pieces, False)
+
+
+def generator_Lam(s, a):
+    pairs = [3 << 2 * i for i in range(s.n)]
+    pieces = ((key ^ pm, c) for key, c in a.packed.items() for pm in pairs if key & pm == pm)
+    return _collected(DifferentialForm, a.dim, a.degree - 2, pieces, False)
+
+
+def generator_contract(X, a):
+    low = (1 << X.dim) - 1
+    flip = X.degree * (X.degree - 1) // 2
+    xs = [(k & low, _odd_above(k & low), k & ~low, c) for k, c in X.packed.items()]
+    pieces = ((key - pm + k2, (-c if (key & s_p).bit_count() + flip & 1 else c) * c2)
+              for key, c in a.packed.items() for pm, s_p, k2, c2 in xs if key & pm == pm)
+    return _collected(DifferentialForm, a.dim, a.degree - X.degree, pieces)

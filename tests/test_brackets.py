@@ -23,10 +23,11 @@ from koszul import (
     verify_strict_morphism,
 )
 import koszul.brackets
-from koszul.brackets import _alt_sum, lefschetz_sum, m_k, raised_coefficient
+import koszul.forms
+from koszul.brackets import _alt_sum, lefschetz_sum, raised_coefficient
 from koszul.forms import _Alternating
 
-from _util import rand_form, rand_frac_poly, rand_poly
+from _util import m_k, rand_form, rand_frac_poly, rand_poly
 
 
 @pytest.fixture(scope="module")
@@ -401,6 +402,17 @@ def test_chain_identity_applies_each_lefschetz_sum_once(n):
         assert verify_chain_identity(s, k, fs).is_zero()
         # one P_k on the coboundary and one P_(k+1) on the right side
         assert s.lam_calls <= (k - 1) // 2 + k // 2, f"k={k}: {s.lam_calls} Lam calls"
+
+
+def test_chain_identity_differentiates_each_function_once(monkeypatch):
+    # k = 4 on R4: the 5 inputs and the 10 brackets {f_a, f_b} are the only functions
+    # differentiated; d_poly keeps df on each, so forms.d runs 15 times, not once per use
+    calls = []
+    d_form = koszul.forms.d
+    monkeypatch.setattr(koszul.forms, "d", lambda a: calls.append(a) or d_form(a))
+    fs = [rand_poly("chain-d", i, 4, 3, 3) for i in range(5)]
+    assert verify_chain_identity(SymplecticSpace(2), 4, fs).is_zero()
+    assert len(calls) == 15 and all(a.degree == 0 for a in calls)
 
 
 def test_chain_identity_validates_arguments(s1):

@@ -16,10 +16,9 @@ from koszul import (
     permutation_sign,
     symplectic_family,
     tilde_l,
-    unshuffles,
     volume_family,
 )
-from _util import rand_form, rand_poly
+from _util import rand_form, rand_poly, unshuffles
 
 
 # -- unshuffles ----------------------------------------------------------------

@@ -3,7 +3,7 @@ and the exact set of checks of the default campaign (``CampaignConfig()``) that
 the mutant fails.  A row that fails nothing is a surviving mutant, kept here
 with its reason and listed as an open item in ROADMAP.md.
 
-Each row runs one default campaign; the five rows take about 1.0 s in all.
+Each row runs one default campaign; the eight rows take about 1.5 s in all.
 """
 
 import inspect
@@ -31,6 +31,10 @@ BRACKET_CHECKS = {
     *(f"R4 partial(l~_{k}) = delta l~_{k + 1}" for k in (2, 3, 4)),
 }
 
+POISSON_SPACES = ("sl2star", "standard-symplectic(1)", "standard-symplectic(2)")
+QUOTIENT_CHECKS = {f"R{dim} quotient congruence witness" for dim in (2, 4)}
+JACOBIATOR_CHECKS = {f"{space} jacobiator vs obstruction" for space in POISSON_SPACES}
+
 MUTANTS = {
     # the bracket contracts by X_f; l_2 of the volume family contracts twice, so only its
     # arity-3 and arity-4 identities see a negated contraction
@@ -44,6 +48,18 @@ MUTANTS = {
         "standard-symplectic(2) obstruction = delta(witness)",
     },
     "hamiltonian_vector_field": BRACKET_CHECKS,
+    # d_poly goes through d.  A negated d also negates the Poisson spaces' delta = [iota_pi, d],
+    # and their rows pass again; it fails the [L,delta] and [Lam,d] operator relations instead
+    "d": BRACKET_CHECKS | QUOTIENT_CHECKS | {f"R{dim} {rel}" for dim in (2, 4) for rel in ("[L,delta]=d", "[Lam,d]=delta")},
+    # a negated df scales l_k by (-1)^(k-1), so every term of the n-th L-infinity identity by
+    # (-1)^(n-1): an equivalent mutant for those rows.  Every other row that takes a df fails
+    "d_poly": BRACKET_CHECKS | QUOTIENT_CHECKS | JACOBIATOR_CHECKS
+    | {f"{space} obstruction identity" for space in POISSON_SPACES}
+    | {f"standard-symplectic({n}) obstruction = delta(witness)" for n in (1, 2)},
+    # alt_m's terms take k-1 or k-2 wedges, so a negated wedge breaks alt_m itself, and with it
+    # some L-infinity rows; of the Poisson-space rows only the jacobiators fail
+    "wedge": BRACKET_CHECKS | QUOTIENT_CHECKS | JACOBIATOR_CHECKS
+    | {"R2 identity n=3 (ground args)", "R4 identity n=3 (ground args)", "R4 identity n=5 (ground args)"},
     # a(k, j) -> -a(k, j) negates every l_k, k >= 2, which the arity-3 and arity-5 identities
     # see.  The chain rows are blind to a global sign of a(k, j), an equivalent mutant for them:
     # both sides of the chain identity scale with it.  The brackets fail only if ``a=None`` is
