@@ -67,9 +67,13 @@ _VOLUME_DIM_SUITES = ("linfty-volume", "all")
 # 2-core machine, over a minute at 800
 K_MAX = 200
 # operators and chain draw forms of every degree (C(2n, n) bases), 4-7 times the cost per step;
-# measured on a 2-core machine, --half-dim 5, 6, 7 take 1.7, 7.7, 38 s (operators) and 6.6, 46,
-# over 150 s (chain).  alt-relation, linfty-symplectic and poisson stay under 2 s up to 40.
+# on a shared 2-core machine operators takes 1.2-1.3 s at --half-dim 5 and 5.0-5.5 s at 6, chain
+# 4.6-4.7 s at 5 (46 s at 6 when last measured).  alt-relation, linfty-symplectic and poisson stay
+# under 2 s up to 40.
 HALF_DIM_MAX = 6
+# linfty-volume draws (m-2)-forms on R^m, 2-2.6 times the cost per two dimensions; on the same
+# machine --suite linfty-volume --volume-dim 10, 12, 14, 16 take 0.9, 2.2, 5.4, 10.9 s
+VOLUME_DIM_MAX = 16
 # the L-infinity identities up to arity A cost about A^3: --suite linfty-symplectic --half-dim 1
 # --trials 1 takes 0.12, 1.1, 3.6, 9.5 s at A = 20, 40, 60, 80 on a 2-core machine
 ARITY_MAX = 40
@@ -108,6 +112,9 @@ class CampaignConfig:
             raise ValueError(f"half-dimensions must be <= {HALF_DIM_MAX} for suite {self.suite}: each step costs 4-7x")
         if any(m < 3 for m in self.volume_dims):
             raise ValueError("volume dimensions must be >= 3")
+        if self.suite in _VOLUME_DIM_SUITES and any(m > VOLUME_DIM_MAX for m in self.volume_dims):
+            raise ValueError(f"volume dimensions must be <= {VOLUME_DIM_MAX} for suite {self.suite}: "
+                             "each two dimensions cost 2-2.6x")
         for name, dims in (("half-dimensions", self.half_dims), ("volume dimensions", self.volume_dims)):
             if len(set(dims)) < len(dims):  # each repeat would run and report every check again
                 raise ValueError(f"{name} repeat: {','.join(map(str, dims))}")

@@ -20,7 +20,7 @@ from contextlib import nullcontext
 from dataclasses import fields
 
 from .brackets import symplectic_family
-from .campaign import ARITY_MAX, HALF_DIM_MAX, K_MAX, SUITES, CampaignConfig, run_campaign
+from .campaign import ARITY_MAX, HALF_DIM_MAX, K_MAX, SUITES, VOLUME_DIM_MAX, CampaignConfig, run_campaign
 from .forms import d
 from .grammar import FormSyntaxError, parse_form, render_form
 from .poly import EXP_MAX, ExponentOverflow
@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--half-dim", dest="half_dims", type=_int_list, default=(1, 2), metavar="N[,N...]",
                     help=f"half-dimensions for symplectic suites (default 1,2; operators, chain, all: <= {HALF_DIM_MAX})")
     pv.add_argument("--volume-dim", dest="volume_dims", type=_int_list, default=(3, 4), metavar="M[,M...]",
-                    help="dimensions for the volume suite (default 3,4)")
+                    help=f"dimensions for the volume suite (default 3,4; 3..{VOLUME_DIM_MAX})")
     pv.add_argument("--degree", dest="max_degree", type=int, default=3, metavar="DEGREE",
                     help=f"max polynomial degree of random inputs, 1..{EXP_MAX}; chain, all: 2..{EXP_MAX} (constant"
                          " inputs check nothing, linear ones leave some chain mutants unbroken)")

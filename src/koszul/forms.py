@@ -26,7 +26,12 @@ Sign conventions, pinned once and verified by the operator relation suite:
 Every kernel is one loop that adds each term it makes straight into its
 output dict, dropping a key whose sum cancels: a monomial product is key1 +
 key2, the result checked once by ``poly._guarded``, and a derivative is
-key - one_i, read off one table per basis (``_derivation``).  Signs are popcount parities, with
+key - one_i.  A kernel reads what it needs of a basis m as table[m], from a
+table per dimension (``_per_basis``) that builds an entry on first lookup,
+so only the bases met are built, even on R^64.  The entry of d (and delta)
+is (reads, steps), ``reads`` masking the exponent fields the steps read: a
+term with not key & reads is skipped.  Wedge and the contractions read S_m
+below from ``_odd_above``.  Signs are popcount parities, with
 below(m, i) = popcount(m & ((1 << i) - 1)) the number of indices of m below i:
 
 * ``d`` adds dx_i in front and moves it past below(m, i) factors,
@@ -44,7 +49,7 @@ below(m, i) = popcount(m & ((1 << i) - 1)) the number of indices of m below i:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 from typing import Iterable, Mapping, Union
 
 from .poly import EXP_MAX, Polynomial, _guarded, _Terms, layout
@@ -57,7 +62,25 @@ def _indices(m: int) -> tuple:
     return tuple(i for i in range(m.bit_length()) if m >> i & 1)
 
 
-@lru_cache(maxsize=1 << 16)
+class _Table(dict):
+    """{key: build(key)}, an entry built on its first lookup and kept, so a hit is one subscript."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        self[key] = entry = self.build(key)
+        return entry
+
+
+def _per_basis(entry) -> _Table:
+    """{dim: {basis mask m: entry(dim, m)}}, both levels filled lazily: only the bases a kernel meets."""
+    return _Table(lambda dim: _Table(partial(entry, dim)))
+
+
+@_Table  # the same on every R^m: one table for all dimensions
 def _odd_above(m: int) -> int:
     """The mask with bit y set iff an odd number of bits of ``m`` lie above y."""
     x, s = m >> 1, 1
@@ -115,11 +138,8 @@ class _Alternating(_Terms):
         right = [(k2 & low, k2, c2) for k2, c2 in other.packed.items()]
         out = {}
         get = out.get
-        above = None
         for k1, c1 in self.packed.items():
-            if k1 & low != above:  # a parity mask per run of equal bases
-                above = k1 & low
-                odd = _odd_above(above)
+            odd = _odd_above[k1 & low]
             for m2, k2, c2 in right:
                 if not k1 & m2:
                     key, c = k1 + k2, -c1 * c2 if (odd & m2).bit_count() & 1 else c1 * c2
@@ -162,29 +182,36 @@ def wedge(a: _Alternating, b: _Alternating):
     return a.wedge(b)
 
 
-def _derivation(a: DifferentialForm, degree: int, steps) -> DifferentialForm:
-    """The first-order operator whose ``steps(dim, m)`` are (dkey, shift, negate) triples: each
-    term c x^e dx_m goes to (-1)^negate k c at key + dkey, k the exponent at ``shift``, if k > 0."""
+def _derivation(a: DifferentialForm, degree: int, tables) -> DifferentialForm:
+    """The first-order operator whose ``tables[dim][m]`` is (reads, steps), the steps (dkey, shift, negate)
+    taking each term c x^e dx_m to (-1)^negate k c at key + dkey, k the exponent at ``shift``, if k > 0."""
     low = (1 << a.dim) - 1
+    table = tables[a.dim]
     out = {}
     get = out.get
-    basis = None
     for key, c in a.packed.items():
-        if key & low != basis:  # one table per run of equal bases
-            basis = key & low
-            table = steps(a.dim, basis)
-        for dkey, shift, negate in table:
-            if k := key >> shift & EXP_MAX:
-                k2, c2 = key + dkey, -k * c if negate else k * c
-                s = get(k2)
-                out[k2] = s = c2 if s is None else s + c2
-                if not s:
-                    del out[k2]
+        reads, steps = table[key & low]
+        if key & reads:  # else every exponent the steps read is 0
+            for dkey, shift, negate in steps:
+                if k := key >> shift & EXP_MAX:
+                    k2, c2 = key + dkey, -k * c if negate else k * c
+                    s = get(k2)
+                    out[k2] = s = c2 if s is None else s + c2
+                    if not s:
+                        del out[k2]
     return DifferentialForm._raw(a.dim, degree, out)
 
 
-@lru_cache(maxsize=1 << 16)
-def _d_steps(dim: int, m: int) -> tuple:
+def _derivation_table(steps) -> _Table:
+    """``_per_basis`` of ``_derivation``'s entries (reads, steps(dim, m)), reads masking the fields the steps read."""
+    def entry(dim: int, m: int) -> tuple:
+        found = steps(dim, m)
+        return sum(EXP_MAX << shift for _, shift, _ in found), found
+    return _per_basis(entry)
+
+
+@_derivation_table
+def _d_table(dim: int, m: int) -> tuple:
     """d on basis m: per i not in m, dx_i joins at bit i and x^e loses one_i, with (-1)^below(m, i)."""
     fields = layout(dim)[0]
     return tuple(((1 << i) - one, shift, (m & (1 << i) - 1).bit_count() & 1)
@@ -193,7 +220,7 @@ def _d_steps(dim: int, m: int) -> tuple:
 
 def d(a: DifferentialForm) -> DifferentialForm:
     """Exterior derivative (closed form above): graded Leibniz, and d.d = 0."""
-    return _derivation(a, a.degree + 1, _d_steps)
+    return _derivation(a, a.degree + 1, _d_table)
 
 
 def d_poly(p: Polynomial) -> DifferentialForm:
@@ -205,10 +232,10 @@ def d_poly(p: Polynomial) -> DifferentialForm:
 
 def _contract(X: MultiVectorField, a: DifferentialForm) -> DifferentialForm:
     """iota_X a for an r-vector X: a basis P = {p1 < ... < pr} of X contracts as
-    iota_{e_pr} . ... . iota_{e_p1}, with the sign above; S_P is ``_odd_above(P)``."""
+    iota_{e_pr} . ... . iota_{e_p1}, with the sign above; S_P is ``_odd_above[P]``."""
     low = (1 << X.dim) - 1
     flip = X.degree * (X.degree - 1) // 2
-    xs = [(k & low, _odd_above(k & low), k & ~low, c) for k, c in X.packed.items()]
+    xs = [(k & low, _odd_above[k & low], k & ~low, c) for k, c in X.packed.items()]
     out = {}
     get = out.get
     for key, c in a.packed.items():

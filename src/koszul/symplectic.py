@@ -29,9 +29,11 @@ below(m, j) = popcount(m & ((1 << j) - 1)) the position of j in the basis:
 
 with s(j) = +1 for odd j (a p) and -1 for even j (a q).  L and Lam carry no
 sign, since q and p are adjacent in every sorted index tuple: they map a key
-to key | P and key ^ P.  delta takes one step per set bit j of m, each the
-derivative key - one_(j^1) of ``forms``' table-driven kernel.  For delta:
-iota_X d + d iota_X = d_X for a constant field X, hence per pair
+to key | P and key ^ P; their tables (``forms._per_basis``) list per basis m
+only the pair masks P that apply, so a term tests none.  delta takes one
+step per set bit j of m, each the derivative key - one_(j^1) of ``forms``'
+table-driven kernel, and skips a term whose partner exponents are all 0.
+For delta: iota_X d + d iota_X = d_X for a constant field X, hence per pair
 [iota_{e_p} iota_{e_q}, d] = iota_{e_p} d_q - iota_{e_q} d_p.  A result has
 the degree its operator maps to, even outside 0..2n (``forms``).  All three add
 each term into their output dict as the kernels of ``forms`` do; L and Lam share
@@ -40,19 +42,28 @@ one loop.  The bracket is X_f g = iota_{X_f} dg, one contraction by the field ab
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import partial
 from typing import Callable
 
-from .forms import DifferentialForm, MultiVectorField, _derivation, contract_vector, d, d_poly
+from .forms import (DifferentialForm, MultiVectorField, _derivation, _derivation_table, _per_basis, contract_vector, d,
+                    d_poly)
 from .poly import Polynomial, layout
 
 
-@lru_cache(maxsize=1 << 16)
-def _delta_steps(dim: int, m: int) -> tuple:
+@_derivation_table
+def _delta_table(dim: int, m: int) -> tuple:
     """delta on basis m: the pos-th index j of m leaves and x^e loses one_(j^1), with (-1)^pos, negated for even j."""
     fields = layout(dim)[0]
     basis = [j for j in range(dim) if m >> j & 1]
     return tuple((-(1 << j) - fields[j ^ 1][1], fields[j ^ 1][0], not (pos ^ j) & 1) for pos, j in enumerate(basis))
+
+
+def _toggle_entry(step: int, dim: int, m: int) -> tuple:
+    """The pair masks P = 0b11 << 2i that L (step 2) adds to basis m, m & P == 0, or Lam (step -2) removes."""
+    return tuple(pm for pm in (3 << 2 * i for i in range(dim // 2)) if m & pm == (0 if step > 0 else pm))
+
+
+_TOGGLES = {step: _per_basis(partial(_toggle_entry, step)) for step in (2, -2)}
 
 
 class SymplecticSpace:
@@ -65,8 +76,6 @@ class SymplecticSpace:
         self.dim = 2 * n
         one = Polynomial.constant(self.dim, 1)
         pairs = {(2 * i, 2 * i + 1): one for i in range(n)}
-        masks = [3 << 2 * i for i in range(n)]  # 0b11 << 2i for each (q, p)
-        self._pairs = {2: [(pm, 0) for pm in masks], -2: [(pm, pm) for pm in masks]}  # L's and Lam's (P, m & P)
         self.omega = DifferentialForm(self.dim, 2, pairs)
         self.pi = MultiVectorField(self.dim, 2, pairs)
 
@@ -87,17 +96,19 @@ class SymplecticSpace:
         return self._toggle_pairs(a, -2)
 
     def _toggle_pairs(self, a: DifferentialForm, step: int) -> DifferentialForm:
-        """L (step 2) or Lam (step -2): each term goes to key ^ P for each pair mask P with key & P as listed."""
+        """L (step 2) or Lam (step -2): each term goes to key ^ P for each pair mask P its basis lists."""
         self._check(a)
+        low = (1 << self.dim) - 1
+        table = _TOGGLES[step][self.dim]
         out = {}
         get = out.get
         for key, c in a.packed.items():
-            for pm, inside in self._pairs[step]:
-                if key & pm == inside:
-                    s = get(key ^ pm)
-                    out[key ^ pm] = s = c if s is None else s + c
-                    if not s:
-                        del out[key ^ pm]
+            for pm in table[key & low]:
+                k2 = key ^ pm
+                s = get(k2)
+                out[k2] = s = c if s is None else s + c
+                if not s:
+                    del out[k2]
         return DifferentialForm._raw(self.dim, a.degree + step, out)
 
     def H(self, a: DifferentialForm) -> DifferentialForm:
@@ -113,7 +124,7 @@ class SymplecticSpace:
         derivative along its partner j^1, negated for even (q) j.
         """
         self._check(a)
-        return _derivation(a, a.degree - 1, _delta_steps)
+        return _derivation(a, a.degree - 1, _delta_table)
 
     def _check(self, a: DifferentialForm):
         if a.dim != self.dim:

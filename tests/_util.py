@@ -5,10 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from koszul import DifferentialForm, MultiVectorField, Polynomial, d_poly
-from koszul.forms import _d_steps, _odd_above
 from koszul.poly import EXP_BITS, EXP_MAX, ExponentOverflow, _guarded, _sum_into, layout
 from koszul.randgen import random_form, random_polynomial, trial_rng
-from koszul.symplectic import _delta_steps
 
 SEED = 20240718
 
@@ -223,7 +221,31 @@ def stdlib_random_vector_field(rng: random.Random, dim: int, max_degree: int) ->
     return MultiVectorField(dim, 1, out)
 
 
-# -- the kernel oracle: each kernel as a generator of (key, c) pairs summed by ``_sum_into``
+# -- the kernel oracle: each kernel as a generator of (key, c) pairs summed by ``_sum_into``,
+# its per-basis rules written out here and evaluated afresh for every term
+
+
+def _odd_above(m: int) -> int:
+    """The mask with bit y set iff an odd number of bits of ``m`` lie above y."""
+    x, s = m >> 1, 1
+    while s < x.bit_length():  # prefix XOR from the top, in doubling windows
+        x ^= x >> s
+        s <<= 1
+    return x
+
+
+def _d_steps(dim: int, m: int) -> tuple:
+    """d on basis m: per i not in m, dx_i joins at bit i and x^e loses one_i, with (-1)^below(m, i)."""
+    fields = layout(dim)[0]
+    return tuple(((1 << i) - one, shift, (m & (1 << i) - 1).bit_count() & 1)
+                 for i, (shift, one) in enumerate(fields) if not m >> i & 1)
+
+
+def _delta_steps(dim: int, m: int) -> tuple:
+    """delta on basis m: the pos-th index j of m leaves and x^e loses one_(j^1), with (-1)^pos, negated for even j."""
+    fields = layout(dim)[0]
+    basis = [j for j in range(dim) if m >> j & 1]
+    return tuple((-(1 << j) - fields[j ^ 1][1], fields[j ^ 1][0], not (pos ^ j) & 1) for pos, j in enumerate(basis))
 
 
 def _collected(cls, dim, degree, pieces, adds_exponents=True):

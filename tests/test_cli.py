@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from koszul.campaign import CampaignConfig, CampaignReport, Check, run_campaign
+from koszul.campaign import VOLUME_DIM_MAX, CampaignConfig, CampaignReport, Check, run_campaign
 from koszul.cli import main
 
 
@@ -47,6 +47,9 @@ REFUSALS = {
     "verify-density-0": (["verify", "--density", "0"], "density must be in (0, 1]"),
     "verify-density-nan": (["verify", "--density", "nan"], "density must be in (0, 1]"),
     "verify-volume-dim-2": (["verify", "--volume-dim", "2"], "volume dimensions must be >= 3"),
+    # linfty-volume costs 2-2.6 times more per two dimensions: --volume-dim 40 would run for minutes
+    "verify-volume-dim-above-ceiling": (["verify", "--suite", "linfty-volume", "--volume-dim", "3,40", "--trials", "1"],
+                                        "error: volume dimensions must be <= 16 for suite linfty-volume"),
     # operators and chain cost 4-7 times more per half-dimension: refused above the ceiling before any campaign starts
     "verify-half-dim-above-ceiling": (["verify", "--half-dim", "7"],
                                       "error: half-dimensions must be <= 6 for suite all"),
@@ -417,6 +420,13 @@ def test_empty_dims_allowed_where_unused():
 def test_half_dim_ceiling_spares_suites_that_stay_cheap(suite):
     # these three take under 2 s at --half-dim 40, so the operators and chain ceiling does not apply
     CampaignConfig(suite=suite, half_dims=(1, 40)).validate()
+
+
+def test_volume_dim_ceiling_is_inclusive_and_only_where_used():
+    CampaignConfig(suite="linfty-volume", volume_dims=(3, VOLUME_DIM_MAX)).validate()
+    CampaignConfig(suite="operators", volume_dims=(VOLUME_DIM_MAX + 1,)).validate()  # no volume suite runs
+    with pytest.raises(ValueError, match=f"<= {VOLUME_DIM_MAX} for suite all"):
+        CampaignConfig(volume_dims=(VOLUME_DIM_MAX + 1,)).validate()
 
 
 @pytest.mark.parametrize("half_dim, seed, check", [(2, 158000007, "a(5,0)"), (3, 92, "a(7,1)")])

@@ -1,20 +1,25 @@
 """The one-loop kernels against the generator-based oracle in ``_util``.
 
 Each kernel of ``poly``, ``forms`` and ``symplectic`` sums the terms it makes
-into its output dict inside its own loop.  ``_util`` keeps the same kernels
-written as generators of (key, c) pairs summed by ``poly._sum_into``.  On
-seeded inputs on R2..R8, with int and Fraction coefficients and with inputs
-built so that terms cancel, both must store the same terms in the same order,
-with no zero coefficient, and refuse the same exponent overflows.
+into its output dict inside its own loop, reading its per-basis rule from a
+lazily filled table.  ``_util`` keeps the same kernels written as generators
+of (key, c) pairs summed by ``poly._sum_into``, with their own per-basis rules
+evaluated afresh for every term.  On seeded inputs on R2..R8, with int and
+Fraction coefficients and with inputs built so that terms cancel, and on every
+basis of R1..R8, both must store the same terms in the same order, with no
+zero coefficient, and refuse the same exponent overflows.
 """
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from koszul import DifferentialForm, MultiVectorField, Polynomial, SymplecticSpace, d, d_poly, parse_form
-from koszul.forms import _contract
-from koszul.poly import ExponentOverflow
+from koszul.forms import _contract, _d_table, _odd_above
+from koszul.poly import ExponentOverflow, layout
+from koszul.symplectic import _TOGGLES, _delta_table
 from koszul.randgen import random_vector_field
 
 from _util import (
@@ -126,6 +131,82 @@ def test_contractions_match_the_oracle(dim, kind):
             assert same(_contract(X, once), generator_contract(X, once)).is_zero()  # iota_X iota_X = 0
             if degree >= 2:
                 same(_contract(P, a), generator_contract(P, a))
+
+
+# -- every basis mask: the table entries against the oracle's rules, and filled only where met
+
+
+def basis_terms(dim, m):
+    """One-term forms c x^e dx_m: e = 0 (no step fires), e = 1_i for each i (one field read), and
+    e_i = i + 1 for every i (every step fires, each with its own factor)."""
+    ones = [one for _, one in layout(dim)[0]]
+    exps = [0, *ones, sum((i + 1) * one for i, one in enumerate(ones))]
+    return [DifferentialForm._raw(dim, m.bit_count(), {m | e: 3}) for e in exps]
+
+
+def every_basis(dim, degree):
+    """One form with a term c x^e dx_m, e_i = i + 1, on every basis m of ``degree``."""
+    full = sum((i + 1) * one for i, (_, one) in enumerate(layout(dim)[0]))
+    return DifferentialForm._raw(dim, degree, {m | full: m + 1 for m in range(1 << dim) if m.bit_count() == degree})
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_d_matches_the_oracle_on_every_basis(dim):
+    for m in range(1 << dim):
+        for a in basis_terms(dim, m):
+            same(d(a), generator_d(a))
+    for degree in range(dim + 1):
+        a = every_basis(dim, degree)
+        same(d(a), generator_d(a))
+
+
+@pytest.mark.parametrize("dim", (2, 4, 6, 8))
+def test_symplectic_operators_match_the_oracle_on_every_basis(dim):
+    s = SymplecticSpace(dim // 2)
+    for a in [x for m in range(1 << dim) for x in basis_terms(dim, m)] + [every_basis(dim, k) for k in range(dim + 1)]:
+        same(s.delta(a), generator_delta(s, a))
+        same(s.L(a), generator_L(s, a))
+        same(s.Lam(a), generator_Lam(s, a))
+
+
+def test_tables_hold_only_the_bases_met_on_R64():
+    s = SymplecticSpace(32)
+    for tables in (_d_table, _delta_table, *_TOGGLES.values()):
+        tables.pop(64, None)  # earlier tests may have filled R64 entries
+    for x in (parse_form("v64^2 dx1 + v1 v2 dx1", 64), parse_form("v3 dx2^dx3^dx64", 64)):
+        d(x), s.delta(x), s.L(x), s.Lam(x)
+    for tables in (_d_table, _delta_table, *_TOGGLES.values()):
+        assert set(tables[64]) == {1, 0b110 | 1 << 63}  # dx1 and dx2^dx3^dx64, of 2^64 bases
+    before = set(_odd_above)
+    parse_form("v5 dx7 - v6 dx64", 64).wedge(parse_form("dx1", 64))
+    assert set(_odd_above) - before <= {1 << 6, 1 << 63}
+
+
+def test_threads_filling_one_table_store_equal_entries():
+    s = SymplecticSpace(5)
+    forms = [every_basis(10, k) for k in range(11)]
+    expected = [(generator_d(a).packed, generator_delta(s, a).packed) for a in forms]
+    for tables in (_d_table, _delta_table):
+        tables.pop(10, None)
+    results, switch = [], sys.getswitchinterval()
+
+    def work(order):
+        results.append([(i, d(forms[i]).packed, s.delta(forms[i]).packed) for i in order])
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(range(11)[::step],)) for step in (1, -1) * 3]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads) and len(results) == 6
+    for i, dd, dl in (row for rows in results for row in rows):
+        assert list(dd.items()) == list(expected[i][0].items()) and list(dl.items()) == list(expected[i][1].items())
+    for tables in (_d_table, _delta_table):
+        assert len(tables[10]) == 1 << 10 and all(entry == tables[10].build(m) for m, entry in tables[10].items())
 
 
 # -- exponent overflow: refused when an out-of-range key survives, not when it cancels
