@@ -25,12 +25,19 @@ checked exactly by ``verify_chain_identity``.  P_k = (-1)^k sum_j a(k,j) L^j Lam
 is linear, so ``lefschetz_sum`` applies it once to ce_partial({.,.}, k alt_m), with
 1/k folded into a(k,j)/k.  It takes the coefficients as a function ``a(k, j)``,
 ``bracket_coefficient`` unless given, so a mutant such as ``raised_coefficient``
-can change one coefficient.
+can change one coefficient.  The table is read at each call, never bound when
+the module loads, and the scaled coefficients (-1)^k scale a(k,j)/k are computed
+once per (a, k, scale) in a bounded cache.  The sum runs in Horner form,
+c_0 b_0 + L(c_1 b_1 + L(... + L(c_J b_J))) with b_j = Lam^j base and J the last
+j with b_j != 0, so L runs J times rather than J(J+1)/2; a coefficient of 1
+costs no scalar pass.
 
 A residual is zero iff D times it is, for any integer D != 0.  Each ``verify_*``
 computes D times its residual, with D clearing its denominators (the ``scale`` of
 ``lefschetz_sum``), so on integer inputs every sum stays over Z with no Fraction;
 it divides by D only a nonzero residual, which then reads as the unscaled value.
+The symplectic family's ``higher`` returns D_k l_k, D_k the lcm of the denominators
+of a(k,j)/k for the table in force at the call, so ``linfty_residual`` sums over Z too.
 "Pass" still means the zero form over Q, and ``alt_m``, ``tilde_l`` and
 ``l_bracket`` keep their exact rational values.
 """
@@ -88,31 +95,42 @@ def alt_m(s: SymplecticSpace, fs: Sequence[Polynomial]) -> DifferentialForm:
     return _alt_sum(fs) * Fraction(1, len(fs))
 
 
+@lru_cache(maxsize=256)  # bounded: every mutant table is a new function object
+def _clearing_scale(a: Callable, k: int) -> int:
+    """D_k: the lcm of the denominators of a(k, j)/k, 0 <= 2j <= k-1."""
+    return lcm(*(Fraction(a(k, j), k).denominator for j in range((k + 1) // 2)))
+
+
+@lru_cache(maxsize=256)
+def _scaled_coefficients(a: Callable, k: int, scale: int) -> tuple:
+    """(-1)^k scale a(k,j)/k for j = 0..(k-1)//2, whole ones as ints so integer sums stay over Z."""
+    out = []
+    for j in range((k + 1) // 2):
+        c = Fraction(a(k, j)) * scale / (-k if k & 1 else k)
+        out.append(c.numerator if c.denominator == 1 else c)
+    return tuple(out)
+
+
 def lefschetz_sum(
     s: SymplecticSpace, k: int, base: DifferentialForm, a: Callable | None = None, scale: int = 1
 ) -> DifferentialForm:
     """(-1)^k sum_j (scale a(k,j)/k) L^j Lam^j base, where ``base`` is k alt_m or a sum of such.
 
-    ``a`` defaults to ``bracket_coefficient``.  Whole coefficients are stored as ints: a ``scale``
-    clearing the denominators keeps integer sums over Z."""
-    a = a or bracket_coefficient
-
-    def coefficient(j):
-        c = a(k, j)
-        c = Fraction(c.numerator * scale, c.denominator * k)
-        return c.numerator if c.denominator == 1 else c
-
-    total = base * coefficient(0)
-    lam = base
-    for j in range(1, (k - 1) // 2 + 1):
-        lam = s.Lam(lam)
+    ``a`` defaults to ``bracket_coefficient``, resolved at each call.  The sum is taken in Horner
+    form c_0 b_0 + L(c_1 b_1 + L(...)), b_j = Lam^j base, so L runs once per nonzero b_j, j >= 1;
+    a coefficient of 1 costs no scalar pass."""
+    coefficients = _scaled_coefficients(a or bracket_coefficient, k, scale)
+    lams = [base]
+    for _ in coefficients[1:]:
+        lam = s.Lam(lams[-1])
         if lam.is_zero():
             break
-        term = lam
-        for _ in range(j):
-            term = s.L(term)
-        total = total + term * coefficient(j)
-    return -total if k & 1 else total
+        lams.append(lam)
+    total = None
+    for c, lam in zip(reversed(coefficients[: len(lams)]), reversed(lams)):
+        term = lam if c == 1 else lam * c
+        total = term if total is None else term + s.L(total)
+    return total
 
 
 def tilde_l(
@@ -127,7 +145,9 @@ def tilde_l(
 
 
 def symplectic_family(s: SymplecticSpace) -> BracketFamily:
-    """The grounded bracket family on Omega^(2n) -> ... -> Omega^1 with l_1 = delta; a lifts to delta a."""
+    """The grounded bracket family on Omega^(2n) -> ... -> Omega^1 with l_1 = delta; a lifts to delta a.
+
+    ``higher`` is D_k l_k, D_k clearing the denominators of a(k,j)/k for the table in force at the call."""
     return BracketFamily(
         name=f"symplectic(n={s.n})",
         ground_form_degree=1,
@@ -136,7 +156,8 @@ def symplectic_family(s: SymplecticSpace) -> BracketFamily:
         form_degree_of=lambda ldegree: 1 - ldegree,
         differential=s.delta,
         lift=lambda a: s.delta(a).as_polynomial(),
-        higher=lambda fs: tilde_l(s, fs),
+        scale=lambda k: _clearing_scale(bracket_coefficient, k),
+        higher=lambda fs: tilde_l(s, fs, scale=_clearing_scale(bracket_coefficient, len(fs))),
     )
 
 
@@ -161,7 +182,7 @@ def verify_chain_identity(
     if len(fs) != k + 1:
         raise ValueError(f"need {k + 1} functions, got {len(fs)}")
     a = a or bracket_coefficient
-    scale = lcm(*(Fraction(a(kk, j), kk).denominator for kk in (k, k + 1) for j in range((kk + 1) // 2)))
+    scale = lcm(_clearing_scale(a, k), _clearing_scale(a, k + 1))
     lhs = lefschetz_sum(s, k, ce_partial(s.poisson_bracket, _alt_sum, fs), a, scale)
     return _unscaled(lhs - s.delta(tilde_l(s, fs, a, scale)), scale)
 

@@ -74,8 +74,9 @@ HALF_DIM_MAX = 6
 # linfty-volume draws (m-2)-forms on R^m, 2-2.6 times the cost per two dimensions; on the same
 # machine --suite linfty-volume --volume-dim 10, 12, 14, 16 take 0.9, 2.2, 5.4, 10.9 s
 VOLUME_DIM_MAX = 16
-# the L-infinity identities up to arity A cost about A^3: --suite linfty-symplectic --half-dim 1
-# --trials 1 takes 0.12, 1.1, 3.6, 9.5 s at A = 20, 40, 60, 80 on a 2-core machine
+# the L-infinity identities up to arity A cost about A^3, the forms' size aside: on a 2-core machine
+# --suite linfty-symplectic --trials 1 takes 0.08, 0.34, 0.50 s at A = 20, 30, 40 on --half-dim 1,
+# and 3.2, 3.6, 4.9 s at A = 10, 13, 40 on --half-dim 6, where brackets above arity 13 vanish
 ARITY_MAX = 40
 _HALF_DIM_CAPPED = ("operators", "chain", "all")
 # suites with chain mutation rows that no linear input breaks (R2's, and a(5,j) on R4)

@@ -107,15 +107,20 @@ def _checked(call, *args, refuse=ValueError):
         raise UsageError(exc) from None
 
 
+def _report_file(path: str, mode: str):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write report to {path}: {exc.strerror}") from None
+
+
 def cmd_verify(args) -> int:
     cfg = CampaignConfig(**{f.name: getattr(args, f.name) for f in fields(CampaignConfig)})
     _checked(cfg.validate)
-    try:  # refuse an unwritable report path before the campaign spends its time
-        out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
-    except OSError as exc:
-        raise UsageError(f"cannot write report to {args.out}: {exc.strerror}") from None
-    with out as fh:
-        report = _checked(run_campaign, cfg, refuse=ExponentOverflow)
+    if args.out:  # refuse an unwritable report path before the campaign spends its time; "a" keeps its content
+        _report_file(args.out, "a").close()
+    report = _checked(run_campaign, cfg, refuse=ExponentOverflow)
+    with _report_file(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:  # replaced only now
         fh.write(report.to_json() if args.fmt == "json" else report.to_text())
     if args.fmt == "json":
         # kept out of the report payload so identical configs stay byte-identical

@@ -32,6 +32,14 @@ as zero, so the residual is the same exact sum in the same order.  A ground
 argument is lifted (``lift``) once per residual, at its first surviving
 term, and each inner value once; candidates call ``higher``/``differential``
 directly.
+
+The sum is taken over Z on integer inputs.  A family's ``higher`` returns
+D_k l_k for an integer D_k that clears l_k's denominators (D_1 = 1: l_1 is the
+differential), so a term built from ``higher`` is D_i D_j l_j(l_i(...)).  Each
+is weighted by D/(D_i D_j), with D the lcm of D_i D_j over the i not dropped
+whole, and the sum is D times the residual: zero iff the residual is, and
+divided by D only when nonzero (``poly._unscaled``), so a failure reads as
+the unscaled value.
 """
 
 from __future__ import annotations
@@ -39,9 +47,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
+from math import lcm
 from typing import Callable, Sequence
 
 from .forms import DifferentialForm
+from .poly import _unscaled
 
 
 @dataclass(frozen=True)
@@ -60,9 +70,12 @@ class BracketFamily:
     complex degree (each family carries its own grading).  A family supplies
     its differential and its bracket: ``differential`` is l_1 on forms,
     ``lift`` maps a ground-degree form to the value brackets act on, and
-    ``higher(lifted)`` is l_k, k = len(lifted) >= 2, on its arguments' lifts.
-    Every family is grounded: ``l`` adds the grounded rules (``vanishes``),
-    so ``lift`` and ``higher`` only ever see ground-degree forms.
+    ``higher(lifted)`` is D_k l_k, k = len(lifted) >= 2, on its arguments'
+    lifts, where ``scale(k)`` = D_k is a nonzero integer; ``l`` divides by it
+    and returns l_k itself.  The residual weights each term l_j(l_i(...)) by
+    D/(D_i D_j), D the lcm of the D_i D_j (module docstring).  Every family is
+    grounded: ``l`` adds the grounded rules (``vanishes``), so ``lift`` and
+    ``higher`` only ever see ground-degree forms.
     """
 
     name: str
@@ -72,6 +85,7 @@ class BracketFamily:
     form_degree_of: Callable[[int], int]
     differential: Callable[[DifferentialForm], DifferentialForm]
     lift: Callable[[DifferentialForm], object]
+    scale: Callable[[int], int]
     higher: Callable[[tuple], DifferentialForm]
 
     def element(self, form: DifferentialForm) -> GradedElement:
@@ -106,7 +120,8 @@ class BracketFamily:
             return self.zero_element(ldegree, args[0].form.dim)
         if k == 1:
             return GradedElement(self.differential(args[0].form), ldegree)
-        return GradedElement(self.higher(tuple(self.lift(x.form) for x in args)), ldegree)
+        value = self.higher(tuple(self.lift(x.form) for x in args))
+        return GradedElement(_unscaled(value, self.scale(k)), ldegree)
 
 
 def permutation_sign(sigma: Sequence[int]) -> int:
@@ -153,16 +168,18 @@ def linfty_residual(family: BracketFamily, args: Sequence[GradedElement]) -> Gra
     grounded = [p for p in range(n) if degrees[p] == ground]
     lifted = cache(lambda p: family.lift(args[p].form))  # at the first surviving term that needs it
 
+    # 2 <= i <= n - 1 is dropped whole when l_i of ground arguments is off the ground degree, as every
+    # outer l_j is then zero.  Each kept i weighs D_i D_j, with D_1 = 1 as l_1 is the differential
+    scale_of = lambda k: 1 if k == 1 else family.scale(k)
+    pair_scales = {i: scale_of(i) * scale_of(n + 1 - i) for i in range(1, n + 1)
+                   if i in (1, n) or not family.vanishes(n + 1 - i, [i * ground + 2 - i] + [ground] * (n - i))}
+    scale = lcm(*pair_scales.values())
+
     total: DifferentialForm | None = None
-    for i in range(1, n + 1):
+    for i, pair_scale in pair_scales.items():
         j = n + 1 - i
-        if i == 1:
-            heads = [(p,) for p in range(n)]
-        elif j >= 2 and family.vanishes(j, [i * ground + 2 - i] + [ground] * (j - 1)):
-            continue  # l_i of ground arguments is off the ground degree, so every outer l_j is zero
-        else:
-            heads = combinations(grounded, i)
-        prefactor = -1 if (i * (j + 1)) & 1 else 1
+        weight = scale // pair_scale * (-1 if (i * (j + 1)) & 1 else 1)
+        heads = [(p,) for p in range(n)] if i == 1 else combinations(grounded, i)
         for head in heads:
             inner_degrees = [degrees[p] for p in head]
             if family.vanishes(i, inner_degrees):
@@ -183,11 +200,12 @@ def linfty_residual(family: BracketFamily, args: Sequence[GradedElement]) -> Gra
             if outer.is_zero():
                 continue
             sigma = head + tail
-            term = outer * (prefactor * permutation_sign(sigma) * koszul_sign(sigma, degrees))
+            factor = weight * permutation_sign(sigma) * koszul_sign(sigma, degrees)
+            term = outer if factor == 1 else outer * factor
             total = term if total is None else total + term
     if total is None:
         return family.zero_element(target_ldeg, args[0].form.dim)
-    return GradedElement(total, target_ldeg)
+    return GradedElement(_unscaled(total, scale), target_ldeg)
 
 
 def ce_partial(

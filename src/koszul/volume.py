@@ -76,5 +76,6 @@ def volume_family(v: VolumeSpace) -> BracketFamily:
         form_degree_of=lambda ldegree: ldegree + ground,
         differential=d,
         lift=lambda alpha: exact_divfree_vf(v, alpha),
+        scale=lambda k: 1,
         higher=lambda fields: _contract_into_mu(v, fields),
     )

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from koszul import (
     d,
     d_poly,
     l_bracket,
+    linfty_residual,
     parse_form,
     series_coefficient,
     symplectic_family,
@@ -482,6 +484,14 @@ def test_residual_sums_stay_integer_on_integer_inputs(scaled_sides, n):
                    for k in range(1, 2 * n + 1)})
     checks["morphism"] = (verify_strict_morphism, lambda t: forms(f"int-mor-{n}", t))
     checks["congruence"] = (verify_quotient_congruence, lambda t: forms(f"int-qc-{n}", t))
+    # the L-infinity identities through the evaluator, each D_k l_k that ``higher`` returns recorded;
+    # from n = 3, as no term of the n = 2 identity on ground arguments survives
+    fam = symplectic_family(s)
+    recorded = replace(fam, higher=lambda fs: scaled_sides.append(fam.higher(fs)) or scaled_sides[-1])
+    identity = lambda s, *xs: linfty_residual(recorded, [recorded.element(x) for x in xs]).form
+    checks.update({f"linfty n={k}": (identity, lambda t, k=k: [rand_form(f"int-li-{n}-{k}-{i}", t, s.dim, 1, 2)
+                                                                for i in range(k)])
+                   for k in range(3, s.dim + 3)})
     for name, (check, draw) in checks.items():
         types = set()
         for t in range(3):
@@ -515,6 +525,19 @@ def test_lefschetz_sum_default_scale_is_the_rational_sum(n):
             assert Fraction in _coefficient_types([out]) or out.is_zero(), f"k={k}: 1/k was not applied"
             assert lefschetz_sum(s, k, _alt_sum(fs), a, scale=6 * k) == out * (6 * k), f"k={k}"
             assert tilde_l(s, fs, a) == out, f"k={k}"
+
+
+def test_lefschetz_sum_applies_L_once_per_lam_power(monkeypatch):
+    # Horner form: on the top form of R8, Lam^j is nonzero up to j = 4 = (9 - 1) // 2, and
+    # c_0 b_0 + L(c_1 b_1 + L(...)) takes 4 L calls where sum_j L^j Lam^j takes 1 + 2 + 3 + 4
+    calls = []
+    real = SymplecticSpace.L
+    monkeypatch.setattr(SymplecticSpace, "L", lambda s, a: calls.append(a) or real(s, a))
+    s = SymplecticSpace(4)
+    top = DifferentialForm.basis(8, tuple(range(8)))
+    out = lefschetz_sum(s, 9, top)
+    assert len(calls) == 4
+    assert out == _lefschetz_reference(s, 9, top, bracket_coefficient)
 
 
 def _overriding(k, j, value):

@@ -393,6 +393,16 @@ def test_verify_refuses_unwritable_out_before_the_campaign(tmp_path, capsys, mon
     assert_refused(capsys, ["verify", "--suite", "chain", "--out", str(target)], "error: cannot write report")
 
 
+def test_verify_refused_run_keeps_the_old_report(tmp_path, capsys):
+    # the exponents of a degree-30000 chain run pass EXP_MAX mid-campaign: the run is refused,
+    # and the report file, opened only after the campaign returns, keeps its old content
+    target = tmp_path / "report.json"
+    target.write_text("old\n")
+    assert_refused(capsys, ["verify", "--suite", "chain", "--half-dim", "1", "--degree", "30000", "--trials", "1",
+                            "--out", str(target)], "an exponent exceeds")
+    assert target.read_text() == "old\n"
+
+
 @pytest.mark.parametrize("flag, dims", [("--half-dim", "1,1"), ("--volume-dim", "3,4,3")])
 def test_verify_repeated_dimensions_exit_2(capsys, flag, dims):
     # a repeated dimension would run, and report, every check of that space twice

@@ -62,6 +62,12 @@ def test_linfty_tower_digest():
     assert _digest(report) == "204f6025fb0f50820bd242bdb53a4477e505aa45db8b56271ccc6375c56f438a"
 
 
+def test_linfty_r10_digest():
+    # on R10 up to arity 11: Lefschetz sums reach L^5 Lam^5 and the evaluator scales by D_11
+    report = run_campaign(CampaignConfig(suite="linfty-symplectic", half_dims=(5,), arity_max=11, trials=2))
+    assert _digest(report) == "a5d209df6917dc640ef53b9ed9a5c13736fa917156ddbccb7543fde0704e313a"
+
+
 @pytest.mark.parametrize(
     "target, attr, mutant, failing_suites, failing_check, digest",
     [
