@@ -8,7 +8,10 @@ Building blocks:
       (1/k) sum_i (-1)^(i+1) f_i df_1 ^ ... (df_i omitted) ... ^ df_k
 
   k alt_m is T_k, where T_1 = f_1, R_1 = df_1, T_i = T_(i-1) ^ df_i + (-1)^(i+1) f_i R_(i-1)
-  and R_i = R_(i-1) ^ df_i: 2k-3 wedges for k >= 2, each with a 1-form operand;
+  and R_i = R_(i-1) ^ df_i: 2k-3 wedges for k >= 2, each with a 1-form operand.  The
+  T-step adds each product of a term of R_(i-1) and one of f_i straight into
+  T_(i-1) ^ df_i (``_Terms._plus``), so f_i R_(i-1) is never built; for k-1 > dim
+  T_k is zero by degree and nothing is computed;
 
 * the series coefficients a(k, j) = (k-j-1)! / ((k-1)! j!), which satisfy
   (k+1) a(k,j) = k a(k+1,j) + k (j+1)^2 a(k+1,j+1) and
@@ -29,8 +32,9 @@ can change one coefficient.  The table is read at each call, never bound when
 the module loads, and the scaled coefficients (-1)^k scale a(k,j)/k are computed
 once per (a, k, scale) in a bounded cache.  The sum runs in Horner form,
 c_0 b_0 + L(c_1 b_1 + L(... + L(c_J b_J))) with b_j = Lam^j base and J the last
-j with b_j != 0, so L runs J times rather than J(J+1)/2; a coefficient of 1
-costs no scalar pass.
+j with b_j != 0, so L runs J times rather than J(J+1)/2; each step adds c_j b_j
+into L(...) in one pass, a coefficient of 1 costs no multiply, and a zero base
+is returned as is.
 
 A residual is zero iff D times it is, for any integer D != 0.  Each ``verify_*``
 computes D times its residual, with D clearing its denominators (the ``scale`` of
@@ -79,14 +83,15 @@ def _alt_sum(fs: Sequence[Polynomial]) -> DifferentialForm:
     """k alt_m(f_1..f_k): the alternating sum without the 1/k, exact over Z on integer inputs."""
     if not fs:
         raise ValueError("need at least one function")
+    if len(fs) - 1 > fs[0].dim:  # a (k-1)-form above the top degree
+        return DifferentialForm.zero(fs[0].dim, len(fs) - 1)
     total = DifferentialForm.from_polynomial(fs[0])
     for i in range(1, len(fs)):
         run = d_poly(fs[0]) if i == 1 else run.wedge(df)  # d fs[0] ^ ... ^ d fs[i-1]
         if not (run or total):  # every later T_i is zero too
             return DifferentialForm.zero(fs[0].dim, len(fs) - 1)
         df = d_poly(fs[i])
-        term = run * fs[i]
-        total = total.wedge(df) - term if i & 1 else total.wedge(df) + term
+        total = total.wedge(df)._plus(run, -1 if i & 1 else 1, fs[i])
     return total
 
 
@@ -118,7 +123,9 @@ def lefschetz_sum(
 
     ``a`` defaults to ``bracket_coefficient``, resolved at each call.  The sum is taken in Horner
     form c_0 b_0 + L(c_1 b_1 + L(...)), b_j = Lam^j base, so L runs once per nonzero b_j, j >= 1;
-    a coefficient of 1 costs no scalar pass."""
+    a coefficient of 1 costs no multiply, and a zero base is returned as is."""
+    if not base:
+        return base
     coefficients = _scaled_coefficients(a or bracket_coefficient, k, scale)
     lams = [base]
     for _ in coefficients[1:]:
@@ -128,8 +135,7 @@ def lefschetz_sum(
         lams.append(lam)
     total = None
     for c, lam in zip(reversed(coefficients[: len(lams)]), reversed(lams)):
-        term = lam if c == 1 else lam * c
-        total = term if total is None else term + s.L(total)
+        total = (lam if c == 1 else lam * c) if total is None else s.L(total)._plus(lam, c)
     return total
 
 

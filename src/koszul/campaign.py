@@ -68,7 +68,7 @@ _VOLUME_DIM_SUITES = ("linfty-volume", "all")
 K_MAX = 200
 # operators and chain draw forms of every degree (C(2n, n) bases), 4-7 times the cost per step;
 # on a shared 2-core machine operators takes 1.2-1.3 s at --half-dim 5 and 5.0-5.5 s at 6, chain
-# 4.6-4.7 s at 5 (46 s at 6 when last measured).  alt-relation, linfty-symplectic and poisson stay
+# 2.5-3.2 s at 5 (46 s at 6 when last measured).  alt-relation, linfty-symplectic and poisson stay
 # under 2 s up to 40.
 HALF_DIM_MAX = 6
 # linfty-volume draws (m-2)-forms on R^m, 2-2.6 times the cost per two dimensions; on the same

@@ -14,6 +14,7 @@ refused the same way; a ValueError raised elsewhere is a program fault.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from contextlib import nullcontext
@@ -117,9 +118,15 @@ def _report_file(path: str, mode: str):
 def cmd_verify(args) -> int:
     cfg = CampaignConfig(**{f.name: getattr(args, f.name) for f in fields(CampaignConfig)})
     _checked(cfg.validate)
+    created = bool(args.out) and not os.path.exists(args.out)
     if args.out:  # refuse an unwritable report path before the campaign spends its time; "a" keeps its content
         _report_file(args.out, "a").close()
-    report = _checked(run_campaign, cfg, refuse=ExponentOverflow)
+    try:
+        report = _checked(run_campaign, cfg, refuse=ExponentOverflow)
+    except BaseException:  # a refused or interrupted run leaves no empty file of its own making behind
+        if created:
+            os.remove(args.out)
+        raise
     with _report_file(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:  # replaced only now
         fh.write(report.to_json() if args.fmt == "json" else report.to_text())
     if args.fmt == "json":

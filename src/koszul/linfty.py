@@ -201,8 +201,7 @@ def linfty_residual(family: BracketFamily, args: Sequence[GradedElement]) -> Gra
                 continue
             sigma = head + tail
             factor = weight * permutation_sign(sigma) * koszul_sign(sigma, degrees)
-            term = outer if factor == 1 else outer * factor
-            total = term if total is None else total + term
+            total = (outer if factor == 1 else outer * factor) if total is None else total._plus(outer, factor)
     if total is None:
         return family.zero_element(target_ldeg, args[0].form.dim)
     return GradedElement(_unscaled(total, scale), target_ldeg)

@@ -127,7 +127,7 @@ def _cyclic(f: Polynomial, g: Polynomial, h: Polynomial):
 
 def _omega(f: Polynomial, g: Polynomial) -> DifferentialForm:
     """f dg - g df: twice the 1-form bracket of forms with delta f and g, over Z on integer inputs."""
-    return d_poly(g) * f - d_poly(f) * g
+    return (d_poly(g) * f)._plus(d_poly(f), -1, g)
 
 
 def _with_brackets(p: PoissonSpace, f, g, h) -> list:
@@ -150,7 +150,10 @@ def obstruction(p: PoissonSpace, f: Polynomial, g: Polynomial, h: Polynomial) ->
 
 def _wedge_cycle(m: int, f, g, h) -> DifferentialForm:
     """f dg^dh + g dh^df + h df^dg."""
-    return sum((d_poly(b).wedge(d_poly(c)) * a for a, b, c in _cyclic(f, g, h)), DifferentialForm.zero(m, 2))
+    total = DifferentialForm.zero(m, 2)
+    for a, b, c in _cyclic(f, g, h):
+        total = total._plus(d_poly(b).wedge(d_poly(c)), 1, a)
+    return total
 
 
 def _bracket_cycle(m: int, terms) -> Polynomial:

@@ -15,8 +15,10 @@ key - one_i, and ``key & guard`` after an add is an exact overflow test.
 ``_Terms`` holds such a map with its ``dim`` and ``degree`` and implements,
 once, what does not look at the basis mask: sum, difference, negation,
 products with a scalar or a polynomial, equality, hash and the zero test.
-Each kernel sums the terms it makes into its output dict in its own loop,
-dropping a key whose sum cancels; one that adds keys runs ``_guarded`` after.
+There is one sum loop, ``_sum_into``, and one product loop, ``_products_into``,
+each adding the terms it makes straight into an output dict and dropping a key
+whose sum cancels.  ``_Terms._plus`` runs them into a copy of self's map:
+self + c other, or self + c other p, so a sum of products builds no product.
 ``Polynomial`` is its degree-0 case; the forms and multivector fields of
 ``forms`` are the others.
 """
@@ -24,7 +26,9 @@ dropping a key whose sum cancels; one that adds keys runs ``_guarded`` after.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import repeat
+from operator import mul, or_
 from typing import Mapping, Union
 
 Coeff = Union[int, Fraction]
@@ -79,6 +83,24 @@ def _sum_into(out: dict, pieces) -> dict:
     return out
 
 
+def _products_into(dim: int, out: dict, left: dict, right: dict, factor: Coeff = 1) -> dict:
+    """Add factor c1 c2 at key1 + key2 into ``out`` for each term of ``left`` and of ``right`` (mask 0).
+
+    Only a product can set a guard bit in ``out``, and none has a field above that field of
+    (OR of left) + (OR of right), so ``_guarded`` scans ``out`` only when that bound sets one."""
+    bound = reduce(or_, left, 0) + reduce(or_, right, 0)
+    right = right.items() if factor == 1 else [(k2, c2 * factor) for k2, c2 in right.items()]
+    get = out.get
+    for k1, c1 in left.items():
+        for k2, c2 in right:
+            key, c = k1 + k2, c1 * c2
+            s = get(key)
+            out[key] = s = c if s is None else s + c
+            if not s:
+                del out[key]
+    return _guarded(dim, out) if bound & layout(dim)[1] else out
+
+
 def _unscaled(residual, scale: int):
     """``residual`` / ``scale`` for a residual computed ``scale`` times over, divided only when nonzero.
 
@@ -93,7 +115,9 @@ class _Terms:
 
     ``*`` takes a scalar or a ``Polynomial`` factor and leaves any other to the
     other operand, so a product of two forms is refused rather than read as a
-    product of coefficients."""
+    product of coefficients.  ``+``, ``-`` and ``*`` check their operands and
+    take their fast paths (a zero operand, a difference of equal maps); the sums
+    then run ``_plus`` and the product ``_products_into``."""
 
     __slots__ = ("dim", "degree", "packed")
 
@@ -145,8 +169,7 @@ class _Terms:
             raise ValueError(f"cannot add degrees {self.degree} and {other.degree}")
         if negate and self.packed == other.packed:  # a passing residual is a difference of equal maps
             return self._raw(self.dim, self.degree, {})
-        pieces = ((k, -c) for k, c in other.packed.items()) if negate else other.packed.items()
-        return self._raw(self.dim, self.degree, _sum_into(dict(self.packed), pieces))
+        return self._plus(other, -1 if negate else 1)
 
     def __sub__(self, other):
         return self.__add__(other, True)
@@ -154,23 +177,22 @@ class _Terms:
     def __neg__(self):
         return self._raw(self.dim, self.degree, {k: -c for k, c in self.packed.items()})
 
+    def _plus(self, other, factor: Coeff = 1, p: Polynomial | None = None):
+        """self + factor other, or self + factor other p for a ``Polynomial`` p, in one pass into a
+        copy of self's map; a factor of 1 costs no multiply.  Unchecked: the caller guarantees
+        the kind, dimension and degree of the operands."""
+        out, terms = dict(self.packed), other.packed
+        if p is not None:
+            _products_into(self.dim, out, terms, p.packed, factor)
+        else:
+            _sum_into(out, terms.items() if factor == 1 else zip(terms, map(mul, terms.values(), repeat(factor))))
+        return self._raw(self.dim, self.degree, out)
+
     def __mul__(self, other):
         """Multiply by a scalar or a polynomial: each product of terms adds keys and multiplies coefficients."""
         if type(other) is Polynomial:
             self._check(other, Polynomial)
-            if not self.packed or not other.packed:
-                return self._raw(self.dim, self.degree, {})
-            right = other.packed.items()
-            out = {}
-            get = out.get
-            for k1, c1 in self.packed.items():
-                for k2, c2 in right:
-                    key, c = k1 + k2, c1 * c2
-                    s = get(key)
-                    out[key] = s = c if s is None else s + c
-                    if not s:
-                        del out[key]
-            return self._raw(self.dim, self.degree, _guarded(self.dim, out))
+            return self._raw(self.dim, self.degree, _products_into(self.dim, {}, self.packed, other.packed))
         if isinstance(other, (int, Fraction)):
             return self._raw(self.dim, self.degree, {k: c * other for k, c in self.packed.items()} if other else {})
         return NotImplemented

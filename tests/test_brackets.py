@@ -28,6 +28,7 @@ import koszul.brackets
 import koszul.forms
 from koszul.brackets import _alt_sum, lefschetz_sum, raised_coefficient
 from koszul.forms import _Alternating
+from koszul.poly import _Terms
 
 from _util import m_k, rand_form, rand_frac_poly, rand_poly
 
@@ -144,6 +145,33 @@ def test_alt_sum_stops_once_run_and_total_vanish(monkeypatch):
     monkeypatch.setattr(_Alternating, "wedge", lambda a, b: calls.append(b.degree) or wedge(a, b))
     out = _alt_sum([Polynomial.constant(6, c) for c in (2, -1, 3, 5, 7)])
     assert out.is_zero() and out.degree == 4 and len(calls) == 2
+
+
+def test_alt_sum_above_the_top_degree_is_zero_at_once(monkeypatch):
+    # on R2, 4 and 5 functions make a 3- and a 4-form: zero by degree, with no df and no wedge
+    calls = []
+    wedge = _Alternating.wedge
+    monkeypatch.setattr(_Alternating, "wedge", lambda a, b: calls.append(b.degree) or wedge(a, b))
+    monkeypatch.setattr(koszul.brackets, "d_poly", None)
+    for k in (4, 5):
+        out = _alt_sum([rand_poly(f"alt-top-{k}", i, 2) for i in range(k)])
+        assert out.is_zero() and out.degree == k - 1
+    assert calls == []
+
+
+def test_alt_sum_adds_each_product_straight_into_its_sum(monkeypatch):
+    # each step adds -+f_i R_(i-1) into T_(i-1) ^ df_i in one pass: no product f_i R_(i-1) is
+    # built first, where multiplying and then adding took one _Terms.__mul__ per step, k - 1 in all
+    s = SymplecticSpace(2)
+    draws = [[rand_poly(f"alt-products-{k}", i, s.dim, 3, 3) for i in range(k)] for k in range(2, 6)]
+    expected = [_alt_sum_definition(s, fs) for fs in draws]
+    calls = []
+    mul = _Terms.__mul__
+    monkeypatch.setattr(_Terms, "__mul__", lambda a, b: calls.append(b) or mul(a, b))
+    for fs, want in zip(draws, expected):
+        out = _alt_sum(fs)
+        assert not out.is_zero() and out == want, f"k={len(fs)}"
+    assert calls == []
 
 
 # -- coefficients --------------------------------------------------------------
@@ -538,6 +566,15 @@ def test_lefschetz_sum_applies_L_once_per_lam_power(monkeypatch):
     out = lefschetz_sum(s, 9, top)
     assert len(calls) == 4
     assert out == _lefschetz_reference(s, 9, top, bracket_coefficient)
+
+
+def test_lefschetz_sum_returns_a_zero_base_as_is(monkeypatch):
+    # no coefficient is read and neither L nor Lam runs: the coefficient table here would raise
+    monkeypatch.setattr(SymplecticSpace, "L", None)
+    monkeypatch.setattr(SymplecticSpace, "Lam", None)
+    for degree in (0, 2, 4):
+        zero = DifferentialForm.zero(4, degree)
+        assert lefschetz_sum(SymplecticSpace(2), degree + 1, zero, lambda k, j: 1 // 0) is zero
 
 
 def _overriding(k, j, value):

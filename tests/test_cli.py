@@ -403,6 +403,14 @@ def test_verify_refused_run_keeps_the_old_report(tmp_path, capsys):
     assert target.read_text() == "old\n"
 
 
+def test_verify_refused_run_leaves_no_new_report(tmp_path, capsys):
+    # the writability probe creates a path that did not exist; a refused run removes it again
+    target = tmp_path / "fresh.json"
+    assert_refused(capsys, ["verify", "--suite", "chain", "--half-dim", "1", "--degree", "30000", "--trials", "1",
+                            "--out", str(target)], "an exponent exceeds")
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("flag, dims", [("--half-dim", "1,1"), ("--volume-dim", "3,4,3")])
 def test_verify_repeated_dimensions_exit_2(capsys, flag, dims):
     # a repeated dimension would run, and report, every check of that space twice

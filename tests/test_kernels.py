@@ -7,7 +7,8 @@ of (key, c) pairs summed by ``poly._sum_into``, with their own per-basis rules
 evaluated afresh for every term.  On seeded inputs on R2..R8, with int and
 Fraction coefficients and with inputs built so that terms cancel, and on every
 basis of R1..R8, both must store the same terms in the same order, with no
-zero coefficient, and refuse the same exponent overflows.
+zero coefficient, and refuse the same exponent overflows.  The accumulation
+kernel ``_Terms._plus`` is held against a sum of oracle products.
 """
 
 import sys
@@ -18,7 +19,7 @@ import pytest
 
 from koszul import DifferentialForm, MultiVectorField, Polynomial, SymplecticSpace, d, d_poly, parse_form
 from koszul.forms import _contract, _d_table, _odd_above
-from koszul.poly import ExponentOverflow, layout
+from koszul.poly import EXP_MAX, ExponentOverflow, layout
 from koszul.symplectic import _TOGGLES, _delta_table
 from koszul.randgen import random_vector_field
 
@@ -234,3 +235,80 @@ def test_an_out_of_range_key_that_cancels_is_not_refused():
     assert same(alpha.wedge(alpha), generator_wedge(alpha, alpha)) == DifferentialForm.zero(2, 2)
     X = MultiVectorField._raw(2, 1, high("v1^20000 dx1 - v1^20000 dx2").packed)
     assert same(_contract(X, alpha), generator_contract(X, alpha)) == DifferentialForm.zero(2, 0)
+
+
+# -- the accumulation kernel: x._plus(y, c, p) = x + c y p and x._plus(y, c) = x + c y, in one pass
+
+FACTORS = (1, -1, 3, Fraction(-2, 5))
+
+
+def same_sum(ours, oracle):
+    """``ours`` after checking it stores the oracle's terms, none of them zero.
+
+    A key that cancels and comes back moves to the end of a dict, and the kernel adds into a
+    copy of x where the oracle adds into a fresh product, so the maps are compared unordered."""
+    assert type(ours) is type(oracle) and (ours.dim, ours.degree) == (oracle.dim, oracle.degree)
+    assert ours.packed == oracle.packed
+    assert all(ours.packed.values()), "a zero coefficient is stored"
+    return ours
+
+
+def plus_cases(kind, t, dim):
+    """(x, y, p) on R^dim: forms and polynomials, zero operands, and x built to cancel c y p."""
+    p, q = poly(kind, "plus-p", t, dim), poly(kind, "plus-q", t, dim)
+    a, b = form(kind, "plus-a", t, dim, min(2, dim)), form(kind, "plus-b", t, dim, min(2, dim))
+    return [
+        (a, b, p), (p, q, p + q),
+        (DifferentialForm.zero(dim, a.degree), b, p), (a, DifferentialForm.zero(dim, a.degree), p),
+        (a, b, Polynomial.zero(dim)),
+        (-generator_mul(b, p), b, p),  # at c = 1 every term cancels
+        (a - generator_mul(b, q), b, q + p),  # the b q part of a cancels
+    ]
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_plus_matches_the_oracle(dim, kind):
+    cancelled = 0
+    for t in range(TRIALS):
+        for x, y, p in plus_cases(kind, t, dim):
+            for c in FACTORS:
+                out = same_sum(x._plus(y, c, p), x + generator_mul(y, p) * c)
+                cancelled += out.is_zero() and not x.is_zero()
+                same_sum(x._plus(y, c), x + y * c)
+            assert same_sum(x._plus(x, -1), x - x).is_zero()
+    assert cancelled
+
+
+def test_plus_refuses_a_surviving_product_past_the_bound_but_never_a_sum():
+    top, p = high("v1^20000 dx1"), high("v1^20000").as_polynomial()
+    for c in FACTORS:
+        with pytest.raises(ExponentOverflow):
+            DifferentialForm.zero(2, 1)._plus(top, c, p)
+    with pytest.raises(ExponentOverflow):
+        generator_mul(top, p)
+    edge = high(f"v1^{EXP_MAX} dx1 + v1^{EXP_MAX} v2^{EXP_MAX} dx2")
+    for c in FACTORS:
+        same_sum(edge._plus(edge, c), edge * (1 + c))
+
+
+def test_a_product_whose_bound_allows_an_overflow_is_scanned_not_refused():
+    # 16384 | 16383 = 32767: with a factor v1 the bound (OR of the left keys plus OR of the right)
+    # sets the guard bit of v1's field, but no product passes v1^16385, so nothing is refused
+    x, y = high("v1^16384 + v1^16383").as_polynomial(), high("v1").as_polynomial()
+    a = high("v1^16384 dx1 + v1^16383 dx2")
+    same(x * y, generator_mul(x, y))
+    same(a * y, generator_mul(a, y))
+    same_sum(a._plus(a, -1, y), a + generator_mul(a, y) * -1)
+
+
+def test_plus_with_factor_1_rebuilds_no_coefficient():
+    # Fraction * 1 is a new object: each stored coefficient being the one it was copied from
+    # shows that no c * 1 ran
+    a = rand_frac_form("plus-same-a", 0, 4, 2)
+    far = Polynomial(4, {(9, 0, 0, 0): 1})  # every key of b lies past the degree-3 keys of a
+    b = generator_mul(rand_frac_form("plus-same-b", 0, 4, 2), far)
+    for x, y in [(a, b), (DifferentialForm.zero(4, 2), b)]:
+        out = x._plus(y)
+        assert len(out.packed) == len(x.packed) + len(y.packed)
+        assert all(out.packed[k] is c for z in (x, y) for k, c in z.packed.items())
