@@ -5,12 +5,12 @@ Every suite is a generator of check rows (``Check``): suite, input stream,
 named residuals and an optional mutant message.  The stream yields one
 argument tuple per trial, and each named check passes when its
 ``residual(*args)`` is exactly zero on every tuple.  The residuals of one row
-all run on a tuple before the next is drawn, so they may share work within
-that sample: the operator row evaluates each operator once per form for all
-14 relations.  A row with a mutant message checks a deliberately broken
-identity: it passes at the first nonzero residual, else fails and reports the
-mutant.  One runner, ``_run``, counts the trials and renders every failure of
-every suite.
+all run on a tuple before the next is drawn, so the stream may compute them
+for that sample: the operator row's stream evaluates all 14 relations on each
+form, and its checks read the results.  A row with a mutant message checks a
+deliberately broken identity: it passes at the first nonzero residual, else
+fails and reports the mutant.  One runner, ``_run``, counts the trials and
+renders every failure of every suite.
 
 Each trial draws its inputs from ``trial_rng(seed, label, t)``, and the JSON
 rendering is canonical, so identical configs produce byte-identical reports.
@@ -56,21 +56,22 @@ from .poisson import (
 )
 from .poly import EXP_MAX, Polynomial
 from .randgen import random_form, random_polynomial, trial_rng
-from .symplectic import SymplecticSpace, operator_relations
+from .symplectic import RELATIONS, SymplecticSpace, operator_relations
 from .volume import VolumeSpace, exact_divfree_vf, volume_family
 
-# suites that would silently run nothing for an empty dimension list
-_HALF_DIM_SUITES = ("operators", "chain", "alt-relation", "linfty-symplectic", "poisson", "all")
+# the suites that take volume dimensions (and would silently run nothing for an empty list)
 _VOLUME_DIM_SUITES = ("linfty-volume", "all")
 
 # the recursion check costs about k_max^3: under a second at 200 on a
 # 2-core machine, over a minute at 800
 K_MAX = 200
+# the half-dimension ceiling of each suite that takes one (and runs nothing without one).
 # operators and chain draw forms of every degree (C(2n, n) bases), 4-7 times the cost per step;
-# on a shared 2-core machine operators takes 1.2-1.3 s at --half-dim 5 and 5.0-5.5 s at 6, chain
-# 2.5-3.2 s at 5 (46 s at 6 when last measured).  alt-relation, linfty-symplectic and poisson stay
-# under 2 s up to 40.
-HALF_DIM_MAX = 6
+# on a shared 2-core machine operators takes 1.0-1.3 s at --half-dim 5 and 4.1-5.0 s at 6, chain
+# 2.5-3.2 s at 5 and 20-24 s at 6.  alt-relation, linfty-symplectic and poisson take 0.6, 1.2 and
+# 0.2 s at 40, but grow as n^2 and faster (layout(2n), the C(2n, 3) bases of the mixed L-infinity
+# row): linfty-symplectic takes 9 s at 80 and runs out of memory at 160 under a 2 GB address limit
+HALF_DIM_MAX = {"operators": 6, "chain": 6, "all": 6, "alt-relation": 40, "linfty-symplectic": 40, "poisson": 40}
 # linfty-volume draws (m-2)-forms on R^m, 2-2.6 times the cost per two dimensions; on the same
 # machine --suite linfty-volume --volume-dim 10, 12, 14, 16 take 0.9, 2.2, 5.4, 10.9 s
 VOLUME_DIM_MAX = 16
@@ -78,7 +79,6 @@ VOLUME_DIM_MAX = 16
 # --suite linfty-symplectic --trials 1 takes 0.08, 0.34, 0.50 s at A = 20, 30, 40 on --half-dim 1,
 # and 3.2, 3.6, 4.9 s at A = 10, 13, 40 on --half-dim 6, where brackets above arity 13 vanish
 ARITY_MAX = 40
-_HALF_DIM_CAPPED = ("operators", "chain", "all")
 # suites with chain mutation rows that no linear input breaks (R2's, and a(5,j) on R4)
 _QUADRATIC_SUITES = ("chain", "all")
 
@@ -109,8 +109,9 @@ class CampaignConfig:
             raise ValueError("density must be in (0, 1]")
         if any(n < 1 for n in self.half_dims):
             raise ValueError("half-dimensions must be >= 1")
-        if self.suite in _HALF_DIM_CAPPED and any(n > HALF_DIM_MAX for n in self.half_dims):
-            raise ValueError(f"half-dimensions must be <= {HALF_DIM_MAX} for suite {self.suite}: each step costs 4-7x")
+        cap = HALF_DIM_MAX.get(self.suite)
+        if cap is not None and any(n > cap for n in self.half_dims):
+            raise ValueError(f"half-dimensions must be <= {cap} for suite {self.suite}: the cost grows steeply past it")
         if any(m < 3 for m in self.volume_dims):
             raise ValueError("volume dimensions must be >= 3")
         if self.suite in _VOLUME_DIM_SUITES and any(m > VOLUME_DIM_MAX for m in self.volume_dims):
@@ -119,7 +120,7 @@ class CampaignConfig:
         for name, dims in (("half-dimensions", self.half_dims), ("volume dimensions", self.volume_dims)):
             if len(set(dims)) < len(dims):  # each repeat would run and report every check again
                 raise ValueError(f"{name} repeat: {','.join(map(str, dims))}")
-        if not self.half_dims and self.suite in _HALF_DIM_SUITES:
+        if not self.half_dims and self.suite in HALF_DIM_MAX:
             raise ValueError(f"suite {self.suite} needs at least one half-dimension")
         if not self.volume_dims and self.suite in _VOLUME_DIM_SUITES:
             raise ValueError(f"suite {self.suite} needs at least one volume dimension")
@@ -201,12 +202,13 @@ class Check(NamedTuple):
     """One check row: each of ``residuals``, ``{name: residual}`` in report
     order, must vanish at every ``args`` in ``inputs``.
 
-    Each input runs through every residual before the next is drawn, so the
-    residuals of a row may share work within one sample.  With ``mutant`` set
-    the row has exactly one residual, its identity is deliberately broken, and
-    the row instead needs one input whose residual is nonzero.  A suite yields
-    rows one at a time and each runs before the next is built, so ``inputs``
-    and ``residuals`` may close over the suite's loop variables.
+    Each input runs through every residual before the next is drawn, so a row's
+    stream may compute the sample's residuals before it yields the sample, and
+    each residual then reads its own.  With ``mutant`` set the row has exactly
+    one residual, its identity is deliberately broken, and the row instead
+    needs one input whose residual is nonzero.  A suite yields rows one at a
+    time and each runs before the next is built, so ``inputs`` and
+    ``residuals`` may close over the suite's loop variables.
     """
 
     suite: str
@@ -261,38 +263,22 @@ def _identity(fam: BracketFamily) -> Callable:
 def operator_row(s: SymplecticSpace, cfg: CampaignConfig) -> Check:
     """The relation table of ``s`` as one row on seeded random forms of every degree 0..2n.
 
-    All 14 relations run on one form before the next is drawn, and within that
-    sample each of L, Lam, H, delta and d is evaluated once per input object
-    (``d(a)`` alone feeds eight relations).  This is exact: the kernels are
-    pure functions of their input and forms are never mutated, so a shared
-    value is the value a fresh call returns.  The memo is keyed by the
-    identity of the input and holds the input, so no key can be reused by
-    another object, and the stream empties it before each sample and after
-    the last.
+    The stream computes ``operator_relations`` on each form before it yields the form, and
+    each check reads its own residual: 26 operator calls per sample, where the 14 relations
+    one by one would make 56 (``d(a)`` alone feeds eight of them).
     """
     if cfg.trials < 1:
         raise ValueError("trials must be >= 1")
-    memo: dict = {}
-
-    def share(op):
-        def once(a):
-            key = (op, id(a))
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = (a, op(a))
-            return hit[1]
-
-        return once
+    residuals = []
 
     def inputs():
         for degree in range(0, s.dim + 1):
             for args in _stream(cfg, f"operators/deg{degree}", cfg.trials, _forms(cfg, s.dim, degree)):
-                memo.clear()
+                residuals[:] = operator_relations(s, *args)
                 yield args
-        memo.clear()
 
-    return Check("operators", inputs(), {f"R{s.dim} {name}": lambda a, lhs=lhs, rhs=rhs: lhs(a) - rhs(a)
-                                         for name, lhs, rhs in operator_relations(s, share)})
+    return Check("operators", inputs(), {f"R{s.dim} {name}": lambda a, i=i: residuals[i]
+                                         for i, name in enumerate(RELATIONS)})
 
 
 def suite_operators(cfg: CampaignConfig) -> Iterable[Check]:

@@ -51,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification campaign")
     pv.add_argument("--suite", default="all", choices=SUITES)
     pv.add_argument("--half-dim", dest="half_dims", type=_int_list, default=(1, 2), metavar="N[,N...]",
-                    help=f"half-dimensions for symplectic suites (default 1,2; operators, chain, all: <= {HALF_DIM_MAX})")
+                    help=f"half-dimensions for symplectic suites (default 1,2; operators, chain, all: "
+                         f"<= {HALF_DIM_MAX['all']}; alt-relation, linfty-symplectic, poisson: <= {HALF_DIM_MAX['poisson']})")
     pv.add_argument("--volume-dim", dest="volume_dims", type=_int_list, default=(3, 4), metavar="M[,M...]",
                     help=f"dimensions for the volume suite (default 3,4; 3..{VOLUME_DIM_MAX})")
     pv.add_argument("--degree", dest="max_degree", type=int, default=3, metavar="DEGREE",

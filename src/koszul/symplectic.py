@@ -13,8 +13,10 @@ together with delta^2 = 0, delta d = -d delta, and {f, g} = delta(f dg)
 = omega(X_f, X_g) = iota_pi(df ^ dg), where iota_{X_f} omega = -df and
 {v1, v2} = +1.  ``operator_relations`` is this table, and the operator row
 of ``koszul.campaign`` re-checks it on seeded random forms, so it is the
-executable record of the convention.  Within one sample of that row the
-relations share operator values: each operator runs once per form.
+executable record of the convention.  The table writes the 14 residuals out
+once, each operator value that several relations share bound to a name, so a
+form costs 26 calls of L, Lam, delta and d where the relations one by one
+would make 56.
 
 Because omega and pi are constant, L, Lam and delta are computed directly on
 a form's stored map ``packed`` {key: c} (``poly._Terms``: basis mask m in
@@ -43,7 +45,6 @@ one loop.  The bracket is X_f g = iota_{X_f} dg, one contraction by the field ab
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable
 
 from .forms import (DifferentialForm, MultiVectorField, _derivation, _derivation_table, _per_basis, contract_vector, d,
                     d_poly)
@@ -150,38 +151,35 @@ class SymplecticSpace:
         return contract_vector(self.hamiltonian_vector_field(f), d_poly(g)).as_polynomial()
 
 
-def operator_relations(
-    s: SymplecticSpace, share: Callable[[Callable], Callable] = lambda op: op
-) -> list[tuple[str, Callable, Callable]]:
-    """The relation table as (name, lhs, rhs) pairs of operators on forms.
+RELATIONS = (
+    "[Lam,L]=H", "[H,Lam]=2Lam", "[H,L]=-2L", "[L,d]=0", "[Lam,d]=delta", "[H,d]=-d", "[Lam,delta]=0",
+    "[L,delta]=d", "[H,delta]=delta", "delta^2=0", "delta d=-d delta", "[delta d,H]=0", "[delta d,L]=0",
+    "[delta d,Lam]=0",
+)
 
-    ``share`` wraps each of L, Lam, H, delta and d before the table is built
-    from them; the campaign's operator row passes a per-sample memo, and by
-    default the closures call the operators directly.
+
+def operator_relations(s: SymplecticSpace, a: DifferentialForm) -> tuple[DifferentialForm, ...]:
+    """The residual lhs - rhs of each relation in ``RELATIONS`` on the form ``a``, in that order.
+
+    Each operator value that several relations take is computed once and bound to a name, so
+    L, Lam, delta and d run 26 times in all.  The operators are looked up at call time.
     """
-
-    def comm(A, B):
-        return lambda a: A(B(a)) - B(A(a))
-
-    def zero(a):
-        return DifferentialForm.zero(s.dim, 0)
-
-    L, Lam, H, dl, d_ = map(share, (s.L, s.Lam, s.H, s.delta, d))
-    dd = lambda a: dl(d_(a))
-    relations = [
-        ("[Lam,L]=H", comm(Lam, L), H),
-        ("[H,Lam]=2Lam", comm(H, Lam), lambda a: Lam(a) * 2),
-        ("[H,L]=-2L", comm(H, L), lambda a: L(a) * (-2)),
-        ("[L,d]=0", comm(L, d_), zero),
-        ("[Lam,d]=delta", comm(Lam, d_), dl),
-        ("[H,d]=-d", comm(H, d_), lambda a: -d_(a)),
-        ("[Lam,delta]=0", comm(Lam, dl), zero),
-        ("[L,delta]=d", comm(L, dl), d_),
-        ("[H,delta]=delta", comm(H, dl), dl),
-        ("delta^2=0", lambda a: dl(dl(a)), zero),
-        ("delta d=-d delta", dd, lambda a: -d_(dl(a))),
-        ("[delta d,H]=0", comm(dd, H), zero),
-        ("[delta d,L]=0", comm(dd, L), zero),
-        ("[delta d,Lam]=0", comm(dd, Lam), zero),
-    ]
-    return relations
+    L, Lam, H, dl = s.L, s.Lam, s.H, s.delta
+    La, Ma, Ha, da, ea = L(a), Lam(a), H(a), d(a), dl(a)
+    dLa, dMa, dHa, dda = d(La), d(Ma), d(Ha), dl(da)
+    return (
+        Lam(La) - L(Ma) - Ha,
+        H(Ma) - Lam(Ha) - Ma * 2,
+        H(La) - L(Ha) + La * 2,
+        L(da) - dLa,
+        Lam(da) - dMa - ea,
+        H(da) - dHa + da,
+        Lam(ea) - dl(Ma),
+        L(ea) - dl(La) - da,
+        H(ea) - dl(Ha) - ea,
+        dl(ea),
+        dda + d(ea),
+        dl(dHa) - H(dda),
+        dl(dLa) - L(dda),
+        dl(dMa) - Lam(dda),
+    )

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from koszul import DifferentialForm, MultiVectorField, Polynomial, d_poly
+from koszul import DifferentialForm, MultiVectorField, Polynomial, d, d_poly
 from koszul.poly import EXP_BITS, EXP_MAX, ExponentOverflow, _guarded, _sum_into, layout
 from koszul.randgen import random_form, random_polynomial, trial_rng
 
@@ -318,3 +318,34 @@ def generator_contract(X, a):
     pieces = ((key - pm + k2, (-c if (key & s_p).bit_count() + flip & 1 else c) * c2)
               for key, c in a.packed.items() for pm, s_p, k2, c2 in xs if key & pm == pm)
     return _collected(DifferentialForm, a.dim, a.degree - X.degree, pieces)
+
+
+def unshared_operator_relations(s):
+    """Oracle for ``operator_relations``: the table as (name, lhs, rhs) pairs of operators on
+    forms, every operator called afresh by every relation."""
+
+    def comm(A, B):
+        return lambda a: A(B(a)) - B(A(a))
+
+    def zero(a):
+        return DifferentialForm.zero(s.dim, 0)
+
+    L, Lam, H, dl, d_ = s.L, s.Lam, s.H, s.delta, d
+    dd = lambda a: dl(d_(a))
+    relations = [
+        ("[Lam,L]=H", comm(Lam, L), H),
+        ("[H,Lam]=2Lam", comm(H, Lam), lambda a: Lam(a) * 2),
+        ("[H,L]=-2L", comm(H, L), lambda a: L(a) * (-2)),
+        ("[L,d]=0", comm(L, d_), zero),
+        ("[Lam,d]=delta", comm(Lam, d_), dl),
+        ("[H,d]=-d", comm(H, d_), lambda a: -d_(a)),
+        ("[Lam,delta]=0", comm(Lam, dl), zero),
+        ("[L,delta]=d", comm(L, dl), d_),
+        ("[H,delta]=delta", comm(H, dl), dl),
+        ("delta^2=0", lambda a: dl(dl(a)), zero),
+        ("delta d=-d delta", dd, lambda a: -d_(dl(a))),
+        ("[delta d,H]=0", comm(dd, H), zero),
+        ("[delta d,L]=0", comm(dd, L), zero),
+        ("[delta d,Lam]=0", comm(dd, Lam), zero),
+    ]
+    return relations

@@ -1,9 +1,10 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from koszul.campaign import VOLUME_DIM_MAX, CampaignConfig, CampaignReport, Check, run_campaign
+from koszul.campaign import HALF_DIM_MAX, SUITES, VOLUME_DIM_MAX, CampaignConfig, CampaignReport, Check, run_campaign
 from koszul.cli import main
 
 
@@ -57,6 +58,13 @@ REFUSALS = {
                                     "error: half-dimensions must be <= 6 for suite operators"),
     "verify-half-dim-30": (["verify", "--suite", "chain", "--half-dim", "1,30"],
                            "error: half-dimensions must be <= 6 for suite chain"),
+    # the other symplectic suites grow as n^2 and faster: linfty-symplectic runs out of memory at 160
+    "verify-linfty-symplectic-half-dim-41": (["verify", "--suite", "linfty-symplectic", "--half-dim", "41"],
+                                             "error: half-dimensions must be <= 40 for suite linfty-symplectic"),
+    "verify-poisson-half-dim-41": (["verify", "--suite", "poisson", "--half-dim", "41"],
+                                   "error: half-dimensions must be <= 40 for suite poisson"),
+    "verify-alt-relation-half-dim-20000": (["verify", "--suite", "alt-relation", "--half-dim", "20000", "--trials", "1"],
+                                           "error: half-dimensions must be <= 40 for suite alt-relation"),
     # numbers too long for int(): one line naming the token's position, not a traceback
     "huge-index": (["eval", "--dim", "3", "v" + HUGE], "number of 5000 characters is too long (at position 0)"),
     "huge-coefficient": (["eval", "--dim", "3", HUGE + " v1"], "too long (at position 0)"),
@@ -440,6 +448,20 @@ def test_half_dim_ceiling_spares_suites_that_stay_cheap(suite):
     CampaignConfig(suite=suite, half_dims=(1, 40)).validate()
 
 
+@pytest.mark.parametrize("suite", HALF_DIM_MAX)
+def test_half_dim_ceiling_is_inclusive_and_refused_before_any_space_is_built(capsys, monkeypatch, suite):
+    from koszul.symplectic import SymplecticSpace
+
+    cap = HALF_DIM_MAX[suite]
+    CampaignConfig(suite=suite, half_dims=(1, cap)).validate()
+
+    def unbuilt(self, n):
+        raise AssertionError(f"a space of half-dimension {n} was built")
+
+    monkeypatch.setattr(SymplecticSpace, "__init__", unbuilt)
+    assert_refused(capsys, ["verify", "--suite", suite, "--half-dim", str(cap + 1)], f"must be <= {cap} for suite {suite}")
+
+
 def test_volume_dim_ceiling_is_inclusive_and_only_where_used():
     CampaignConfig(suite="linfty-volume", volume_dims=(3, VOLUME_DIM_MAX)).validate()
     CampaignConfig(suite="operators", volume_dims=(VOLUME_DIM_MAX + 1,)).validate()  # no volume suite runs
@@ -454,3 +476,53 @@ def test_chain_mutation_checks_draw_past_an_unlucky_start(half_dim, seed, check)
     assert report.failed == 0
     (mutation,) = [c for c in report.checks if f"mutation {check}" in c.name]
     assert mutation.trials > 5
+
+
+# -- the exit-code contract on drawn arguments ---------------------------------
+
+# each option's values, valid and refused.  --suite, --trials and --format are always given, so no
+# draw runs more than one trial per check; each other option is left at its default half the time,
+# or nearly every draw would be refused
+DRAWN_OPTIONS = {
+    "--suite": SUITES,
+    "--half-dim": ("", "0", "-1", "1", "1,1", "x", "7", "41"),
+    "--volume-dim": ("", "2", "3", "17", "3,3"),
+    "--degree": ("-3", "0", "1", "2", "32768"),
+    "--density": ("0", "0.5", "1", "nan", "inf"),
+    "--trials": ("-1", "0", "1"),
+    "--arity-max": ("0", "1", "3", "41"),
+    "--k-max": ("1", "2", "201"),
+    "--format": ("text", "json"),
+}
+
+
+def drawn_verify_argvs(count: int, seed: int = 13):
+    rnd = random.Random(seed)
+    for _ in range(count):
+        argv = ["verify"]
+        for option, values in DRAWN_OPTIONS.items():
+            if option in ("--suite", "--trials", "--format") or rnd.random() < 0.5:
+                argv += [option, rnd.choice(values)]
+        yield argv
+
+
+def test_verify_exit_codes_on_drawn_arguments(capsys):
+    # exit 0, 1 or 2 and never a traceback; a refusal is one error line (after argparse's usage
+    # lines, for its own refusals) with nothing on stdout; a JSON report always parses
+    codes = []
+    for argv in drawn_verify_argvs(200):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a malformed value itself
+            code = exc.code
+        out, err = capsys.readouterr()
+        codes.append(code)
+        assert code in (0, 1, 2) and "Traceback" not in err, argv
+        errors = [line for line in err.splitlines() if "error:" in line]
+        if code == 2:
+            assert out == "" and len(errors) == 1 and errors[0] == err.splitlines()[-1], (argv, err)
+        else:
+            assert errors == [], (argv, err)
+            if "json" in argv:
+                json.loads(out)
+    assert codes.count(0) >= 10 and codes.count(2) >= 100, codes

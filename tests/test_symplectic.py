@@ -12,15 +12,15 @@ from koszul import (
     contract_vector,
     d,
     d_poly,
-    operator_relations,
     parse_form,
 )
 from koszul.brackets import symplectic_family
 from koszul.campaign import CampaignConfig, Check, _run, operator_row
 from koszul.grammar import render_form
 from koszul.randgen import random_form, trial_rng
+from koszul.symplectic import RELATIONS, operator_relations
 
-from _util import rand_form, rand_frac_form, rand_frac_poly, rand_poly, solve_constant_system
+from _util import rand_form, rand_frac_form, rand_frac_poly, rand_poly, solve_constant_system, unshared_operator_relations
 
 
 @pytest.fixture(scope="module")
@@ -198,8 +198,11 @@ def test_bracket_three_routes_agree(s2):
 
 
 def test_relation_table_is_complete(s1):
-    names = [name for name, _, _ in operator_relations(s1)]
+    names = [name for name, _, _ in unshared_operator_relations(s1)]
     assert len(names) == 14 and len(set(names)) == 14
+    assert RELATIONS == tuple(names)
+    a = rand_form("table", 0, 2, 1)
+    assert [lhs(a) - rhs(a) for _, lhs, rhs in unshared_operator_relations(s1)] == list(operator_relations(s1, a))
 
 
 def relation_reports(s, trials, max_degree, seed, density=0.7):
@@ -365,7 +368,7 @@ def test_relation_suite_catches_a_wrong_operator(space, failing):
 def unshared_reports(s, trials, max_degree, seed, density=0.7):
     """Reference for the row: relation by relation, every operator called afresh."""
     out = []
-    for name, lhs, rhs in operator_relations(s):
+    for name, lhs, rhs in unshared_operator_relations(s):
         count, failures = 0, []
         for degree in range(s.dim + 1):
             for t in range(trials):
@@ -421,4 +424,4 @@ def test_relation_suite_evaluates_each_operator_once_per_sample(monkeypatch):
     reports = relation_reports(s, trials=2, max_degree=2, seed=3)
     samples = 2 * (s.dim + 1)
     assert all(r.ok and r.trials == samples for r in reports)
-    assert 0 < s.calls <= 26 * samples
+    assert s.calls == 26 * samples
