@@ -10,8 +10,10 @@ Building blocks:
   k alt_m is T_k, where T_1 = f_1, R_1 = df_1, T_i = T_(i-1) ^ df_i + (-1)^(i+1) f_i R_(i-1)
   and R_i = R_(i-1) ^ df_i: 2k-3 wedges for k >= 2, each with a 1-form operand.  The
   T-step adds each product of a term of R_(i-1) and one of f_i straight into
-  T_(i-1) ^ df_i (``_Terms._plus``), so f_i R_(i-1) is never built; for k-1 > dim
-  T_k is zero by degree and nothing is computed;
+  T_(i-1) ^ df_i (``_Terms._plus``), so f_i R_(i-1) is never built.  Exact zeros
+  are decided before any wedge: for k-1 > dim T_k is zero by degree and nothing is
+  computed; a zero f_i, or two f_i with df_i = 0 (constants), make every term zero,
+  as each keeps f_i or one of the zero df_i.  Each df_i is computed once;
 
 * the series coefficients a(k, j) = (k-j-1)! / ((k-1)! j!), which satisfy
   (k+1) a(k,j) = k a(k+1,j) + k (j+1)^2 a(k+1,j+1) and
@@ -83,15 +85,20 @@ def _alt_sum(fs: Sequence[Polynomial]) -> DifferentialForm:
     """k alt_m(f_1..f_k): the alternating sum without the 1/k, exact over Z on integer inputs."""
     if not fs:
         raise ValueError("need at least one function")
-    if len(fs) - 1 > fs[0].dim:  # a (k-1)-form above the top degree
-        return DifferentialForm.zero(fs[0].dim, len(fs) - 1)
+    k = len(fs)
+    if k - 1 > fs[0].dim or not all(fs):  # a (k-1)-form above the top degree, or a zero argument
+        return DifferentialForm.zero(fs[0].dim, k - 1)
     total = DifferentialForm.from_polynomial(fs[0])
-    for i in range(1, len(fs)):
-        run = d_poly(fs[0]) if i == 1 else run.wedge(df)  # d fs[0] ^ ... ^ d fs[i-1]
+    if k == 1:
+        return total
+    dfs = [*map(d_poly, fs)]
+    if not all(dfs) and sum(not df for df in dfs) > 1:  # two constants: every term keeps a zero df
+        return DifferentialForm.zero(fs[0].dim, k - 1)
+    for i in range(1, k):
+        run = dfs[0] if i == 1 else run.wedge(dfs[i - 1])  # d fs[0] ^ ... ^ d fs[i-1]
         if not (run or total):  # every later T_i is zero too
-            return DifferentialForm.zero(fs[0].dim, len(fs) - 1)
-        df = d_poly(fs[i])
-        total = total.wedge(df)._plus(run, -1 if i & 1 else 1, fs[i])
+            return DifferentialForm.zero(fs[0].dim, k - 1)
+        total = total.wedge(dfs[i])._plus(run, -1 if i & 1 else 1, fs[i])
     return total
 
 

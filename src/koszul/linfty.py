@@ -18,26 +18,29 @@ l_k for k >= 2 is zero unless every argument lies in degree 0.  An unshuffle
 is fixed by its head sigma(1..i), and ``linfty_residual`` enumerates only
 the heads that can survive these rules:
 
-* i = 1: one head per argument position;
+* i = 1: one head per argument position, each tested by
+  ``BracketFamily.vanishes`` for its inner l_1 and its outer l_n;
 * i >= 2: combinations of the ground-degree positions, as l_i is zero on
-  any other argument;
-* 2 <= i <= n - 1 is dropped whole, by one ``BracketFamily.vanishes`` test,
-  when l_i of ground arguments, in degree 2 - i, is off the degree 0 that
-  the outer l_j needs: every term of that i is exactly zero.  Only i = 2
-  stays, besides i = n, whose outer bracket is l_1.
+  any other argument.  So l_i never vanishes on a head, and the outer l_j
+  sees l_i's degree 2 - i, every argument off the ground and the ground
+  arguments left over, the same degrees for every head: one ``vanishes``
+  test per splitting decides all of its terms.  On ground arguments it
+  keeps i = 2, whose l_2 lies in the degree 0 the outer l_j needs, and
+  i = n, whose outer bracket is l_1; with an argument off the ground it
+  drops every i >= 2.
 
-At most n + C(n, 2) + 1 of the 2^n - 1 terms remain as candidates, each
-still tested by ``vanishes``; every dropped term is one that ``l`` returns
-as zero, so the residual is the same exact sum in the same order.  A ground
-argument is lifted (``lift``) once per residual, at its first surviving
-term, and each inner value once; candidates call ``higher``/``differential``
-directly.
+At most n + C(n, 2) + 1 of the 2^n - 1 terms remain as candidates, and
+``vanishes`` runs at most 2n + n - 1 times; every dropped term is one that
+``l`` returns as zero, so the residual is the same exact sum in the same
+order.  A ground argument is lifted (``lift``) once per residual, at its
+first surviving term, and each inner value once; candidates call
+``higher``/``differential`` directly.
 
 The sum is taken over Z on integer inputs.  A family's ``higher`` returns
 D_k l_k for an integer D_k that clears l_k's denominators (D_1 = 1: l_1 is the
 differential), so a term built from ``higher`` is D_i D_j l_j(l_i(...)).  Each
-is weighted by D/(D_i D_j), with D the lcm of D_i D_j over the i not dropped
-whole, and the sum is D times the residual: zero iff the residual is, and
+is weighted by D/(D_i D_j), with D the lcm of D_i D_j over the splittings
+kept, and the sum is D times the residual: zero iff the residual is, and
 divided by D only when nonzero (``poly._unscaled``), so a failure reads as
 the unscaled value.
 """
@@ -45,7 +48,7 @@ the unscaled value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 from math import lcm
 from typing import Callable, Sequence
@@ -99,6 +102,11 @@ class BracketFamily:
     def zero_element(self, ldegree: int, dim: int) -> GradedElement:
         return GradedElement(DifferentialForm.zero(dim, self.form_degree_of(ldegree)), ldegree)
 
+    @cached_property
+    def ground_ldegree(self) -> int:
+        """The complex degree of the ground layer, computed once per family."""
+        return self.ldegree_of(self.ground_form_degree)
+
     def vanishes(self, k: int, ldegrees: Sequence[int]) -> bool:
         """Whether l_k is zero by groundedness on arguments of these degrees.
 
@@ -106,10 +114,9 @@ class BracketFamily:
         leave the complex; l_k for k >= 2 needs every argument in the ground
         degree.
         """
-        ground = self.ldegree_of(self.ground_form_degree)
         if k == 1:
-            return ldegrees[0] >= ground
-        return any(x != ground for x in ldegrees)
+            return ldegrees[0] >= self.ground_ldegree
+        return ldegrees.count(self.ground_ldegree) != len(ldegrees)
 
     def l(self, k: int, args: Sequence[GradedElement]) -> GradedElement:
         if k != len(args):
@@ -164,30 +171,29 @@ def linfty_residual(family: BracketFamily, args: Sequence[GradedElement]) -> Gra
         raise ValueError("need at least one argument")
     degrees = [x.ldegree for x in args]
     target_ldeg = sum(degrees) + 3 - n
-    ground = family.ldegree_of(family.ground_form_degree)
+    ground = family.ground_ldegree
     grounded = [p for p in range(n) if degrees[p] == ground]
+    off_ground = [x for x in degrees if x != ground]
     lifted = cache(lambda p: family.lift(args[p].form))  # at the first surviving term that needs it
 
-    # 2 <= i <= n - 1 is dropped whole when l_i of ground arguments is off the ground degree, as every
-    # outer l_j is then zero.  Each kept i weighs D_i D_j, with D_1 = 1 as l_1 is the differential
+    # one test keeps or drops a whole i >= 2, as its outer l_j sees the same degrees on every head (module
+    # docstring).  Each kept i weighs D_i D_j, with D_1 = 1 as l_1 is the differential
     scale_of = lambda k: 1 if k == 1 else family.scale(k)
     pair_scales = {i: scale_of(i) * scale_of(n + 1 - i) for i in range(1, n + 1)
-                   if i in (1, n) or not family.vanishes(n + 1 - i, [i * ground + 2 - i] + [ground] * (n - i))}
+                   if i == 1 or (i <= len(grounded) and not family.vanishes(
+                       n + 1 - i, [i * ground + 2 - i, *off_ground] + [ground] * (len(grounded) - i)))}
     scale = lcm(*pair_scales.values())
 
     total: DifferentialForm | None = None
     for i, pair_scale in pair_scales.items():
         j = n + 1 - i
         weight = scale // pair_scale * (-1 if (i * (j + 1)) & 1 else 1)
-        heads = [(p,) for p in range(n)] if i == 1 else combinations(grounded, i)
-        for head in heads:
-            inner_degrees = [degrees[p] for p in head]
-            if family.vanishes(i, inner_degrees):
-                continue
+        for head in [(p,) for p in range(n)] if i == 1 else combinations(grounded, i):
             tail = tuple(p for p in range(n) if p not in head)
-            if family.vanishes(j, [sum(inner_degrees) + 2 - i] + [degrees[p] for p in tail]):
-                continue
             if i == 1:
+                x = degrees[head[0]]
+                if family.vanishes(1, [x]) or family.vanishes(j, [x + 1] + [degrees[p] for p in tail]):
+                    continue
                 inner = family.differential(args[head[0]].form)
             else:
                 inner = family.higher(tuple(map(lifted, head)))

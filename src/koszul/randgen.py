@@ -60,15 +60,28 @@ def _monomials(plan: tuple, terms: int) -> dict[int, int]:
     getrandbits, n_deg, k_deg, n_coord, k_coord, ones = plan
     if n_deg > EXP_MAX + 1:
         raise ExponentOverflow(f"max_degree {n_deg - 1} exceeds {EXP_MAX}")
-    while True:
+    if n_deg < 1:
+        raise ValueError(f"empty range [0, {n_deg})")
+    n_coeff = len(_COEFFS)
+    while True:  # the module's rule, written out for each integer
         acc: dict[int, int] = {}
         for _ in range(terms):
+            r = getrandbits(k_deg)
+            while r >= n_deg:
+                r = getrandbits(k_deg)
+            if r and n_coord < 1:  # getrandbits(0) is 0, so an empty range would never end
+                raise ValueError(f"empty range [0, {n_coord})")
             key = 0
-            for _ in range(_below(getrandbits, n_deg, k_deg)):
-                key += ones[_below(getrandbits, n_coord, k_coord)]
-            c = _COEFFS[_below(getrandbits, len(_COEFFS), _COEFF_BITS)]
-            s = acc.pop(key, 0) + c
-            if s:  # zero when c cancels an earlier monomial
+            for _ in range(r):
+                i = getrandbits(k_coord)
+                while i >= n_coord:
+                    i = getrandbits(k_coord)
+                key += ones[i]
+            i = getrandbits(_COEFF_BITS)
+            while i >= n_coeff:
+                i = getrandbits(_COEFF_BITS)
+            s = acc.pop(key, 0) + _COEFFS[i]
+            if s:  # zero when the coefficient cancels an earlier monomial
                 acc[key] = s
         if acc:
             return acc

@@ -68,6 +68,23 @@ def m_k(s, fs) -> DifferentialForm:
     return total
 
 
+def full_path_alt_sum(fs) -> DifferentialForm:
+    """Oracle for ``brackets._alt_sum`` with no zero decided from its arguments: only the top degree
+    and a vanishing R_i and T_i stop the recurrence, so a zero or constant argument takes the T-steps."""
+    if not fs:
+        raise ValueError("need at least one function")
+    if len(fs) - 1 > fs[0].dim:  # a (k-1)-form above the top degree
+        return DifferentialForm.zero(fs[0].dim, len(fs) - 1)
+    total = DifferentialForm.from_polynomial(fs[0])
+    for i in range(1, len(fs)):
+        run = d_poly(fs[0]) if i == 1 else run.wedge(df)  # d fs[0] ^ ... ^ d fs[i-1]
+        if not (run or total):  # every later T_i is zero too
+            return DifferentialForm.zero(fs[0].dim, len(fs) - 1)
+        df = d_poly(fs[i])
+        total = total.wedge(df)._plus(run, -1 if i & 1 else 1, fs[i])
+    return total
+
+
 def unshuffles(i: int, j: int) -> list[tuple[int, ...]]:
     """All (i, j)-unshuffles of range(i + j), as position -> index tuples.
 

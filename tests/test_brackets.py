@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -30,7 +31,7 @@ from koszul.brackets import _alt_sum, lefschetz_sum, raised_coefficient
 from koszul.forms import _Alternating
 from koszul.poly import _Terms
 
-from _util import m_k, rand_form, rand_frac_poly, rand_poly
+from _util import full_path_alt_sum, m_k, rand_form, rand_frac_poly, rand_poly
 
 
 @pytest.fixture(scope="module")
@@ -139,12 +140,50 @@ def test_alt_sum_wedges_linearly(monkeypatch, n):
 
 
 def test_alt_sum_stops_once_run_and_total_vanish(monkeypatch):
-    # constant functions: R_2 and T_2 are zero, so the 4-form is zero after 2 of the 2k - 3 = 7 wedges
+    # constant functions: two zero differentials decide the 4-form before any of the 2k - 3 = 7 wedges
     calls = []
     wedge = _Alternating.wedge
     monkeypatch.setattr(_Alternating, "wedge", lambda a, b: calls.append(b.degree) or wedge(a, b))
     out = _alt_sum([Polynomial.constant(6, c) for c in (2, -1, 3, 5, 7)])
-    assert out.is_zero() and out.degree == 4 and len(calls) == 2
+    assert out.is_zero() and out.degree == 4 and len(calls) == 0
+    # f, f, g, h: R_2 = df ^ df and T_2 = f df - f df are zero, so it stops after 2 of the 5 wedges
+    f = rand_poly("alt-stop", 0, 6)
+    out = _alt_sum([f, f, rand_poly("alt-stop", 1, 6), rand_poly("alt-stop", 2, 6)])
+    assert out.is_zero() and out.degree == 3 and len(calls) == 2
+
+
+def _zero_rule_inputs(n):
+    """On R2n, k = 2..2n+1 non-constant draws with a zero function at each position, one constant at
+    each position and two at each pair of positions; each with whether its sum is decided zero."""
+    dim = 2 * n
+    for k in range(2, dim + 2):
+        fs = [next(f for f in (rand_poly(f"alt-zero-{n}-{k}-{i}", t, dim, 2) for t in range(50)) if d_poly(f))
+              for i in range(k)]
+        for p in range(k):
+            yield fs[:p] + [Polynomial.zero(dim)] + fs[p + 1:], True
+            yield fs[:p] + [Polynomial.constant(dim, p + 2)] + fs[p + 1:], False
+        for p, q in combinations(range(k), 2):
+            yield [Polynomial.constant(dim, -3 if i == p else 7) if i in (p, q) else f for i, f in enumerate(fs)], True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_alt_sum_decides_zero_and_constant_arguments_before_any_wedge(monkeypatch, n):
+    # a zero function or two constants make every term zero: no wedge runs.  One constant keeps
+    # the full recurrence, wedge for wedge; every value equals the sum with no zero rule
+    calls = []
+    wedge = _Alternating.wedge
+    monkeypatch.setattr(_Alternating, "wedge", lambda a, b: calls.append(b.degree) or wedge(a, b))
+    live = 0
+    for fs, decided in _zero_rule_inputs(n):
+        calls.clear()
+        out = _alt_sum(fs)
+        ours = len(calls)
+        calls.clear()
+        want = full_path_alt_sum(fs)
+        assert out == want and out.degree == len(fs) - 1, [str(f) for f in fs]
+        assert ours == 0 if decided else ours == len(calls), (len(fs), decided, ours, len(calls))
+        live += not decided and not out.is_zero()
+    assert live  # the one-constant sums are not all zero
 
 
 def test_alt_sum_above_the_top_degree_is_zero_at_once(monkeypatch):

@@ -7,6 +7,7 @@ import koszul.volume
 from koszul import (
     BracketFamily,
     DifferentialForm,
+    Polynomial,
     SymplecticSpace,
     VolumeSpace,
     ce_partial,
@@ -233,6 +234,21 @@ def _oracle_inputs(label, fam, dim, t):
         yield [form(f"low{arity}-{k}", low if k == at else ground) for k in range(arity)]
     yield [form(f"two-low-{k}", low if k in (0, 2) else ground) for k in range(4)]
     yield [form(f"off-{k}", low) for k in range(3)]
+    # lifts that are constants or zero: on R2n the lift delta of v2 dx1 is the constant -1, of v1 dx1 zero,
+    # and of a form with affine coefficients a constant, so l_k of two of them is zero by the constants
+    basis = tuple(range(ground))
+    const = fam.element(DifferentialForm.basis(dim, basis, Polynomial.coordinate(dim, 1)))
+    closed = fam.element(DifferentialForm.basis(dim, basis, Polynomial.coordinate(dim, 0)))
+
+    def affine(tag):
+        return fam.element(rand_form(f"{label}/{tag}", t, dim, ground, 1))
+
+    yield [const, form("c1", ground)]
+    yield [const, form("c2-1", ground), form("c2-2", ground)]
+    yield [form("c3-0", ground), const, affine("c3-2"), form("c3-3", ground)]
+    yield [closed, form("c4-1", ground), form("c4-2", ground), const]
+    for arity in range(2, dim + 3):
+        yield [affine(f"a{arity}-{k}") for k in range(arity)]
 
 
 def test_pruned_residual_equals_full_double_sum():
@@ -307,6 +323,24 @@ def test_rows_without_a_surviving_term_lift_nothing(family):
     for args in (ground[:1], ground[:2], [other, *ground[:2]]):
         assert linfty_residual(counting, args).form.is_zero()
     assert calls == []
+
+
+@pytest.mark.parametrize("family", ["symplectic", "volume"])
+def test_vanishes_runs_once_per_splitting(family, monkeypatch):
+    # an i >= 2 draws every head from the ground positions, where l_i never vanishes, and its outer
+    # l_j sees the same degrees on every head: one test per splitting, and two per head at i = 1
+    fam = symplectic_family(SymplecticSpace(2)) if family == "symplectic" else volume_family(VolumeSpace(4))
+    tests = []
+    vanishes = BracketFamily.vanishes
+    monkeypatch.setattr(BracketFamily, "vanishes", lambda f, k, ldegrees: tests.append(k) or vanishes(f, k, ldegrees))
+    low = fam.form_degree_of(-1)
+    for n in range(1, 9):
+        ground = [fam.element(rand_form(f"once/{family}/{k}", n, 4, fam.ground_form_degree)) for k in range(n)]
+        lowered = [fam.element(rand_form(f"once/{family}/low", n, 4, low)), *ground[1:]]
+        for args in (ground, lowered):
+            tests.clear()
+            assert linfty_residual(fam, args).form.is_zero()
+            assert len(tests) <= (n - 1) + 2 * n, (n, tests)
 
 
 def test_enumeration_stays_polynomial(monkeypatch):

@@ -4,6 +4,8 @@ the mutant fails.  A row that fails nothing is a surviving mutant, kept here
 with its reason and listed as an open item in ROADMAP.md.
 
 Each row runs one default campaign; the twenty-one rows take about 4 s in all.
+``BracketFamily.vanishes`` is a predicate, which a negation cannot mutate
+faithfully, so its row is a custom mutant below.
 """
 
 import inspect
@@ -12,6 +14,7 @@ import sys
 import pytest
 
 from koszul.campaign import CampaignConfig, run_campaign
+from koszul.linfty import BracketFamily
 
 VOLUME_CHECKS = {
     "R3(vol) iota_X mu = -d(potential)",
@@ -152,3 +155,20 @@ def test_negated_kernel_fails_exactly_its_checks(monkeypatch, name):
         monkeypatch.setattr(holder, name, lambda *args, kernel=kernel, **kwargs: -kernel(*args, **kwargs))
     report = run_campaign(CampaignConfig())
     assert {c.name for c in report.checks if not c.ok} == MUTANTS[name]
+
+
+def test_untruncated_l1_fails_exactly_its_checks(monkeypatch):
+    # the l_1 truncation ``>=`` -> ``>``: l_1 now acts on the ground degree, so the n = 2 identity on
+    # ground arguments gains the term l_1(l_2(x, y)), delta l_2 = {delta x, delta y} or its volume
+    # analogue; the R2 row's three draws each have a delta-closed argument, so its l_2 is zero anyway
+    vanishes = BracketFamily.vanishes
+
+    def untruncated(family, k, ldegrees):
+        if k == 1:
+            return ldegrees[0] > family.ldegree_of(family.ground_form_degree)
+        return vanishes(family, k, ldegrees)
+
+    monkeypatch.setattr(BracketFamily, "vanishes", untruncated)
+    report = run_campaign(CampaignConfig())
+    assert {c.name for c in report.checks if not c.ok} == {
+        "R4 identity n=2 (ground args)", "R3(vol) identity n=2 (ground args)", "R4(vol) identity n=2 (ground args)"}

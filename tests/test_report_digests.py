@@ -90,3 +90,28 @@ def test_failing_campaign_digest(monkeypatch, target, attr, mutant, failing_suit
     assert set(failed.values()) == failing_suites
     assert failing_check in failed
     assert _digest(report) == digest
+
+
+# degree 2 makes every lift delta x affine, so each inner value lifts to a constant {delta x, delta y}
+# and most l_k on the tower take a zero or two constant arguments: these pin how the failures render
+# where those zeros are decided before they are computed
+DEGREE_2_TOWER = {"suite": "linfty-symplectic", "half_dims": (2, 4), "arity_max": 9, "max_degree": 2, "trials": 3}
+
+
+@pytest.mark.parametrize(
+    "target, attr, mutant, failed, digest",
+    [
+        (None, None, None, 0, "92db19a6dd6fa04b0cbc72e22bcb62bda9dda6976d02f15a3338093e2b14837c"),
+        (_Alternating, "wedge", doubled_wedge, 4,
+         "8f9304b1ed9d54a93b84fdf714de48466217858a995d87641e9919869e907179"),
+        (Polynomial, "__mul__", doubled_mul, 2,
+         "97164ce0d8cfd495aa4d8c77422be67732e1b21fef5d7eb6185c8d95a210d199"),
+    ],
+    ids=["clean", "wedge", "poly-mul"],
+)
+def test_degree_2_tower_digest(monkeypatch, target, attr, mutant, failed, digest):
+    if mutant:
+        monkeypatch.setattr(target, attr, mutant(getattr(target, attr)))
+    report = run_campaign(CampaignConfig(**DEGREE_2_TOWER))
+    assert (report.failed, len(report.checks)) == (failed, 26)
+    assert _digest(report) == digest
