@@ -13,6 +13,11 @@ words in the same order as those calls and leaves the generator in the same
 state.  Owning the rule ties the inputs, and so every report, to the MT19937
 output itself rather than to the stdlib's wrappers, and skips their frames
 around each draw.  Presence tests stay ``rng.random() < density``.
+
+Each generator builds one private drawer that adds every monomial straight
+into the value's own map, at its basis mask plus its exponent key.  A
+polynomial is a sum of ``terms >= 1`` monomials; fewer is refused before any
+draw, as the redraw of a sum of none would never end.
 """
 
 from __future__ import annotations
@@ -32,13 +37,14 @@ def trial_rng(seed: int, label: str, trial: int) -> random.Random:
     return random.Random(f"{seed}|{label}|{trial}")
 
 
-def _below(getrandbits, n: int, k: int) -> int:
-    """A uniform int in [0, n) from k = n.bit_length() bits, drawn again while >= n (the module's rule)."""
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform int in [0, n) by the module's rule."""
     if n < 1:  # getrandbits(0) is 0, so an empty range would never end
         raise ValueError(f"empty range [0, {n})")
-    r = getrandbits(k)
+    k = n.bit_length()
+    r = rng.getrandbits(k)
     while r >= n:
-        r = getrandbits(k)
+        r = rng.getrandbits(k)
     return r
 
 
@@ -48,75 +54,78 @@ def _masks(dim: int, degree: int) -> tuple[int, ...]:
     return tuple(sum(1 << i for i in idx) for idx in combinations(range(dim), degree))
 
 
-def _plan(rng: random.Random, dim: int, max_degree: int) -> tuple:
-    """The constants of one form's draws: getrandbits, the ranges of the monomial degree and
-    the coordinate with their bit widths, and each coordinate's ``one_i`` from ``layout``."""
-    n = max_degree + 1
-    return rng.getrandbits, n, n.bit_length(), dim, dim.bit_length(), [one for _, one in layout(dim)[0]]
+@lru_cache(maxsize=None)
+def _ones(dim: int) -> tuple[int, ...]:
+    """Each coordinate's ``one_i`` from ``layout``: key + one_i raises exponent i by 1."""
+    return tuple(one for _, one in layout(dim)[0])
 
 
-def _monomials(plan: tuple, terms: int) -> dict[int, int]:
-    """The nonzero {packed key: coeff} sum of ``terms`` random monomials; redrawn while it cancels."""
-    getrandbits, n_deg, k_deg, n_coord, k_coord, ones = plan
-    if n_deg > EXP_MAX + 1:
-        raise ExponentOverflow(f"max_degree {n_deg - 1} exceeds {EXP_MAX}")
-    if n_deg < 1:
-        raise ValueError(f"empty range [0, {n_deg})")
-    n_coeff = len(_COEFFS)
-    while True:  # the module's rule, written out for each integer
-        acc: dict[int, int] = {}
-        for _ in range(terms):
-            r = getrandbits(k_deg)
-            while r >= n_deg:
+def _drawer(rng: random.Random, dim: int, max_degree: int, terms: int = 2):
+    """``draw(out, m)`` adds ``terms`` random monomials into ``out`` at keys m + sum one_i, redrawn while
+    their sum cancels: keys at basis m meet no other basis's, so it is nonzero exactly when ``out`` grew.
+    The ranges are checked at each draw, so a refusal comes at the first monomial."""
+    getrandbits, ones, n_deg, n_coord, n_coeff = rng.getrandbits, _ones(dim), max_degree + 1, dim, len(_COEFFS)
+    k_deg, k_coord = n_deg.bit_length(), n_coord.bit_length()
+
+    def draw(out: dict, m: int) -> dict:
+        if n_deg > EXP_MAX + 1:
+            raise ExponentOverflow(f"max_degree {n_deg - 1} exceeds {EXP_MAX}")
+        if n_deg < 1:
+            raise ValueError(f"empty range [0, {n_deg})")
+        size = len(out)
+        while len(out) == size:  # the module's rule, written out for each integer
+            for _ in range(terms):
                 r = getrandbits(k_deg)
-            if r and n_coord < 1:  # getrandbits(0) is 0, so an empty range would never end
-                raise ValueError(f"empty range [0, {n_coord})")
-            key = 0
-            for _ in range(r):
-                i = getrandbits(k_coord)
-                while i >= n_coord:
+                while r >= n_deg:
+                    r = getrandbits(k_deg)
+                if r and n_coord < 1:  # getrandbits(0) is 0, so an empty range would never end
+                    raise ValueError(f"empty range [0, {n_coord})")
+                key = m
+                for _ in range(r):
                     i = getrandbits(k_coord)
-                key += ones[i]
-            i = getrandbits(_COEFF_BITS)
-            while i >= n_coeff:
+                    while i >= n_coord:
+                        i = getrandbits(k_coord)
+                    key += ones[i]
                 i = getrandbits(_COEFF_BITS)
-            s = acc.pop(key, 0) + _COEFFS[i]
-            if s:  # zero when the coefficient cancels an earlier monomial
-                acc[key] = s
-        if acc:
-            return acc
+                while i >= n_coeff:
+                    i = getrandbits(_COEFF_BITS)
+                s = out.pop(key, 0) + _COEFFS[i]
+                if s:  # zero when the coefficient cancels an earlier monomial
+                    out[key] = s
+        return out
+
+    return draw
 
 
 def random_polynomial(rng: random.Random, dim: int, max_degree: int, terms: int = 2) -> Polynomial:
-    """Nonzero sum of ``terms`` random monomials of total degree <= max_degree,
+    """Nonzero sum of ``terms`` >= 1 random monomials of total degree <= max_degree,
     with integer coefficients in [-9, 9] \\ {0}; redrawn while the sum cancels."""
-    return Polynomial._raw(dim, 0, _monomials(_plan(rng, dim, max_degree), terms))
+    if terms < 1:  # a sum of no monomials is zero, so its redraw would never end
+        raise ValueError(f"terms {terms} < 1")
+    return Polynomial._raw(dim, 0, _drawer(rng, dim, max_degree, terms)({}, 0))
 
 
-def random_form(
-    rng: random.Random,
-    dim: int,
-    degree: int,
-    max_degree: int,
-    density: float = 0.7,
-) -> DifferentialForm:
+def random_form(rng: random.Random, dim: int, degree: int, max_degree: int, density: float = 0.7) -> DifferentialForm:
     """Random homogeneous form; each basis component present with prob ``density``,
     its coefficient drawn as ``random_polynomial`` draws one."""
     masks = _masks(dim, degree)
-    plan = _plan(rng, dim, max_degree)
-    draw = rng.random
-    terms = {k | m: c for m in masks if draw() < density for k, c in _monomials(plan, 2).items()}
-    if not terms:  # keep campaign inputs nonzero
-        m = masks[_below(rng.getrandbits, len(masks), len(masks).bit_length())]
-        terms = {k | m: c for k, c in _monomials(plan, 2).items()}
-    return DifferentialForm._raw(dim, degree, terms)
+    draw, present, out = _drawer(rng, dim, max_degree), rng.random, {}
+    for m in masks:
+        if present() < density:
+            draw(out, m)
+    if not out:  # keep campaign inputs nonzero
+        draw(out, masks[_below(rng, len(masks))])
+    return DifferentialForm._raw(dim, degree, out)
 
 
 def random_vector_field(rng: random.Random, dim: int, max_degree: int) -> MultiVectorField:
-    out = {}
+    """Random vector field; each component present with prob 0.8, drawn as ``random_polynomial`` draws one."""
+    draw, out = _drawer(rng, dim, max_degree), {}
     for i in range(dim):
         if rng.random() < 0.8:
-            out[(i,)] = random_polynomial(rng, dim, max_degree, 2)
-    if not out:
-        out[(_below(rng.getrandbits, dim, dim.bit_length()),)] = random_polynomial(rng, dim, max_degree, 2)
-    return MultiVectorField(dim, 1, out)
+            draw(out, 1 << i)
+    if not out:  # this component is drawn before its coordinate, so it is moved to that bit after
+        draw(out, 0)
+        bit = 1 << _below(rng, dim)
+        out = {k | bit: c for k, c in out.items()}
+    return MultiVectorField._raw(dim, 1, out)
