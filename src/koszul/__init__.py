@@ -15,7 +15,6 @@ from .forms import (
     contract_vector,
     d,
     d_poly,
-    wedge,
 )
 from .grammar import FormSyntaxError, parse_form, parse_polynomial, render_form, render_polynomial
 from .symplectic import SymplecticSpace, operator_relations
@@ -58,7 +57,6 @@ __all__ = [
     "Polynomial",
     "DifferentialForm",
     "MultiVectorField",
-    "wedge",
     "d",
     "d_poly",
     "contract_vector",

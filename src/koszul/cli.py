@@ -62,17 +62,19 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--trials", type=int, default=25)
     pv.add_argument("--seed", type=int, default=7)
     pv.add_argument("--arity-max", type=int, default=5,
-                    help=f"highest identity arity to check, 1..{ARITY_MAX} (the check costs about A^3)")
+                    help=f"highest identity arity to check, 1..{ARITY_MAX} (the check costs about A^3); "
+                         "the linfty-volume identities stop at arity 4")
     pv.add_argument("--k-max", type=int, default=9,
                     help=f"coefficient recursion bound, 2..{K_MAX} (the check costs about k^3)")
     pv.add_argument("--format", dest="fmt", default="text", choices=("text", "json"))
     pv.add_argument("--out", default=None, help="write the report to a file instead of stdout")
 
     pe = sub.add_parser("eval", help="parse a form and apply operators")
-    pe.add_argument("--symplectic", type=int, default=None, metavar="N",
-                    help=f"half-dimension, 2N <= {DIM_MAX}; enables delta, L, Lambda, H")
-    pe.add_argument("--dim", type=int, default=None, metavar="M",
-                    help=f"plain dimension, 0..{DIM_MAX} (d only); inferred from the expression if omitted")
+    space = pe.add_mutually_exclusive_group()
+    space.add_argument("--symplectic", type=int, default=None, metavar="N",
+                       help=f"half-dimension, 2N <= {DIM_MAX}; enables delta, L, Lambda, H")
+    space.add_argument("--dim", type=int, default=None, metavar="M",
+                       help=f"plain dimension, 0..{DIM_MAX} (d only); inferred from the expression if omitted")
     pe.add_argument("--apply", action="append", default=[], choices=("d", *_OPERATORS),
                     metavar="OP", help="operator to apply; repeat to compose left to right")
     pe.add_argument("expr")

@@ -177,11 +177,6 @@ class MultiVectorField(_Alternating):
         return f"MultiVectorField({self.dim}, {render_multivector(self)!r})"
 
 
-def wedge(a: _Alternating, b: _Alternating):
-    """Wedge product; graded-commutative and bilinear over polynomials."""
-    return a.wedge(b)
-
-
 def _derivation(a: DifferentialForm, degree: int, tables) -> DifferentialForm:
     """The first-order operator whose ``tables[dim][m]`` is (reads, steps), the steps (dkey, shift, negate)
     taking each term c x^e dx_m to (-1)^negate k c at key + dkey, k the exponent at ``shift``, if k > 0."""

@@ -231,21 +231,6 @@ class Polynomial(_Terms):
         fields = layout(self.dim)[0]
         return {tuple(k >> s & EXP_MAX for s, _ in fields): c for k, c in self.packed.items()}
 
-    def constant_value(self) -> Coeff:
-        return self.packed.get(0, 0)
-
-    # -- calculus ----------------------------------------------------------
-
-    def diff(self, i: int) -> "Polynomial":
-        """Partial derivative with respect to the i-th coordinate (0-based); distinct keys stay distinct."""
-        shift, one = layout(self.dim)[0][i]
-        out = {}
-        for k, c in self.packed.items():
-            e = k >> shift & EXP_MAX
-            if e:
-                out[k - one] = e * c
-        return self._raw(self.dim, 0, out)
-
     # -- display -----------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple, Coeff]]:

@@ -26,7 +26,7 @@ import random
 from functools import lru_cache
 from itertools import combinations
 
-from .forms import DifferentialForm, MultiVectorField
+from .forms import DifferentialForm
 from .poly import EXP_MAX, ExponentOverflow, Polynomial, layout
 
 _COEFFS = (-9, -8, -7, -6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6, 7, 8, 9)
@@ -116,16 +116,3 @@ def random_form(rng: random.Random, dim: int, degree: int, max_degree: int, dens
     if not out:  # keep campaign inputs nonzero
         draw(out, masks[_below(rng, len(masks))])
     return DifferentialForm._raw(dim, degree, out)
-
-
-def random_vector_field(rng: random.Random, dim: int, max_degree: int) -> MultiVectorField:
-    """Random vector field; each component present with prob 0.8, drawn as ``random_polynomial`` draws one."""
-    draw, out = _drawer(rng, dim, max_degree), {}
-    for i in range(dim):
-        if rng.random() < 0.8:
-            draw(out, 1 << i)
-    if not out:  # this component is drawn before its coordinate, so it is moved to that bit after
-        draw(out, 0)
-        bit = 1 << _below(rng, dim)
-        out = {k | bit: c for k, c in out.items()}
-    return MultiVectorField._raw(dim, 1, out)

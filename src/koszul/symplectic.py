@@ -83,9 +83,6 @@ class SymplecticSpace:
     def __repr__(self):
         return f"SymplecticSpace(n={self.n})"
 
-    def coordinate(self, i: int) -> Polynomial:
-        return Polynomial.coordinate(self.dim, i)
-
     # -- Lefschetz operators (closed forms in the module docstring) ----------
 
     def L(self, a: DifferentialForm) -> DifferentialForm:

@@ -55,6 +55,18 @@ def doubled_mul(mul):
     return doubled
 
 
+def partial_derivative(p: Polynomial, i: int) -> Polynomial:
+    """Partial derivative with respect to the i-th coordinate (0-based); distinct keys stay distinct.
+    The oracle, independent of the tables of ``forms``, that ``d``, ``{f, g}`` and ``X_f`` are compared against."""
+    shift, one = layout(p.dim)[0][i]
+    out = {}
+    for k, c in p.packed.items():
+        e = k >> shift & EXP_MAX
+        if e:
+            out[k - one] = e * c
+    return Polynomial._raw(p.dim, 0, out)
+
+
 def total_degree(p: Polynomial) -> int:
     """Total degree; -1 for the zero polynomial."""
     return max(map(sum, p.terms), default=-1)

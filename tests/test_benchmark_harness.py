@@ -55,9 +55,8 @@ def test_tracer_yields_every_declared_layer_metric_and_restores_bindings():
         assert metrics[name][0] > 0, name
 
 
-def test_randgen_spans_are_its_four_public_generators():
+def test_randgen_spans_are_its_three_public_generators():
     # the tracer wraps every public randgen function: a public per-draw helper would add a span
     # per integer drawn and inflate trace.overhead_s
     traced = {name for name in traced_functions() if name.startswith("randgen.")}
-    assert traced == {f"randgen.{name}" for name in
-                      ("trial_rng", "random_polynomial", "random_form", "random_vector_field")}
+    assert traced == {f"randgen.{name}" for name in ("trial_rng", "random_polynomial", "random_form")}

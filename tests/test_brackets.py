@@ -281,7 +281,7 @@ def test_tilde_l_arity_three_operator_form(s2):
 
 def test_tilde_l_frozen_value_on_r2(s1):
     one = Polynomial.constant(2, 1)
-    got = tilde_l(s1, [one, s1.coordinate(0), s1.coordinate(1)])
+    got = tilde_l(s1, [one, Polynomial.coordinate(s1.dim, 0), Polynomial.coordinate(s1.dim, 1)])
     assert got == parse_form("-1/2 dx1^dx2", 2)
 
 
@@ -692,7 +692,7 @@ def test_quotient_congruence_random(s1, s2):
 def test_quotient_congruence_constant_delta(s1):
     # delta(beta) constant: the witness collapses to half d(c f)
     alpha = rand_form("qcc-a", 0, 2, 1)
-    beta = DifferentialForm.basis(2, (1,), s1.coordinate(0))  # delta(v1 dx2) = 1
+    beta = DifferentialForm.basis(2, (1,), Polynomial.coordinate(s1.dim, 0))  # delta(v1 dx2) = 1
     assert s1.delta(beta) == DifferentialForm.from_polynomial(Polynomial.constant(2, 1))
     assert verify_quotient_congruence(s1, alpha, beta).is_zero()
 

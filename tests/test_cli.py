@@ -9,16 +9,25 @@ from koszul.cli import main
 
 
 def run_cli(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a malformed or conflicting option itself
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
 def assert_refused(capsys, argv, expected=""):
-    """The usage-error contract: exit 2, nothing on stdout, one stderr line naming the refusal."""
+    """The usage-error contract: exit 2, nothing on stdout, one stderr line naming the refusal; argparse
+    prints its usage lines before the one line of its own refusals."""
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == "" and "Traceback" not in err
-    assert len(err.splitlines()) == 1 and err.startswith(("error:", "parse error:")), err
+    *usage, last = err.splitlines() or [""]
+    if last.startswith("koszul "):  # argparse's "koszul COMMAND: error: ..."
+        assert usage and usage[0].startswith("usage: koszul ") and "error:" not in "".join(usage), err
+        assert ": error: " in last
+    else:
+        assert usage == [] and last.startswith(("error:", "parse error:")), err
     assert expected in err
     return err
 
@@ -36,6 +45,11 @@ REFUSALS = {
     "eval-unicode-digit": (["eval", "v\u0663 dx1"], "parse error: unexpected character 'v' (at position 0)"),
     "eval-rational-exponent": (["eval", "--dim", "2", "v1^1/2"], "exponent must be an integer"),
     "eval-L-after-d": (["eval", "--dim", "2", "--apply", "d", "--apply", "L", "v1"], "operator L needs --symplectic"),
+    # a symplectic space fixes its own dimension: --dim beside it was ignored
+    "eval-symplectic-and-dim": (["eval", "--symplectic", "1", "--dim", "9", "v1"],
+                                "error: argument --dim: not allowed with argument --symplectic"),
+    "bracket-symplectic-and-volume": (["bracket", "--symplectic", "1", "--volume", "3", "--arity", "1", "v1"],
+                                      "error: argument --volume: not allowed with argument --symplectic"),
     "bracket-half-dim-0": (["bracket", "--symplectic", "0", "--arity", "2", "v1", "v2"], "half-dimension must be >= 1"),
     "bracket-parse": (["bracket", "--volume", "3", "--arity", "2", "v1 dx", "v2 dx1"], "parse error: unexpected"),
     "bracket-volume-unary": (["bracket", "--volume", "3", "--arity", "1", "dx1^dx2"], "volume(m=3) complex [0, 1]"),
@@ -506,18 +520,15 @@ def drawn_verify_argvs(count: int, seed: int = 13):
         yield argv
 
 
-def test_verify_exit_codes_on_drawn_arguments(capsys):
-    # exit 0, 1 or 2 and never a traceback; a refusal is one error line (after argparse's usage
-    # lines, for its own refusals) with nothing on stdout; a JSON report always parses
+def drawn_exit_codes(capsys, argvs, allowed) -> list[int]:
+    """Each argv's exit code through ``main``: one of ``allowed`` and never a traceback; a refusal is one
+    error line (after argparse's usage lines, for its own refusals) with nothing on stdout; a JSON report
+    always parses."""
     codes = []
-    for argv in drawn_verify_argvs(200):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse refuses a malformed value itself
-            code = exc.code
-        out, err = capsys.readouterr()
+    for argv in argvs:
+        code, out, err = run_cli(capsys, argv)
         codes.append(code)
-        assert code in (0, 1, 2) and "Traceback" not in err, argv
+        assert code in allowed and "Traceback" not in err, argv
         errors = [line for line in err.splitlines() if "error:" in line]
         if code == 2:
             assert out == "" and len(errors) == 1 and errors[0] == err.splitlines()[-1], (argv, err)
@@ -525,4 +536,63 @@ def test_verify_exit_codes_on_drawn_arguments(capsys):
             assert errors == [], (argv, err)
             if "json" in argv:
                 json.loads(out)
+    return codes
+
+
+def test_verify_exit_codes_on_drawn_arguments(capsys):
+    codes = drawn_exit_codes(capsys, drawn_verify_argvs(200), (0, 1, 2))
     assert codes.count(0) >= 10 and codes.count(2) >= 100, codes
+
+
+# each value pool is (valid, refused), drawn from valid four times in five, or nearly every draw would be
+# refused.  The refused expressions: malformed ones, an index of more than 100 digits, and an exponent past
+# 32767 in the input; the last valid one takes l_2 of two equal arguments past 32767 in an intermediate product
+EXPRESSIONS = (("v1 dx2", "1/2 v1^2 dx2", "v3 dx1", "v1 dx1^dx2", "dx1^dx2 + dx3^dx4", "0", "3", "v1^20000 dx2"),
+               ("v1 dx", "1/0", "", "v1 ? v2", "dx1 ^ v1", "v" + "9" * 101, "v1^32767 v1"))
+APPLY = (("d", "delta", "L", "Lambda", "H"), ("grad",))
+EVAL_OPTIONS = {"--symplectic": (("1", "2"), ("-1", "0", "33", "x")), "--dim": (("0", "2", "4", "9"), ("-1", "65"))}
+BRACKET_OPTIONS = {"--symplectic": (("1", "2"), ("0", "33")), "--volume": (("3", "4"), ("2", "65")),
+                   "--arity": (("1", "2", "3"), ("-1", "0", "x"))}
+
+
+def _pick(rnd, pool):
+    valid, refused = pool
+    return rnd.choice(valid if rnd.random() < 0.8 else refused)
+
+
+def drawn_eval_argvs(count: int, seed: int = 17):
+    rnd = random.Random(seed)
+    for _ in range(count):
+        argv = ["eval"]
+        for option, pool in EVAL_OPTIONS.items():  # both together one draw in six
+            if rnd.random() < 0.4:
+                argv += [option, _pick(rnd, pool)]
+        for _ in range(rnd.randrange(3)):
+            argv += ["--apply", _pick(rnd, APPLY)]
+        yield argv + [_pick(rnd, EXPRESSIONS)]
+
+
+def drawn_bracket_argvs(count: int, seed: int = 19):
+    rnd = random.Random(seed)
+    for _ in range(count):
+        argv = ["bracket"]
+        spaces = rnd.choice((("--symplectic",),) * 4 + (("--volume",),) * 4 + ((), ("--symplectic", "--volume")))
+        for option in spaces + ("--arity",):
+            argv += [option, _pick(rnd, BRACKET_OPTIONS[option])]
+        arity = argv[-1]
+        n = int(arity) if arity.isdigit() and int(arity) and rnd.random() < 0.9 else rnd.randrange(1, 4)
+        if rnd.random() < 0.3:  # equal arguments
+            yield argv + [_pick(rnd, EXPRESSIONS)] * n
+        else:
+            yield argv + [_pick(rnd, EXPRESSIONS) for _ in range(n)]
+
+
+def test_eval_and_bracket_exit_codes_on_drawn_arguments(capsys):
+    evals, brackets = list(drawn_eval_argvs(100)), list(drawn_bracket_argvs(100))
+    # l_2 of two equal arguments is 0, but its intermediate products pass 32767: exit 0 or 2, never a traceback
+    equal = ["bracket", "--symplectic", "1", "--arity", "2"] + ["v1^20000 dx2"] * 2
+    codes = drawn_exit_codes(capsys, evals + brackets + [equal], (0, 2))
+    assert codes[:100].count(0) >= 20 and codes[100:200].count(0) >= 20 and codes.count(2) >= 100, codes
+    # a symplectic space fixes the dimension: --dim beside it is always refused
+    both = [code for argv, code in zip(evals, codes) if "--symplectic" in argv and "--dim" in argv]
+    assert both and set(both) == {2}

@@ -9,9 +9,9 @@ of (n - 1).bit_length() bits in place of n.bit_length() changes the stream.
 import pytest
 
 from koszul.poly import EXP_MAX
-from koszul.randgen import random_form, random_polynomial, random_vector_field, trial_rng
+from koszul.randgen import random_form, random_polynomial, trial_rng
 
-from _util import SEED, stdlib_random_form, stdlib_random_polynomial, stdlib_random_vector_field
+from _util import SEED, stdlib_random_form, stdlib_random_polynomial
 
 MAX_DEGREES = (1, 2, 3, 4, 7, 8, 15, 16)
 DENSITIES = (1e-9, 0.3, 0.7, 1)
@@ -31,7 +31,6 @@ def _outcome(draw, label, *args):
 def _grid():
     for dim in range(9):
         for md in MAX_DEGREES:
-            yield "vf", (dim, md)
             for terms in (1, 2, 3):
                 yield "poly", (dim, md, terms)
             for degree in range(dim + 2):
@@ -41,11 +40,10 @@ def _grid():
 
 # draws with no range to draw from (a basis of degree 3 on R^2, a coordinate of R^0), and a degree past
 # EXP_MAX, refused at the first monomial: after the density draws, or never when the range is empty
-EMPTY_RANGES = [("form", (2, 3, 2)), ("poly", (0, 3)), ("vf", (0, 3)),
+EMPTY_RANGES = [("form", (2, 3, 2)), ("poly", (0, 3)),
                 ("form", (2, 3, EXP_MAX + 1)), ("form", (2, 1, EXP_MAX + 1)), ("poly", (2, EXP_MAX + 1))]
 
-PAIRS = {"form": (random_form, stdlib_random_form), "poly": (random_polynomial, stdlib_random_polynomial),
-         "vf": (random_vector_field, stdlib_random_vector_field)}
+PAIRS = {"form": (random_form, stdlib_random_form), "poly": (random_polynomial, stdlib_random_polynomial)}
 
 
 def test_draw_stream_matches_the_stdlib_oracle_on_the_grid():
