@@ -163,10 +163,9 @@ def symplectic_family(s: SymplecticSpace) -> BracketFamily:
     ``higher`` is D_k l_k, D_k clearing the denominators of a(k,j)/k for the table in force at the call."""
     return BracketFamily(
         name=f"symplectic(n={s.n})",
+        dim=s.dim,
         ground_form_degree=1,
-        form_degree_bounds=(1, s.dim),
-        ldegree_of=lambda form_degree: 1 - form_degree,
-        form_degree_of=lambda ldegree: 1 - ldegree,
+        step=-1,
         differential=s.delta,
         lift=lambda a: s.delta(a).as_polynomial(),
         scale=lambda k: _clearing_scale(bracket_coefficient, k),

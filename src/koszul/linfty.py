@@ -12,8 +12,10 @@ where eps is the Koszul sign of sigma on the elements' degrees.
 ``linfty_residual`` evaluates the sum exactly; a family satisfies the n-th
 identity on given arguments iff the residual is the zero form.
 
-Families here are grounded: the complex sits in non-positive degrees with the
-ground layer in degree 0, l_1 is truncated there (zero on degree >= 0), and
+Families here are grounded.  A form of degree f on R^dim has complex degree
+(f - ground_form_degree) * step: the ground layer sits in degree 0, and l_1,
+which moves the form degree by step = +-1, has degree +1.  The complex is the
+degrees <= 0, l_1 is truncated at the ground layer (zero on degree >= 0), and
 l_k for k >= 2 is zero unless every argument lies in degree 0.  An unshuffle
 is fixed by its head sigma(1..i), and ``linfty_residual`` enumerates only
 the heads that can survive these rules:
@@ -48,7 +50,7 @@ the unscaled value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations
 from math import lcm
 from typing import Callable, Sequence
@@ -69,10 +71,10 @@ class GradedElement:
 class BracketFamily:
     """An arity-indexed family of multibrackets on a fixed complex.
 
-    ``ldegree_of``/``form_degree_of`` translate between form degree and
-    complex degree (each family carries its own grading).  A family supplies
-    its differential and its bracket: ``differential`` is l_1 on forms,
-    ``lift`` maps a ground-degree form to the value brackets act on, and
+    ``dim``, ``ground_form_degree`` and ``step`` (-1 for delta, +1 for d) fix
+    the grading (module docstring), which ``ldegree_of`` and its inverse
+    ``form_degree_of`` apply.  ``differential`` is l_1 on forms, ``lift``
+    maps a ground-degree form to the value brackets act on, and
     ``higher(lifted)`` is D_k l_k, k = len(lifted) >= 2, on its arguments'
     lifts, where ``scale(k)`` = D_k is a nonzero integer; ``l`` divides by it
     and returns l_k itself.  The residual weights each term l_j(l_i(...)) by
@@ -82,30 +84,31 @@ class BracketFamily:
     """
 
     name: str
+    dim: int
     ground_form_degree: int
-    form_degree_bounds: tuple[int, int]
-    ldegree_of: Callable[[int], int]
-    form_degree_of: Callable[[int], int]
+    step: int
     differential: Callable[[DifferentialForm], DifferentialForm]
     lift: Callable[[DifferentialForm], object]
     scale: Callable[[int], int]
     higher: Callable[[tuple], DifferentialForm]
 
+    def ldegree_of(self, form_degree: int) -> int:
+        return (form_degree - self.ground_form_degree) * self.step
+
+    def form_degree_of(self, ldegree: int) -> int:
+        return self.ground_form_degree + ldegree * self.step
+
     def element(self, form: DifferentialForm) -> GradedElement:
-        lo, hi = self.form_degree_bounds
-        if not form.is_zero() and not lo <= form.degree <= hi:
-            raise ValueError(
-                f"form degree {form.degree} outside the {self.name} complex [{lo}, {hi}]"
-            )
-        return GradedElement(form, self.ldegree_of(form.degree))
+        if form.dim != self.dim:
+            raise ValueError(f"form on R^{form.dim} outside the {self.name} complex on R^{self.dim}")
+        ldegree = self.ldegree_of(form.degree)
+        if ldegree > 0 and not form.is_zero():
+            lo, hi = (self.ground_form_degree, self.dim) if self.step < 0 else (0, self.ground_form_degree)
+            raise ValueError(f"form degree {form.degree} outside the {self.name} complex [{lo}, {hi}]")
+        return GradedElement(form, ldegree)
 
-    def zero_element(self, ldegree: int, dim: int) -> GradedElement:
-        return GradedElement(DifferentialForm.zero(dim, self.form_degree_of(ldegree)), ldegree)
-
-    @cached_property
-    def ground_ldegree(self) -> int:
-        """The complex degree of the ground layer, computed once per family."""
-        return self.ldegree_of(self.ground_form_degree)
+    def zero_element(self, ldegree: int) -> GradedElement:
+        return GradedElement(DifferentialForm.zero(self.dim, self.form_degree_of(ldegree)), ldegree)
 
     def vanishes(self, k: int, ldegrees: Sequence[int]) -> bool:
         """Whether l_k is zero by groundedness on arguments of these degrees.
@@ -115,8 +118,8 @@ class BracketFamily:
         degree.
         """
         if k == 1:
-            return ldegrees[0] >= self.ground_ldegree
-        return ldegrees.count(self.ground_ldegree) != len(ldegrees)
+            return ldegrees[0] >= 0
+        return ldegrees.count(0) != len(ldegrees)
 
     def l(self, k: int, args: Sequence[GradedElement]) -> GradedElement:
         if k != len(args):
@@ -124,7 +127,7 @@ class BracketFamily:
         degrees = [x.ldegree for x in args]
         ldegree = sum(degrees) + 2 - k
         if self.vanishes(k, degrees):
-            return self.zero_element(ldegree, args[0].form.dim)
+            return self.zero_element(ldegree)
         if k == 1:
             return GradedElement(self.differential(args[0].form), ldegree)
         value = self.higher(tuple(self.lift(x.form) for x in args))
@@ -171,9 +174,8 @@ def linfty_residual(family: BracketFamily, args: Sequence[GradedElement]) -> Gra
         raise ValueError("need at least one argument")
     degrees = [x.ldegree for x in args]
     target_ldeg = sum(degrees) + 3 - n
-    ground = family.ground_ldegree
-    grounded = [p for p in range(n) if degrees[p] == ground]
-    off_ground = [x for x in degrees if x != ground]
+    grounded = [p for p in range(n) if degrees[p] == 0]
+    off_ground = [x for x in degrees if x != 0]
     lifted = cache(lambda p: family.lift(args[p].form))  # at the first surviving term that needs it
 
     # one test keeps or drops a whole i >= 2, as its outer l_j sees the same degrees on every head (module
@@ -181,7 +183,7 @@ def linfty_residual(family: BracketFamily, args: Sequence[GradedElement]) -> Gra
     scale_of = lambda k: 1 if k == 1 else family.scale(k)
     pair_scales = {i: scale_of(i) * scale_of(n + 1 - i) for i in range(1, n + 1)
                    if i == 1 or (i <= len(grounded) and not family.vanishes(
-                       n + 1 - i, [i * ground + 2 - i, *off_ground] + [ground] * (len(grounded) - i)))}
+                       n + 1 - i, [2 - i, *off_ground] + [0] * (len(grounded) - i)))}
     scale = lcm(*pair_scales.values())
 
     total: DifferentialForm | None = None
@@ -209,7 +211,7 @@ def linfty_residual(family: BracketFamily, args: Sequence[GradedElement]) -> Gra
             factor = weight * permutation_sign(sigma) * koszul_sign(sigma, degrees)
             total = (outer if factor == 1 else outer * factor) if total is None else total._plus(outer, factor)
     if total is None:
-        return family.zero_element(target_ldeg, args[0].form.dim)
+        return family.zero_element(target_ldeg)
     return GradedElement(_unscaled(total, scale), target_ldeg)
 
 

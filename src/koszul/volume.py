@@ -67,13 +67,11 @@ def _contract_into_mu(v: VolumeSpace, fields: Sequence[MultiVectorField]) -> Dif
 
 def volume_family(v: VolumeSpace) -> BracketFamily:
     """The grounded family on Omega^0 -> ... -> Omega^(m-2) with l_1 = d; alpha lifts to X_alpha."""
-    ground = v.m - 2
     return BracketFamily(
         name=f"volume(m={v.m})",
-        ground_form_degree=ground,
-        form_degree_bounds=(0, ground),
-        ldegree_of=lambda form_degree: form_degree - ground,
-        form_degree_of=lambda ldegree: ldegree + ground,
+        dim=v.m,
+        ground_form_degree=v.m - 2,
+        step=1,
         differential=d,
         lift=lambda alpha: exact_divfree_vf(v, alpha),
         scale=lambda k: 1,

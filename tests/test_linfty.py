@@ -14,6 +14,7 @@ from koszul import (
     d_poly,
     koszul_sign,
     linfty_residual,
+    parse_form,
     permutation_sign,
     symplectic_family,
     tilde_l,
@@ -180,6 +181,34 @@ def test_element_rejects_out_of_complex_degrees():
     with pytest.raises(ValueError, match="outside the symplectic"):
         fam.element(rand_form("oc", 0, 2, 0))  # functions sit below the complex
     assert fam.element(DifferentialForm.zero(2, 0)).form.is_zero()  # zero is fine anywhere
+    # every family, every form degree: the complex's form degrees [lo, hi] and the form degree l_1 adds
+    table = [(symplectic_family(SymplecticSpace(n)), 1, 2 * n, -1) for n in (1, 2)]
+    table += [(volume_family(VolumeSpace(m)), 0, m - 2, 1) for m in (3, 4, 5)]
+    for fam, lo, hi, step in table:
+        assert fam.ldegree_of(fam.ground_form_degree) == 0
+        for degree in range(fam.dim + 1):
+            assert fam.form_degree_of(fam.ldegree_of(degree)) == degree
+            assert fam.element(DifferentialForm.zero(fam.dim, degree)).ldegree == fam.ldegree_of(degree)
+            form = rand_form(f"oc/{fam.name}", degree, fam.dim, degree)
+            assert not form.is_zero()
+            if not lo <= degree <= hi:
+                with pytest.raises(ValueError) as refused:
+                    fam.element(form)
+                assert str(refused.value) == f"form degree {degree} outside the {fam.name} complex [{lo}, {hi}]"
+                continue
+            x = fam.element(form)
+            out = fam.l(1, [x])
+            assert (out.ldegree, out.form.degree) == (x.ldegree + 1, degree + step), (fam.name, degree)
+
+
+def test_element_refuses_a_form_from_another_space():
+    fam = volume_family(VolumeSpace(3))
+    with pytest.raises(ValueError, match=r"form on R\^5 outside the volume\(m=3\) complex on R\^3"):
+        fam.l(2, [fam.element(parse_form("v1", 5)), fam.element(parse_form("dx1", 5))])
+    fam = symplectic_family(SymplecticSpace(1))
+    with pytest.raises(ValueError, match=r"form on R\^4 outside the symplectic\(n=1\) complex on R\^2"):
+        fam.element(parse_form("dx1^dx3", 4))
+    assert fam.element(parse_form("dx1^dx2", 2)).ldegree == -1
 
 
 # -- the pruned evaluator against the plain double sum -----------------------------
@@ -215,7 +244,8 @@ def _oracle_families():
 
 
 def _oracle_inputs(label, fam, dim, t):
-    lo, hi = fam.form_degree_bounds
+    inside = [f for f in range(dim + 1) if fam.ldegree_of(f) <= 0]  # the complex's form degrees
+    lo, hi = inside[0], inside[-1]
     ground = fam.ground_form_degree
 
     def form(tag, degree):

@@ -11,9 +11,10 @@ SOURCES = sorted((ROOT / "src" / "koszul").glob("*.py"))
 
 
 def _names_used(node) -> set[str]:
-    """Every name ``node`` reads, as a bare name or as an attribute; imports are not uses."""
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+    """Every bare name ``node`` reads; imports are not uses.  An attribute read such as ``x.wedge`` is not
+    one either, as it may name a method of the same name: every function of the package is imported by
+    name where it is used."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
 
 def unused_public_functions() -> list[str]:
