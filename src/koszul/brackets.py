@@ -2,7 +2,7 @@
 
 Building blocks:
 
-* ``alt_m(s, fs)`` is the antisymmetrization of (f_1, ..., f_k) |->
+* ``alt_m(fs)`` is the antisymmetrization of (f_1, ..., f_k) |->
   f_1 df_2 ^ ... ^ df_k, a (k-1)-form:
 
       (1/k) sum_i (-1)^(i+1) f_i df_1 ^ ... (df_i omitted) ... ^ df_k
@@ -13,13 +13,14 @@ Building blocks:
   T_(i-1) ^ df_i (``_Terms._plus``), so f_i R_(i-1) is never built.  Exact zeros
   are decided before any wedge: for k-1 > dim T_k is zero by degree and nothing is
   computed; a zero f_i, or two f_i with df_i = 0 (constants), make every term zero,
-  as each keeps f_i or one of the zero df_i.  Each df_i is computed once;
+  as each keeps f_i or one of the zero df_i; a zero T_k keeps its degree k-1.
+  Each df_i is computed once;
 
 * the series coefficients a(k, j) = (k-j-1)! / ((k-1)! j!), which satisfy
   (k+1) a(k,j) = k a(k+1,j) + k (j+1)^2 a(k+1,j+1) and
   a(k,j) = k (j+1) a(k+1,j+1);
 
-* ``tilde_l(s, fs)`` = (-1)^k (sum_j a(k,j) L^j Lam^j) alt_m(s, fs), the
+* ``tilde_l(s, fs)`` = (-1)^k (sum_j a(k,j) L^j Lam^j) alt_m(fs), the
   function-level bracket of arity k = len(fs);
 
 * the bracket family on the complex L_{-i} = Omega^(i+1) with l_1 = delta and
@@ -27,16 +28,16 @@ Building blocks:
 
 The defining recursion is ce_partial({.,.}, tilde_l_k) = delta . tilde_l_(k+1),
 checked exactly by ``verify_chain_identity``.  P_k = (-1)^k sum_j a(k,j) L^j Lam^j
-is linear, so ``lefschetz_sum`` applies it once to ce_partial({.,.}, k alt_m), with
-1/k folded into a(k,j)/k.  It takes the coefficients as a function ``a(k, j)``,
-``bracket_coefficient`` unless given, so a mutant such as ``raised_coefficient``
-can change one coefficient.  The table is read at each call, never bound when
-the module loads, and the scaled coefficients (-1)^k scale a(k,j)/k are computed
-once per (a, k, scale) in a bounded cache.  The sum runs in Horner form,
-c_0 b_0 + L(c_1 b_1 + L(... + L(c_J b_J))) with b_j = Lam^j base and J the last
-j with b_j != 0, so L runs J times rather than J(J+1)/2; each step adds c_j b_j
-into L(...) in one pass, a coefficient of 1 costs no multiply, and a zero base
-is returned as is.
+is linear, so ``lefschetz_sum`` applies it once to ce_partial({.,.}, k alt_m), a
+(k-1)-form that gives it k, with 1/k folded into a(k,j)/k.  It takes the
+coefficients as a function ``a(k, j)``, ``bracket_coefficient`` unless given, so a
+mutant such as ``raised_coefficient`` can change one coefficient.  The table is read
+at each call, never bound when the module loads, and the scaled coefficients
+(-1)^k scale a(k,j)/k are computed once per (a, k, scale) in a bounded cache.  The
+sum runs in Horner form, c_0 b_0 + L(c_1 b_1 + L(... + L(c_J b_J))) with b_j =
+Lam^j base and J the last j with b_j != 0, so L runs J times rather than J(J+1)/2;
+each step adds c_j b_j into L(...) in one pass, a coefficient of 1 costs no
+multiply, and a zero base is returned as is.
 
 A residual is zero iff D times it is, for any integer D != 0.  Each ``verify_*``
 computes D times its residual, with D clearing its denominators (the ``scale`` of
@@ -102,7 +103,7 @@ def _alt_sum(fs: Sequence[Polynomial]) -> DifferentialForm:
     return total
 
 
-def alt_m(s: SymplecticSpace, fs: Sequence[Polynomial]) -> DifferentialForm:
+def alt_m(fs: Sequence[Polynomial]) -> DifferentialForm:
     """Antisymmetrized (f_1, ..., f_k) |-> f_1 df_2 ^ ... ^ df_k; a (k-1)-form."""
     return _alt_sum(fs) * Fraction(1, len(fs))
 
@@ -124,16 +125,17 @@ def _scaled_coefficients(a: Callable, k: int, scale: int) -> tuple:
 
 
 def lefschetz_sum(
-    s: SymplecticSpace, k: int, base: DifferentialForm, a: Callable | None = None, scale: int = 1
+    s: SymplecticSpace, base: DifferentialForm, a: Callable | None = None, scale: int = 1
 ) -> DifferentialForm:
-    """(-1)^k sum_j (scale a(k,j)/k) L^j Lam^j base, where ``base`` is k alt_m or a sum of such.
+    """(-1)^k sum_j (scale a(k,j)/k) L^j Lam^j base, where ``base``, a (k-1)-form, is k alt_m or a sum of such.
 
     ``a`` defaults to ``bracket_coefficient``, resolved at each call.  The sum is taken in Horner
     form c_0 b_0 + L(c_1 b_1 + L(...)), b_j = Lam^j base, so L runs once per nonzero b_j, j >= 1;
-    a coefficient of 1 costs no multiply, and a zero base is returned as is."""
+    a coefficient of 1 costs no multiply, and a zero base on ``s`` is returned as is."""
+    s._check(base)
     if not base:
         return base
-    coefficients = _scaled_coefficients(a or bracket_coefficient, k, scale)
+    coefficients = _scaled_coefficients(a or bracket_coefficient, base.degree + 1, scale)
     lams = [base]
     for _ in coefficients[1:]:
         lam = s.Lam(lams[-1])
@@ -152,9 +154,7 @@ def tilde_l(
     """Arity-k function bracket: (-1)^k (sum_j a(k,j) L^j Lam^j) alt_m, times ``scale``."""
     if len(fs) < 2:
         raise ValueError("defined for arity >= 2")
-    if len(fs) - 1 > s.dim:  # a (k-1)-form above the top degree
-        return DifferentialForm.zero(s.dim, len(fs) - 1)
-    return lefschetz_sum(s, len(fs), _alt_sum(fs), a, scale)
+    return lefschetz_sum(s, _alt_sum(fs), a, scale)
 
 
 def symplectic_family(s: SymplecticSpace) -> BracketFamily:
@@ -173,40 +173,36 @@ def symplectic_family(s: SymplecticSpace) -> BracketFamily:
     )
 
 
-def l_bracket(s: SymplecticSpace, k: int, forms: Sequence[DifferentialForm]) -> GradedElement:
-    """Evaluate the arity-k bracket on forms."""
+def l_bracket(s: SymplecticSpace, forms: Sequence[DifferentialForm]) -> GradedElement:
+    """Evaluate the bracket l_k, k = len(forms), on forms."""
     fam = symplectic_family(s)
-    return fam.l(k, [fam.element(x) for x in forms])
+    return fam.l([fam.element(x) for x in forms])
 
 
 # -- identity residuals: each computed times an integer D, see the module docstring --
 
 
-def verify_chain_identity(
-    s: SymplecticSpace, k: int, fs: Sequence[Polynomial], a: Callable | None = None
-) -> DifferentialForm:
-    """Residual of ce_partial({.,.}, tilde_l_k) - delta . tilde_l_(k+1) on k+1 functions.
+def verify_chain_identity(s: SymplecticSpace, fs: Sequence[Polynomial], a: Callable | None = None) -> DifferentialForm:
+    """Residual of ce_partial({.,.}, tilde_l_k) - delta . tilde_l_(k+1) on k+1 = len(fs) functions.
 
     Left side: P_k(ce_partial({.,.}, k alt_m)), exact by linearity.  D is the lcm of the
     denominators of a(k',j)/k' for k' = k, k+1, read from ``a`` so a mutant keeps its own."""
+    k = len(fs) - 1
     if k < 2:
-        raise ValueError("chain identity starts at arity 2")
-    if len(fs) != k + 1:
-        raise ValueError(f"need {k + 1} functions, got {len(fs)}")
+        raise ValueError("chain identity starts at arity 2: need at least 3 functions")
     a = a or bracket_coefficient
     scale = lcm(_clearing_scale(a, k), _clearing_scale(a, k + 1))
-    lhs = lefschetz_sum(s, k, ce_partial(s.poisson_bracket, _alt_sum, fs), a, scale)
+    lhs = lefschetz_sum(s, ce_partial(s.poisson_bracket, _alt_sum, fs), a, scale)
     return _unscaled(lhs - s.delta(tilde_l(s, fs, a, scale)), scale)
 
 
-def verify_alt_m_identity(s: SymplecticSpace, k: int, fs: Sequence[Polynomial]) -> DifferentialForm:
-    """Residual of ce_partial({.,.}, alt_m_k) - (-delta + (1/k) d Lam) alt_m_(k+1).
+def verify_alt_m_identity(s: SymplecticSpace, fs: Sequence[Polynomial]) -> DifferentialForm:
+    """Residual of ce_partial({.,.}, alt_m_k) - (-delta + (1/k) d Lam) alt_m_(k+1) on k+1 = len(fs) functions.
 
     D = k(k+1): (k+1) ce_partial({.,.}, k alt_m) - (-k delta + d Lam)((k+1) alt_m)."""
+    k = len(fs) - 1
     if k < 1:
-        raise ValueError("arity must be >= 1")
-    if len(fs) != k + 1:
-        raise ValueError(f"need {k + 1} functions, got {len(fs)}")
+        raise ValueError("alt relation starts at arity 1: need at least 2 functions")
     top = _alt_sum(fs)
     lhs = ce_partial(s.poisson_bracket, _alt_sum, fs) * (k + 1)
     return _unscaled(lhs - (s.delta(top) * -k + d(s.Lam(top))), k * (k + 1))

@@ -293,17 +293,17 @@ def suite_chain(cfg: CampaignConfig) -> Iterable[Check]:
         label = f"R{2 * n}"
         for k in range(2, 2 * n + 1):
             yield Check("chain", _stream(cfg, f"chain/{label}/k{k}", trials, _polys(cfg, s.dim, k + 1)),
-                        {f"{label} partial(l~_{k}) = delta l~_{k + 1}": lambda *fs: verify_chain_identity(s, k, fs)})
+                        {f"{label} partial(l~_{k}) = delta l~_{k + 1}": lambda *fs: verify_chain_identity(s, fs)})
         # mutation sensitivity: any perturbed coefficient must break some identity;
         # an unlucky draw can miss, so keep drawing before reporting a miss
         for k in range(2, 2 * n + 2):
             for j in range(0, (k - 1) // 2 + 1):
                 a = raised_coefficient(k, j)
-                inputs = ((kk, *_polys(cfg, s.dim, kk + 1)(trial_rng(cfg.seed, f"chain-mut/{label}/k{kk}/a{k}_{j}", t)))
+                inputs = (_polys(cfg, s.dim, kk + 1)(trial_rng(cfg.seed, f"chain-mut/{label}/k{kk}/a{k}_{j}", t))
                           for t in range(4 * trials) for kk in range(max(2, k - 1), min(2 * n, k) + 1))
                 yield Check("chain", inputs,
                             {f"{label} mutation a({k},{j}) breaks the identity":
-                             lambda kk, *fs: verify_chain_identity(s, kk, fs, a)},
+                             lambda *fs: verify_chain_identity(s, fs, a)},
                             f"a({k},{j}) -> {bracket_coefficient(k, j)} + 1")
 
 
@@ -315,7 +315,7 @@ def suite_alt_relation(cfg: CampaignConfig) -> Iterable[Check]:
         for k in range(1, 6):
             yield Check("alt-relation", _stream(cfg, f"alt/{label}/k{k}", trials, _polys(cfg, s.dim, k + 1)),
                         {f"{label} partial(Alt m_{k}) = (-delta + d Lam/{k}) Alt m_{k + 1}":
-                         lambda *fs: verify_alt_m_identity(s, k, fs)})
+                         lambda *fs: verify_alt_m_identity(s, fs)})
 
 
 def suite_linfty_symplectic(cfg: CampaignConfig) -> Iterable[Check]:
@@ -335,7 +335,7 @@ def suite_linfty_symplectic(cfg: CampaignConfig) -> Iterable[Check]:
         # brackets above dim+1 vanish
         yield Check("linfty-symplectic",
                     _stream(cfg, f"linfty-top/{label}", trials, _forms(cfg, s.dim, *[1] * (s.dim + 2))),
-                    {f"{label} l_{s.dim + 2} = 0": lambda *forms: l_bracket(s, s.dim + 2, forms).form})
+                    {f"{label} l_{s.dim + 2} = 0": lambda *forms: l_bracket(s, forms).form})
         # strict morphism and quotient congruence
         yield Check("linfty-symplectic", _stream(cfg, f"morphism/{label}", cfg.trials, _forms(cfg, s.dim, 1, 1)),
                     {f"{label} delta l_2(a,b) = {{delta a, delta b}}": partial(verify_strict_morphism, s)})
@@ -359,7 +359,7 @@ def suite_linfty_volume(cfg: CampaignConfig) -> Iterable[Check]:
         pairs = _stream(cfg, f"volume-exact/{label}", trials, _forms(cfg, m, m - 3, m - 2))
         yield Check("linfty-volume", ((d(beta), alpha) for beta, alpha in pairs),
                     {f"{label} bracket kills d-exact arguments":
-                     lambda exact, alpha: fam.l(2, [fam.element(exact), fam.element(alpha)]).form})
+                     lambda exact, alpha: fam.l([fam.element(exact), fam.element(alpha)]).form})
 
 
 def suite_poisson(cfg: CampaignConfig) -> Iterable[Check]:
@@ -368,11 +368,11 @@ def suite_poisson(cfg: CampaignConfig) -> Iterable[Check]:
         label = p.name
         yield Check("poisson",
                     chain.from_iterable(_stream(cfg, f"poisson-delta/{label}/deg{degree}", trials,
-                                                _forms(cfg, p.m, degree)) for degree in range(0, p.m + 1)),
+                                                _forms(cfg, p.dim, degree)) for degree in range(0, p.dim + 1)),
                     {f"{label} delta^2 = 0": lambda a: p.delta(p.delta(a))})
-        yield Check("poisson", _stream(cfg, f"poisson-ob/{label}", trials, _polys(cfg, p.m, 3)),
+        yield Check("poisson", _stream(cfg, f"poisson-ob/{label}", trials, _polys(cfg, p.dim, 3)),
                     {f"{label} obstruction identity": partial(obstruction_identity_residual, p)})
-        yield Check("poisson", _stream(cfg, f"poisson-jac/{label}", trials, _forms(cfg, p.m, 1, 1, 1)),
+        yield Check("poisson", _stream(cfg, f"poisson-jac/{label}", trials, _forms(cfg, p.dim, 1, 1, 1)),
                     {f"{label} jacobiator vs obstruction": partial(jacobiator_residual, p)})
     # sl2star contraction identity: iota_pi(dx1^dx2^dx3) = v1 dx1 + v2 dx2 - v3 dx3
     p = sl2_dual()

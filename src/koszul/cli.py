@@ -171,7 +171,7 @@ def cmd_bracket(args) -> int:
         if k >= 2 and f.degree != fam.ground_form_degree and not f.is_zero():
             raise UsageError(f"arity {k} bracket takes degree-{fam.ground_form_degree} forms, got degree {f.degree}")
     elems = [_checked(fam.element, f) for f in forms]
-    print(render_form(_checked(fam.l, k, elems, refuse=ExponentOverflow).form))
+    print(render_form(_checked(fam.l, elems, refuse=ExponentOverflow).form))
     return 0
 
 

@@ -66,17 +66,12 @@ def _index(token: tuple[str, str, int], dim: int, what: str) -> int:
     return i
 
 
-def _space_dim(space) -> int:
-    return space if isinstance(space, int) else space.dim
-
-
-def parse_form(text: str, space) -> DifferentialForm:
-    """Parse a form expression over the given space (or plain dimension).
+def parse_form(text: str, dim: int) -> DifferentialForm:
+    """Parse a form expression on R^dim.
 
     Raises FormSyntaxError for malformed text, unknown coordinates, or a sum
     whose nonzero terms do not share one degree.
     """
-    dim = _space_dim(space)
     tokens = _tokenize(text)
     if len(tokens) == 1:
         raise FormSyntaxError("empty expression", 0)
@@ -140,8 +135,8 @@ def parse_form(text: str, space) -> DifferentialForm:
     return DifferentialForm._raw(dim, degrees.pop() if degrees else 0, whole)
 
 
-def parse_polynomial(text: str, space) -> Polynomial:
-    form = parse_form(text, space)
+def parse_polynomial(text: str, dim: int) -> Polynomial:
+    form = parse_form(text, dim)
     if form.degree != 0:
         raise FormSyntaxError("expected a function (degree-0 expression)", 0)
     return form.as_polynomial()

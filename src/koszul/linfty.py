@@ -21,7 +21,8 @@ is fixed by its head sigma(1..i), and ``linfty_residual`` enumerates only
 the heads that can survive these rules:
 
 * i = 1: one head per argument position, each tested by
-  ``BracketFamily.vanishes`` for its inner l_1 and its outer l_n;
+  ``BracketFamily.vanishes``, which reads the arity k off its k degrees, for
+  its inner l_1 and its outer l_n;
 * i >= 2: combinations of the ground-degree positions, as l_i is zero on
   any other argument.  So l_i never vanishes on a head, and the outer l_j
   sees l_i's degree 2 - i, every argument off the ground and the ground
@@ -110,23 +111,23 @@ class BracketFamily:
     def zero_element(self, ldegree: int) -> GradedElement:
         return GradedElement(DifferentialForm.zero(self.dim, self.form_degree_of(ldegree)), ldegree)
 
-    def vanishes(self, k: int, ldegrees: Sequence[int]) -> bool:
-        """Whether l_k is zero by groundedness on arguments of these degrees.
+    def vanishes(self, ldegrees: Sequence[int]) -> bool:
+        """Whether l_k, k = len(ldegrees), is zero by groundedness on arguments of these degrees.
 
         l_1 is truncated at the ground layer, where the differential would
         leave the complex; l_k for k >= 2 needs every argument in the ground
         degree.
         """
-        if k == 1:
+        if len(ldegrees) == 1:
             return ldegrees[0] >= 0
         return ldegrees.count(0) != len(ldegrees)
 
-    def l(self, k: int, args: Sequence[GradedElement]) -> GradedElement:
-        if k != len(args):
-            raise ValueError(f"arity {k} with {len(args)} arguments")
+    def l(self, args: Sequence[GradedElement]) -> GradedElement:
+        """l_k on its k = len(args) arguments."""
+        k = len(args)
         degrees = [x.ldegree for x in args]
         ldegree = sum(degrees) + 2 - k
-        if self.vanishes(k, degrees):
+        if self.vanishes(degrees):
             return self.zero_element(ldegree)
         if k == 1:
             return GradedElement(self.differential(args[0].form), ldegree)
@@ -183,7 +184,7 @@ def linfty_residual(family: BracketFamily, args: Sequence[GradedElement]) -> Gra
     scale_of = lambda k: 1 if k == 1 else family.scale(k)
     pair_scales = {i: scale_of(i) * scale_of(n + 1 - i) for i in range(1, n + 1)
                    if i == 1 or (i <= len(grounded) and not family.vanishes(
-                       n + 1 - i, [2 - i, *off_ground] + [0] * (len(grounded) - i)))}
+                       [2 - i, *off_ground] + [0] * (len(grounded) - i)))}
     scale = lcm(*pair_scales.values())
 
     total: DifferentialForm | None = None
@@ -194,7 +195,7 @@ def linfty_residual(family: BracketFamily, args: Sequence[GradedElement]) -> Gra
             tail = tuple(p for p in range(n) if p not in head)
             if i == 1:
                 x = degrees[head[0]]
-                if family.vanishes(1, [x]) or family.vanishes(j, [x + 1] + [degrees[p] for p in tail]):
+                if family.vanishes([x]) or family.vanishes([x + 1] + [degrees[p] for p in tail]):
                     continue
                 inner = family.differential(args[head[0]].form)
             else:

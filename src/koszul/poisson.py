@@ -43,13 +43,12 @@ class PoissonSpace:
     def __init__(self, m: int, pi: MultiVectorField, name: str = "custom"):
         if pi.dim != m or pi.degree != 2:
             raise ValueError("pi must be a bivector on the same space")
-        self.m = m
         self.dim = m
         self.pi = pi
         self.name = name
 
     def __repr__(self):
-        return f"PoissonSpace({self.name}, m={self.m})"
+        return f"PoissonSpace({self.name}, m={self.dim})"
 
     @classmethod
     def from_entries(cls, m: int, entries: Iterable[tuple[int, int, str]], name: str = "custom") -> "PoissonSpace":
@@ -82,10 +81,10 @@ class PoissonSpace:
 
     def jacobi_ok_on_coordinates(self) -> bool:
         """Jacobi on all coordinate triples; for polynomial pi this pins the structure."""
-        coords = [Polynomial.coordinate(self.m, i) for i in range(self.m)]
-        for i in range(self.m):
-            for j in range(i + 1, self.m):
-                for k in range(j + 1, self.m):
+        coords = [Polynomial.coordinate(self.dim, i) for i in range(self.dim)]
+        for i in range(self.dim):
+            for j in range(i + 1, self.dim):
+                for k in range(j + 1, self.dim):
                     if not self.jacobi_residual(coords[i], coords[j], coords[k]).is_zero():
                         return False
         return True
@@ -145,7 +144,7 @@ def obstruction(p: PoissonSpace, f: Polynomial, g: Polynomial, h: Polynomial) ->
 
     Its class modulo delta-exact 1-forms is what blocks lifting the bracket.
     """
-    return _obstruction(p.m, _with_brackets(p, f, g, h))
+    return _obstruction(p.dim, _with_brackets(p, f, g, h))
 
 
 def _wedge_cycle(m: int, f, g, h) -> DifferentialForm:
@@ -170,8 +169,8 @@ def obstruction_identity_residual(
     structure-independent rearrangement behind the witness construction below.
     """
     terms = _with_brackets(p, f, g, h)
-    lhs = p.delta(_wedge_cycle(p.m, f, g, h)) * 2 - d_poly(_bracket_cycle(p.m, terms))
-    return lhs + _obstruction(p.m, terms) * 3
+    lhs = p.delta(_wedge_cycle(p.dim, f, g, h)) * 2 - d_poly(_bracket_cycle(p.dim, terms))
+    return lhs + _obstruction(p.dim, terms) * 3
 
 
 def _witness_sum(s: SymplecticSpace, f, g, h, terms) -> DifferentialForm:
@@ -224,5 +223,5 @@ def jacobiator_residual(
     """
     f, g, h = (p.delta(x).as_polynomial() for x in (alpha, beta, gamma))
     nested = sum((_omega(a, p.delta(_omega(b, c)).as_polynomial()) for a, b, c in _cyclic(f, g, h)),
-                 DifferentialForm.zero(p.m, 1))
+                 DifferentialForm.zero(p.dim, 1))
     return _unscaled(nested - obstruction(p, f, g, h) * 2, 4)

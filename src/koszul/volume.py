@@ -29,17 +29,16 @@ class VolumeSpace:
     def __init__(self, m: int):
         if m < 3:
             raise ValueError("dimension must be >= 3")
-        self.m = m
         self.dim = m
         self.mu = DifferentialForm(m, m, {tuple(range(m)): Polynomial.constant(m, 1)})
 
     def __repr__(self):
-        return f"VolumeSpace(m={self.m})"
+        return f"VolumeSpace(m={self.dim})"
 
 
 def exact_divfree_vf(v: VolumeSpace, alpha: DifferentialForm) -> MultiVectorField:
     """The unique X with iota_X mu = -d alpha, for a potential (m-2)-form alpha (closed form above)."""
-    m = v.m
+    m = v.dim
     if (alpha.dim, alpha.degree) != (m, m - 2):
         raise ValueError(f"potential must be a {m - 2}-form on R^{m}, got a {alpha.degree}-form on R^{alpha.dim}")
     full, odd = (1 << m) - 1, sum(1 << i for i in range(1, m, 2))
@@ -61,16 +60,16 @@ def _contract_into_mu(v: VolumeSpace, fields: Sequence[MultiVectorField]) -> Dif
     for X in fields:  # first field contracts innermost
         cur = contract_vector(X, cur)
         if cur.is_zero():
-            return DifferentialForm.zero(v.m, v.m - k)
+            return DifferentialForm.zero(v.dim, v.dim - k)
     return cur if (k * (k + 1) // 2) & 1 else -cur
 
 
 def volume_family(v: VolumeSpace) -> BracketFamily:
     """The grounded family on Omega^0 -> ... -> Omega^(m-2) with l_1 = d; alpha lifts to X_alpha."""
     return BracketFamily(
-        name=f"volume(m={v.m})",
-        dim=v.m,
-        ground_form_degree=v.m - 2,
+        name=f"volume(m={v.dim})",
+        dim=v.dim,
+        ground_form_degree=v.dim - 2,
         step=1,
         differential=d,
         lift=lambda alpha: exact_divfree_vf(v, alpha),

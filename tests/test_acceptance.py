@@ -89,7 +89,7 @@ def test_criterion_2_alt_m_derivative_identity():
             for k in range(1, 6):
                 for t in range(25):
                     fs = polys(f"c2/{n}/{k}", t, s.dim, k + 1)
-                    residual = verify_alt_m_identity(s, k, fs)
+                    residual = verify_alt_m_identity(s, fs)
                     assert residual.is_zero(), (n, k, t)
 
 
@@ -100,7 +100,7 @@ def test_criterion_3_chain_identity_with_mutation():
             for k in range(2, 2 * n + 1):
                 for t in range(25):
                     fs = polys(f"c3/{n}/{k}", t, s.dim, k + 1)
-                    assert verify_chain_identity(s, k, fs).is_zero(), (n, k, t)
+                    assert verify_chain_identity(s, fs).is_zero(), (n, k, t)
             # perturbing any single series coefficient must break some identity
             for k in range(2, 2 * n + 2):
                 for j in range(0, (k - 1) // 2 + 1):
@@ -109,7 +109,7 @@ def test_criterion_3_chain_identity_with_mutation():
                     for t in range(8):
                         for kk in range(max(2, k - 1), min(2 * n, k) + 1):
                             fs = polys(f"c3m/{n}/{k}/{j}/{kk}", t, s.dim, kk + 1)
-                            if not verify_chain_identity(s, kk, fs, a).is_zero():
+                            if not verify_chain_identity(s, fs, a).is_zero():
                                 broke = True
                                 break
                         if broke:
@@ -137,7 +137,7 @@ def test_criterion_4_homotopy_identities_symplectic():
             for t in range(4):
                 rng = trial_rng(SEED, f"c4top/{n}", t)
                 args = [random_form(rng, s.dim, 1, 3, 0.8) for _ in range(s.dim + 2)]
-                assert l_bracket(s, s.dim + 2, args).form.is_zero(), (n, t)
+                assert l_bracket(s, args).form.is_zero(), (n, t)
 
 
 def test_criterion_5_coefficient_table():
@@ -172,7 +172,7 @@ def test_criterion_6_volume_family():
                 rng = trial_rng(SEED, f"c6ex/{m}", t)
                 beta = random_form(rng, m, m - 3, 3, 0.8)
                 alpha = random_form(rng, m, m - 2, 3, 0.8)
-                out = fam.l(2, [fam.element(d(beta)), fam.element(alpha)])
+                out = fam.l([fam.element(d(beta)), fam.element(alpha)])
                 assert out.form.is_zero(), (m, t)
 
 
@@ -196,16 +196,16 @@ def test_criterion_8_poisson_suite():
     with criterion(8, "Poisson suite: delta^2, structure identities, sl2star contraction, witness"):
         presets = [standard_symplectic(1), standard_symplectic(2), sl2_dual(), zero_poisson(3)]
         for p in presets:
-            for degree in range(0, p.m + 1):
+            for degree in range(0, p.dim + 1):
                 for t in range(10):
                     rng = trial_rng(SEED, f"c8d2/{p.name}/{degree}", t)
-                    a = random_form(rng, p.m, degree, 3, 0.8)
+                    a = random_form(rng, p.dim, degree, 3, 0.8)
                     assert p.delta(p.delta(a)).is_zero(), (p.name, degree, t)
             for t in range(25):
-                fs = polys(f"c8ob/{p.name}", t, p.m, 3)
+                fs = polys(f"c8ob/{p.name}", t, p.dim, 3)
                 assert obstruction_identity_residual(p, *fs).is_zero(), (p.name, t)
                 rng = trial_rng(SEED, f"c8jr/{p.name}", t)
-                one_forms = [random_form(rng, p.m, 1, 3, 0.8) for _ in range(3)]
+                one_forms = [random_form(rng, p.dim, 1, 3, 0.8) for _ in range(3)]
                 assert jacobiator_residual(p, *one_forms).is_zero(), (p.name, t)
         # sl2star: the bivector contracts the top form onto the pinned 1-form exactly
         p = sl2_dual()

@@ -49,14 +49,14 @@ def s2():
 
 def test_alt_m_arity_one_is_identity(s1):
     f = rand_poly("am1", 0, 2)
-    assert alt_m(s1, [f]) == DifferentialForm.from_polynomial(f)
+    assert alt_m([f]) == DifferentialForm.from_polynomial(f)
 
 
 def test_alt_m_arity_two_formula(s1):
     f = rand_poly("am2-f", 1, 2)
     g = rand_poly("am2-g", 1, 2)
     expected = (d_poly(g) * f - d_poly(f) * g) * Fraction(1, 2)
-    assert alt_m(s1, [f, g]) == expected
+    assert alt_m([f, g]) == expected
 
 
 def test_alt_m_arity_three_formula(s2):
@@ -66,22 +66,22 @@ def test_alt_m_arity_three_formula(s2):
         - d_poly(f).wedge(d_poly(h)) * g
         + d_poly(f).wedge(d_poly(g)) * h
     ) * Fraction(1, 3)
-    assert alt_m(s2, [f, g, h]) == expected
+    assert alt_m([f, g, h]) == expected
 
 
 def test_alt_m_fully_antisymmetric(s2):
     fs = [rand_poly(f"ama-{i}", 5, 4) for i in range(4)]
-    base = alt_m(s2, fs)
+    base = alt_m(fs)
     for i in range(3):
         swapped = list(fs)
         swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-        assert alt_m(s2, swapped) == -base
+        assert alt_m(swapped) == -base
 
 
 def test_d_alt_m_equals_d_m(s2):
     for k in (2, 3, 4):
         fs = [rand_poly(f"dm-{k}-{i}", k, 4) for i in range(k)]
-        assert d(alt_m(s2, fs)) == d(m_k(s2, fs))
+        assert d(alt_m(fs)) == d(m_k(s2, fs))
 
 
 # -- the alternating sum k alt_m ----------------------------------------------
@@ -269,12 +269,12 @@ def test_recursions_reject_small_k():
 def test_tilde_l_arity_two_is_alt_m(s1):
     f = rand_poly("tl2-f", 0, 2)
     g = rand_poly("tl2-g", 0, 2)
-    assert tilde_l(s1, [f, g]) == alt_m(s1, [f, g])
+    assert tilde_l(s1, [f, g]) == alt_m([f, g])
 
 
 def test_tilde_l_arity_three_operator_form(s2):
     fs = [rand_poly(f"tl3-{i}", 1, 4) for i in range(3)]
-    base = alt_m(s2, fs)
+    base = alt_m(fs)
     expected = -(base + s2.L(s2.Lam(base)) * Fraction(1, 2))
     assert tilde_l(s2, fs) == expected
 
@@ -293,12 +293,23 @@ def test_tilde_l_antisymmetric(s2):
 
 
 def test_tilde_l_above_the_top_degree_is_zero_at_once(s1, monkeypatch):
-    # on R^2 a bracket of 4 functions is a 3-form: zero by degree, with no alternating sum built
+    # on R^2 a bracket of 4 functions is a 3-form: zero by degree, with no df and no wedge computed
     fs = [rand_poly(f"tl-top-{i}", 0, 2) for i in range(4)]
-    expected = lefschetz_sum(s1, 4, _alt_sum(fs))
-    monkeypatch.setattr(koszul.brackets, "_alt_sum", None)
+    expected = lefschetz_sum(s1, _alt_sum(fs))
+    monkeypatch.setattr(koszul.brackets, "d_poly", None)
+    monkeypatch.setattr(_Alternating, "wedge", None)
     out = tilde_l(s1, fs)
-    assert out == expected and out.is_zero() and out.degree == 3
+    assert out == expected and out.is_zero() and (out.dim, out.degree) == (2, 3)
+
+
+def test_tilde_l_refuses_functions_from_another_space(s1):
+    # on R^8, 4 coordinates have a nonzero 3-form bracket, though a 3-form on R^2 is zero by degree;
+    # 2 of them leave the Lefschetz sum no Lam to run, so only its own check sees the other space
+    for k in (2, 4):
+        with pytest.raises(ValueError, match="different spaces"):
+            tilde_l(s1, [Polynomial.coordinate(8, i) for i in range(k)])
+    with pytest.raises(ValueError, match="different spaces"):
+        lefschetz_sum(s1, DifferentialForm.zero(8, 3))
 
 
 def test_tilde_l_requires_arity_two():
@@ -311,7 +322,7 @@ def test_tilde_l_requires_arity_two():
 
 def test_l1_is_koszul_differential_below_ground(s2):
     eta = rand_form("l1-eta", 0, 4, 2)
-    out = l_bracket(s2, 1, [eta])
+    out = l_bracket(s2, [eta])
     assert out.form == s2.delta(eta)
     assert out.ldegree == 0
 
@@ -319,26 +330,26 @@ def test_l1_is_koszul_differential_below_ground(s2):
 def test_l1_truncated_on_ground_layer(s2):
     # the complex stops at 1-forms, so the family differential vanishes there
     alpha = rand_form("l1-alpha", 0, 4, 1)
-    assert l_bracket(s2, 1, [alpha]).form.is_zero()
+    assert l_bracket(s2, [alpha]).form.is_zero()
 
 
 def test_l2_worked_example(s1):
     a = parse_form("v1 dx2", 2)
     b = parse_form("1/2 v1^2 dx2", 2)
-    out = l_bracket(s1, 2, [a, b])
+    out = l_bracket(s1, [a, b])
     assert out.form == parse_form("1/2 dx1", 2)
     assert out.ldegree == 0
 
 
 def test_l4_vanishes_on_r2(s1):
     args = [rand_form(f"l4-{i}", i, 2, 1) for i in range(4)]
-    assert l_bracket(s1, 4, args).form.is_zero()
+    assert l_bracket(s1, args).form.is_zero()
 
 
 def test_l_bracket_repeated_argument_zero(s2):
     a = rand_form("rep", 0, 4, 1)
     b = rand_form("rep-b", 0, 4, 1)
-    assert l_bracket(s2, 3, [a, a, b]).form.is_zero()
+    assert l_bracket(s2, [a, a, b]).form.is_zero()
 
 
 # -- chain identity ------------------------------------------------------------------
@@ -349,7 +360,7 @@ def test_chain_identity_random(n, k):
     s = SymplecticSpace(n)
     for t in range(8):
         fs = [rand_poly(f"ch-{n}-{k}-{i}", t, s.dim) for i in range(k + 1)]
-        assert verify_chain_identity(s, k, fs).is_zero()
+        assert verify_chain_identity(s, fs).is_zero()
 
 
 def test_chain_identity_perturbed_coefficient_fails(s1):
@@ -357,7 +368,7 @@ def test_chain_identity_perturbed_coefficient_fails(s1):
     hit = False
     for t in range(6):
         fs = [rand_poly(f"chp-{i}", t, 2) for i in range(3)]
-        if not verify_chain_identity(s1, 2, fs, a).is_zero():
+        if not verify_chain_identity(s1, fs, a).is_zero():
             hit = True
             break
     assert hit
@@ -373,7 +384,7 @@ def test_mutation_sensitivity_every_coefficient(n):
             for t in range(6):
                 for kk in range(max(2, k - 1), min(2 * n, k) + 1):
                     fs = [rand_poly(f"mut-{n}-{k}-{j}-{kk}-{i}", t, s.dim) for i in range(kk + 1)]
-                    if not verify_chain_identity(s, kk, fs, a).is_zero():
+                    if not verify_chain_identity(s, fs, a).is_zero():
                         broke = True
                         break
                 if broke:
@@ -391,8 +402,8 @@ def _chain_reference(s, k, fs, a=None):
 
 
 def _alt_m_reference(s, k, fs):
-    lhs = ce_partial(s.poisson_bracket, lambda xs: alt_m(s, xs), fs)
-    am = alt_m(s, fs)
+    lhs = ce_partial(s.poisson_bracket, alt_m, fs)
+    am = alt_m(fs)
     return lhs - (-s.delta(am) + d(s.Lam(am)) * Fraction(1, k))
 
 
@@ -419,13 +430,13 @@ def test_factored_chain_residual_equals_unfactored(n, kind):
     s = SymplecticSpace(n)
     for k in range(2, 2 * n + 1):
         fs = next(_draws(kind, f"fac-{n}-{k}", s.dim, k + 1))
-        assert verify_chain_identity(s, k, fs).is_zero() and _chain_reference(s, k, fs).is_zero()
+        assert verify_chain_identity(s, fs).is_zero() and _chain_reference(s, k, fs).is_zero()
         # each coefficient on either side of the identity reaches the factored residual
         for kk in (k, k + 1):
             for j in range(0, (kk - 1) // 2 + 1):
                 a = raised_coefficient(kk, j)
                 assert _live_and_equal(
-                    lambda xs: verify_chain_identity(s, k, xs, a),
+                    lambda xs: verify_chain_identity(s, xs, a),
                     lambda xs: _chain_reference(s, k, xs, a),
                     _draws(kind, f"fac-{n}-{k}-a{kk}{j}", s.dim, k + 1),
                 ), f"perturbed a({kk},{j}) left every k={k} draw intact"
@@ -444,9 +455,9 @@ def test_factored_alt_m_residual_equals_unfactored(n, kind):
     s, broken = SymplecticSpace(n), _DoubledBracketSpace(n)
     for k in range(1, 2 * n + 1):
         fs = next(_draws(kind, f"fac-alt-{n}-{k}", s.dim, k + 1))
-        assert verify_alt_m_identity(s, k, fs).is_zero() and _alt_m_reference(s, k, fs).is_zero()
+        assert verify_alt_m_identity(s, fs).is_zero() and _alt_m_reference(s, k, fs).is_zero()
         assert _live_and_equal(
-            lambda xs: verify_alt_m_identity(broken, k, xs),
+            lambda xs: verify_alt_m_identity(broken, xs),
             lambda xs: _alt_m_reference(broken, k, xs),
             _draws(kind, f"fac-alt-{n}-{k}", s.dim, k + 1),
         ), f"the doubled bracket left every k={k} draw intact"
@@ -468,7 +479,7 @@ def test_chain_identity_applies_each_lefschetz_sum_once(n):
     for k in range(2, 2 * n + 1):
         fs = [rand_poly(f"lam-count-{n}-{k}-{i}", 0, s.dim) for i in range(k + 1)]
         s.lam_calls = 0
-        assert verify_chain_identity(s, k, fs).is_zero()
+        assert verify_chain_identity(s, fs).is_zero()
         # one P_k on the coboundary and one P_(k+1) on the right side
         assert s.lam_calls <= (k - 1) // 2 + k // 2, f"k={k}: {s.lam_calls} Lam calls"
 
@@ -480,15 +491,15 @@ def test_chain_identity_differentiates_each_function_once(monkeypatch):
     d_form = koszul.forms.d
     monkeypatch.setattr(koszul.forms, "d", lambda a: calls.append(a) or d_form(a))
     fs = [rand_poly("chain-d", i, 4, 3, 3) for i in range(5)]
-    assert verify_chain_identity(SymplecticSpace(2), 4, fs).is_zero()
+    assert verify_chain_identity(SymplecticSpace(2), fs).is_zero()
     assert len(calls) == 15 and all(a.degree == 0 for a in calls)
 
 
 def test_chain_identity_validates_arguments(s1):
-    with pytest.raises(ValueError):
-        verify_chain_identity(s1, 1, [rand_poly("bad", 0, 2)] * 2)
-    with pytest.raises(ValueError):
-        verify_chain_identity(s1, 2, [rand_poly("bad2", 0, 2)] * 2)
+    with pytest.raises(ValueError, match="at least 3 functions"):
+        verify_chain_identity(s1, [rand_poly("bad", 0, 2)] * 2)
+    with pytest.raises(ValueError, match="at least 2 functions"):
+        verify_alt_m_identity(s1, [rand_poly("bad", 0, 2)])
 
 
 # -- integer-scaled residuals ------------------------------------------------------------
@@ -545,9 +556,9 @@ def test_residual_sums_stay_integer_on_integer_inputs(scaled_sides, n):
     s = _RecordingSpace(n)
     polys = lambda label, t, count: [rand_poly(f"{label}-{i}", t, s.dim) for i in range(count)]
     forms = lambda label, t: [rand_form(f"{label}-{i}", t, s.dim, 1) for i in range(2)]
-    checks = {f"chain k={k}": (verify_chain_identity, lambda t, k=k: [k, polys(f"int-ch-{n}-{k}", t, k + 1)])
+    checks = {f"chain k={k}": (verify_chain_identity, lambda t, k=k: [polys(f"int-ch-{n}-{k}", t, k + 1)])
               for k in range(2, 2 * n + 1)}
-    checks.update({f"alt k={k}": (verify_alt_m_identity, lambda t, k=k: [k, polys(f"int-alt-{n}-{k}", t, k + 1)])
+    checks.update({f"alt k={k}": (verify_alt_m_identity, lambda t, k=k: [polys(f"int-alt-{n}-{k}", t, k + 1)])
                    for k in range(1, 2 * n + 1)})
     checks["morphism"] = (verify_strict_morphism, lambda t: forms(f"int-mor-{n}", t))
     checks["congruence"] = (verify_quotient_congruence, lambda t: forms(f"int-qc-{n}", t))
@@ -587,10 +598,10 @@ def test_lefschetz_sum_default_scale_is_the_rational_sum(n):
     for a in (None, raised_coefficient(3, 1)):
         for k in range(2, s.dim + 2):
             fs = [rand_poly(f"ls-{n}-{k}-{i}", 0, s.dim) for i in range(k)]
-            out = lefschetz_sum(s, k, _alt_sum(fs), a)
+            out = lefschetz_sum(s, _alt_sum(fs), a)
             assert out == _lefschetz_reference(s, k, _alt_sum(fs), a or bracket_coefficient), f"k={k}"
             assert Fraction in _coefficient_types([out]) or out.is_zero(), f"k={k}: 1/k was not applied"
-            assert lefschetz_sum(s, k, _alt_sum(fs), a, scale=6 * k) == out * (6 * k), f"k={k}"
+            assert lefschetz_sum(s, _alt_sum(fs), a, scale=6 * k) == out * (6 * k), f"k={k}"
             assert tilde_l(s, fs, a) == out, f"k={k}"
 
 
@@ -602,7 +613,7 @@ def test_lefschetz_sum_applies_L_once_per_lam_power(monkeypatch):
     monkeypatch.setattr(SymplecticSpace, "L", lambda s, a: calls.append(a) or real(s, a))
     s = SymplecticSpace(4)
     top = DifferentialForm.basis(8, tuple(range(8)))
-    out = lefschetz_sum(s, 9, top)
+    out = lefschetz_sum(s, top)
     assert len(calls) == 4
     assert out == _lefschetz_reference(s, 9, top, bracket_coefficient)
 
@@ -613,7 +624,7 @@ def test_lefschetz_sum_returns_a_zero_base_as_is(monkeypatch):
     monkeypatch.setattr(SymplecticSpace, "Lam", None)
     for degree in (0, 2, 4):
         zero = DifferentialForm.zero(4, degree)
-        assert lefschetz_sum(SymplecticSpace(2), degree + 1, zero, lambda k, j: 1 // 0) is zero
+        assert lefschetz_sum(SymplecticSpace(2), zero, lambda k, j: 1 // 0) is zero
 
 
 def _overriding(k, j, value):
@@ -632,7 +643,7 @@ def test_chain_scale_is_read_from_the_table_in_use(scaled_sides, k, a):
     live, types = False, set()
     for fs in _draws("int", f"fresh-prime-{k}", s.dim, k + 1):
         scaled_sides.clear()
-        residual = verify_chain_identity(s, k, fs, a)
+        residual = verify_chain_identity(s, fs, a)
         types |= _coefficient_types(scaled_sides)
         assert residual == _chain_reference(s, k, fs, a)
         live = live or not residual.is_zero()
@@ -648,12 +659,12 @@ def test_alt_m_identity_random(n, k):
     s = SymplecticSpace(n)
     for t in range(6):
         fs = [rand_poly(f"alt-{n}-{k}-{i}", t, s.dim) for i in range(k + 1)]
-        assert verify_alt_m_identity(s, k, fs).is_zero()
+        assert verify_alt_m_identity(s, fs).is_zero()
 
 
 def test_alt_m_identity_constants_trivial(s2):
     fs = [Polynomial.constant(4, c) for c in (1, 2, 3)]
-    assert verify_alt_m_identity(s2, 2, fs).is_zero()
+    assert verify_alt_m_identity(s2, fs).is_zero()
 
 
 # -- morphism and quotient congruence -----------------------------------------------------

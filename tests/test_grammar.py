@@ -117,13 +117,6 @@ def test_dangling_operator_rejected():
         parse_form("v1 ^", 2)
 
 
-def test_parse_accepts_space_objects():
-    from koszul import SymplecticSpace, VolumeSpace
-
-    assert parse_form("v1 dx2", SymplecticSpace(1)) == parse_form("v1 dx2", 2)
-    assert parse_form("dx1^dx2", VolumeSpace(3)) == parse_form("dx1^dx2", 3)
-
-
 def test_exponent_bound_is_a_parse_error_at_the_token():
     assert parse_polynomial("v1^32767 v2", 2) == Polynomial(2, {(32767, 1): 1})
     with pytest.raises(FormSyntaxError, match="exponent of v1 exceeds 32767") as err:

@@ -40,7 +40,7 @@ def coords(m):
 
 
 def test_preset_constructors():
-    assert standard_symplectic(2).m == 4
+    assert standard_symplectic(2).dim == 4
     assert sl2_dual().name == "sl2star"
     assert zero_poisson(4).pi.is_zero()
 
@@ -90,7 +90,7 @@ def test_from_entries_grammar_interface():
 def test_jacobi_on_coordinates_and_random(p):
     assert p.jacobi_ok_on_coordinates()
     for t in range(5):
-        fs = [rand_poly(f"jac-{p.name}-{i}", t, p.m) for i in range(3)]
+        fs = [rand_poly(f"jac-{p.name}-{i}", t, p.dim) for i in range(3)]
         assert p.jacobi_residual(*fs).is_zero()
 
 
@@ -99,9 +99,9 @@ def test_jacobi_on_coordinates_and_random(p):
 
 @pytest.mark.parametrize("p", PRESETS, ids=lambda p: p.name)
 def test_delta_squared_zero_every_degree(p):
-    for degree in range(0, p.m + 1):
+    for degree in range(0, p.dim + 1):
         for t in range(6):
-            a = rand_form(f"d2-{p.name}-{degree}", t, p.m, degree)
+            a = rand_form(f"d2-{p.name}-{degree}", t, p.dim, degree)
             assert p.delta(p.delta(a)).is_zero()
 
 
@@ -113,8 +113,8 @@ def test_delta_kills_functions():
 @pytest.mark.parametrize("p", PRESETS, ids=lambda p: p.name)
 def test_delta_f_dg_is_bracket(p):
     for t in range(6):
-        f = rand_poly(f"fdg-{p.name}-f", t, p.m)
-        g = rand_poly(f"fdg-{p.name}-g", t, p.m)
+        f = rand_poly(f"fdg-{p.name}-f", t, p.dim)
+        g = rand_poly(f"fdg-{p.name}-g", t, p.dim)
         got = p.delta(d_poly(g) * f)
         assert got == DifferentialForm.from_polynomial(p.bracket(f, g))
 
@@ -149,7 +149,7 @@ def test_obstruction_zero_structure():
 @pytest.mark.parametrize("p", PRESETS, ids=lambda p: p.name)
 def test_obstruction_identity_residual_vanishes(p):
     for t in range(8):
-        fs = [rand_poly(f"obi-{p.name}-{i}", t, p.m) for i in range(3)]
+        fs = [rand_poly(f"obi-{p.name}-{i}", t, p.dim) for i in range(3)]
         assert obstruction_identity_residual(p, *fs).is_zero()
 
 
@@ -189,13 +189,13 @@ def test_omega1_bracket_matches_family_l2():
     for t in range(6):
         a = rand_form("o1l2-a", t, 2, 1)
         b = rand_form("o1l2-b", t, 2, 1)
-        assert omega1_bracket(p, a, b) == l_bracket(s, 2, [a, b]).form
+        assert omega1_bracket(p, a, b) == l_bracket(s, [a, b]).form
 
 
 @pytest.mark.parametrize("p", PRESETS, ids=lambda p: p.name)
 def test_jacobiator_residual_vanishes(p):
     for t in range(6):
-        forms = [rand_form(f"jr-{p.name}-{i}", t, p.m, 1) for i in range(3)]
+        forms = [rand_form(f"jr-{p.name}-{i}", t, p.dim, 1) for i in range(3)]
         assert jacobiator_residual(p, *forms).is_zero()
 
 
@@ -240,7 +240,7 @@ def _cyclic_reference(f, g, h):
 
 
 def _obstruction_reference(p, f, g, h):
-    total = DifferentialForm.zero(p.m, 1)
+    total = DifferentialForm.zero(p.dim, 1)
     for a, b, c in _cyclic_reference(f, g, h):
         bc = p.bracket(b, c)
         total = total + d_poly(bc) * a - d_poly(a) * bc
@@ -254,7 +254,7 @@ def _omega1_reference(p, alpha, beta):
 
 
 def _jacobiator_reference(p, alpha, beta, gamma):
-    nested = DifferentialForm.zero(p.m, 1)
+    nested = DifferentialForm.zero(p.dim, 1)
     for a, b, c in _cyclic_reference(alpha, beta, gamma):
         nested = nested + _omega1_reference(p, a, _omega1_reference(p, b, c))
     f, g, h = (p.delta(x).as_polynomial() for x in (alpha, beta, gamma))
@@ -290,7 +290,7 @@ def test_scaled_residuals_equal_the_rational_formulas(monkeypatch, mutant):
     live = set()
     for seed in range(4):
         for p in PRESETS:
-            forms = [rand_form(f"jref-{p.name}-{i}", seed, p.m, 1) for i in range(3)]
+            forms = [rand_form(f"jref-{p.name}-{i}", seed, p.dim, 1) for i in range(3)]
             residual = jacobiator_residual(p, *forms)
             assert residual == _jacobiator_reference(p, *forms), (p.name, seed)
             assert omega1_bracket(p, *forms[:2]) == _omega1_reference(p, *forms[:2]), (p.name, seed)
@@ -330,7 +330,7 @@ def _coefficient_types(values):
 
 
 _SCALED_CASES = {
-    **{f"jacobiator-{p.name}": (jacobiator_residual, p, partial(rand_form, dim=p.m, degree=1)) for p in PRESETS},
+    **{f"jacobiator-{p.name}": (jacobiator_residual, p, partial(rand_form, dim=p.dim, degree=1)) for p in PRESETS},
     **{f"witness-R{s.dim}": (symplectic_witness_residual, s, partial(rand_poly, dim=s.dim)) for s in _SYMPLECTIC},
 }
 

@@ -1,5 +1,6 @@
 """Every public function of ``src/koszul`` has a use in the package: a helper only the tests call
-belongs in ``tests/_util.py``, not in ``src``."""
+belongs in ``tests/_util.py``, not in ``src``.  And every parameter of a public function or method is
+read: a parameter that restates what the other arguments already say has no place in the API."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,32 @@ def unused_public_functions() -> list[str]:
 
 def test_every_public_function_is_used_in_the_package_or_exported():
     assert unused_public_functions() == []
+
+
+def _public_callables():
+    """(``module.name`` or ``module.Class.name``, node) of each public module-level function and each public
+    method of a public class."""
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield f"{path.stem}.{node.name}", node
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{item.name}", item
+
+
+def unused_parameters() -> list[str]:
+    """``where(parameter)`` of each parameter of a public function or method, ``self`` and ``cls`` aside,
+    that its body never reads: a caller would pass a value that changes nothing."""
+    unused = []
+    for where, node in _public_callables():
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        read = set().union(*(_names_used(statement) for statement in node.body))
+        unused += [f"{where}({p.arg})" for p in params if p.arg not in ("self", "cls") and p.arg not in read]
+    return unused
+
+
+def test_every_parameter_of_a_public_function_is_read():
+    assert unused_parameters() == []

@@ -304,7 +304,7 @@ def test_zero_results_keep_the_degree_their_operator_maps_to(n):
     assert p.delta(top).degree == s.dim - 1
     fam = symplectic_family(s)
     k = s.dim + 2
-    out = fam.l(k, [fam.element(dx1)] * k)
+    out = fam.l([fam.element(dx1)] * k)
     assert out.form.is_zero() and out.form.degree == fam.form_degree_of(out.ldegree) == s.dim + 1
 
 

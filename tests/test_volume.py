@@ -55,7 +55,7 @@ def test_worked_example_r3(v3):
 def test_defining_property_random(v3, v4):
     for v in (v3, v4):
         for t in range(12):
-            alpha = rand_form("dp", t, v.m, v.m - 2)
+            alpha = rand_form("dp", t, v.dim, v.dim - 2)
             X = exact_divfree_vf(v, alpha)
             assert (contract_vector(X, v.mu) + d(alpha)).is_zero()
             # divergence-free: d iota_X mu = 0
@@ -107,18 +107,18 @@ def test_quotient_bracket_sign(v3):
 def test_family_differential(v3):
     fam = volume_family(v3)
     f = rand_form("fd", 0, 3, 0)
-    out = fam.l(1, [fam.element(f)])
+    out = fam.l([fam.element(f)])
     assert out.form == d(f)
     # truncated at the (m-2)-form layer
     top = rand_form("fd-top", 0, 3, 1)
-    assert fam.l(1, [fam.element(top)]).form.is_zero()
+    assert fam.l([fam.element(top)]).form.is_zero()
 
 
 def test_family_grading(v4):
     fam = volume_family(v4)
     assert fam.element(rand_form("gr", 0, 4, 2)).ldegree == 0
     assert fam.element(rand_form("gr0", 0, 4, 0)).ldegree == -2
-    out = fam.l(3, [fam.element(rand_form(f"gr3-{i}", i, 4, 2)) for i in range(3)])
+    out = fam.l([fam.element(rand_form(f"gr3-{i}", i, 4, 2)) for i in range(3)])
     assert out.ldegree == -1
     assert out.form.degree == 1 or out.form.is_zero()
 
@@ -148,7 +148,7 @@ def test_groundedness_on_exact_first_argument(v3):
     fam = volume_family(v3)
     beta = rand_form("g3-b", 0, 3, 0)
     alpha = rand_form("g3-a", 0, 3, 1)
-    out = fam.l(2, [fam.element(d(beta)), fam.element(alpha)]).form
+    out = fam.l([fam.element(d(beta)), fam.element(alpha)]).form
     assert out.is_zero() and out.degree == 3 - 2  # a zero keeps the degree m - k of l_k
 
 
