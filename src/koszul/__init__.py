@@ -39,7 +39,7 @@ from .brackets import (
     verify_quotient_congruence,
     verify_strict_morphism,
 )
-from .volume import VolumeSpace, exact_divfree_vf, volume_bracket, volume_family
+from .volume import VolumeSpace, exact_divfree_vf, volume_family
 from .poisson import (
     PoissonSpace,
     jacobiator_residual,
@@ -87,7 +87,6 @@ __all__ = [
     "verify_quotient_congruence",
     "VolumeSpace",
     "exact_divfree_vf",
-    "volume_bracket",
     "volume_family",
     "PoissonSpace",
     "standard_symplectic",

@@ -377,7 +377,7 @@ def suite_poisson(cfg: CampaignConfig) -> Iterable[Check]:
     # sl2star contraction identity: iota_pi(dx1^dx2^dx3) = v1 dx1 + v2 dx2 - v3 dx3
     p = sl2_dual()
     expected = parse_form("v1 dx1 + v2 dx2 - v3 dx3", 3)
-    yield Check("poisson", [(DifferentialForm(3, 3, {(0, 1, 2): Polynomial.constant(3, 1)}),)],
+    yield Check("poisson", [(DifferentialForm.basis(3, range(3)),)],
                 {"sl2star iota_pi(top) = v1 dx1 + v2 dx2 - v3 dx3": lambda top: contract_bivector(p.pi, top) - expected})
     # symplectic witness: obstruction = delta(witness), exactly
     for n in cfg.half_dims:

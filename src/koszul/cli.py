@@ -49,22 +49,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run a verification campaign")
-    pv.add_argument("--suite", default="all", choices=SUITES)
-    pv.add_argument("--half-dim", dest="half_dims", type=_int_list, default=(1, 2), metavar="N[,N...]",
-                    help=f"half-dimensions for symplectic suites (default 1,2; operators, chain, all: "
+    cfg, listed = CampaignConfig, lambda dims: ",".join(map(str, dims))  # every default is the campaign's own
+    pv.add_argument("--suite", default=cfg.suite, choices=SUITES)
+    pv.add_argument("--half-dim", dest="half_dims", type=_int_list, default=cfg.half_dims, metavar="N[,N...]",
+                    help=f"half-dimensions for symplectic suites (default {listed(cfg.half_dims)}; operators, chain, all: "
                          f"<= {HALF_DIM_MAX['all']}; alt-relation, linfty-symplectic, poisson: <= {HALF_DIM_MAX['poisson']})")
-    pv.add_argument("--volume-dim", dest="volume_dims", type=_int_list, default=(3, 4), metavar="M[,M...]",
-                    help=f"dimensions for the volume suite (default 3,4; 3..{VOLUME_DIM_MAX})")
-    pv.add_argument("--degree", dest="max_degree", type=int, default=3, metavar="DEGREE",
+    pv.add_argument("--volume-dim", dest="volume_dims", type=_int_list, default=cfg.volume_dims, metavar="M[,M...]",
+                    help=f"dimensions for the volume suite (default {listed(cfg.volume_dims)}; 3..{VOLUME_DIM_MAX})")
+    pv.add_argument("--degree", dest="max_degree", type=int, default=cfg.max_degree, metavar="DEGREE",
                     help=f"max polynomial degree of random inputs, 1..{EXP_MAX}; chain, all: 2..{EXP_MAX} (constant"
                          " inputs check nothing, linear ones leave some chain mutants unbroken)")
-    pv.add_argument("--density", type=float, default=0.7, help="basis-term density of random forms")
-    pv.add_argument("--trials", type=int, default=25)
-    pv.add_argument("--seed", type=int, default=7)
-    pv.add_argument("--arity-max", type=int, default=5,
+    pv.add_argument("--density", type=float, default=cfg.density, help="basis-term density of random forms")
+    pv.add_argument("--trials", type=int, default=cfg.trials)
+    pv.add_argument("--seed", type=int, default=cfg.seed)
+    pv.add_argument("--arity-max", type=int, default=cfg.arity_max,
                     help=f"highest identity arity to check, 1..{ARITY_MAX} (the check costs about A^3); "
                          "the linfty-volume identities stop at arity 4")
-    pv.add_argument("--k-max", type=int, default=9,
+    pv.add_argument("--k-max", type=int, default=cfg.k_max,
                     help=f"coefficient recursion bound, 2..{K_MAX} (the check costs about k^3)")
     pv.add_argument("--format", dest="fmt", default="text", choices=("text", "json"))
     pv.add_argument("--out", default=None, help="write the report to a file instead of stdout")

@@ -123,8 +123,10 @@ class BracketFamily:
         return ldegrees.count(0) != len(ldegrees)
 
     def l(self, args: Sequence[GradedElement]) -> GradedElement:
-        """l_k on its k = len(args) arguments."""
+        """l_k on its k = len(args) >= 1 arguments."""
         k = len(args)
+        if k < 1:
+            raise ValueError("need at least one argument")
         degrees = [x.ldegree for x in args]
         ldegree = sum(degrees) + 2 - k
         if self.vanishes(degrees):

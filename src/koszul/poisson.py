@@ -30,7 +30,6 @@ from the same integer sums.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 from .forms import DifferentialForm, MultiVectorField, contract_bivector, d, d_poly
 from .poly import Polynomial, _unscaled
@@ -50,20 +49,6 @@ class PoissonSpace:
     def __repr__(self):
         return f"PoissonSpace({self.name}, m={self.dim})"
 
-    @classmethod
-    def from_entries(cls, m: int, entries: Iterable[tuple[int, int, str]], name: str = "custom") -> "PoissonSpace":
-        """Build pi from (i, j, coefficient-text) entries with 1-based i < j."""
-        from .grammar import parse_polynomial
-
-        terms = {}
-        for i, j, text in entries:
-            if not 1 <= i < j <= m:
-                raise ValueError(f"bad bivector entry indices ({i}, {j}) for dimension {m}")
-            p = parse_polynomial(text, m)
-            key = (i - 1, j - 1)
-            terms[key] = terms.get(key, Polynomial.zero(m)) + p
-        return cls(m, MultiVectorField(m, 2, {k: v for k, v in terms.items() if not v.is_zero()}), name)
-
     def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
         """{f, g} = iota_pi(df ^ dg); an antisymmetric biderivation."""
         return contract_bivector(self.pi, d_poly(f).wedge(d_poly(g))).as_polynomial()
@@ -71,23 +56,6 @@ class PoissonSpace:
     def delta(self, a: DifferentialForm) -> DifferentialForm:
         """Degree-lowering differential iota_pi d - d iota_pi."""
         return contract_bivector(self.pi, d(a)) - d(contract_bivector(self.pi, a))
-
-    def jacobi_residual(self, f: Polynomial, g: Polynomial, h: Polynomial) -> Polynomial:
-        return (
-            self.bracket(f, self.bracket(g, h))
-            + self.bracket(g, self.bracket(h, f))
-            + self.bracket(h, self.bracket(f, g))
-        )
-
-    def jacobi_ok_on_coordinates(self) -> bool:
-        """Jacobi on all coordinate triples; for polynomial pi this pins the structure."""
-        coords = [Polynomial.coordinate(self.dim, i) for i in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    if not self.jacobi_residual(coords[i], coords[j], coords[k]).is_zero():
-                        return False
-        return True
 
 
 # -- presets ------------------------------------------------------------------

@@ -20,7 +20,6 @@ from typing import Sequence
 
 from .forms import DifferentialForm, MultiVectorField, contract_vector, d
 from .linfty import BracketFamily
-from .poly import Polynomial
 
 
 class VolumeSpace:
@@ -30,7 +29,7 @@ class VolumeSpace:
         if m < 3:
             raise ValueError("dimension must be >= 3")
         self.dim = m
-        self.mu = DifferentialForm(m, m, {tuple(range(m)): Polynomial.constant(m, 1)})
+        self.mu = DifferentialForm.basis(m, range(m))
 
     def __repr__(self):
         return f"VolumeSpace(m={self.dim})"
@@ -44,13 +43,6 @@ def exact_divfree_vf(v: VolumeSpace, alpha: DifferentialForm) -> MultiVectorFiel
     full, odd = (1 << m) - 1, sum(1 << i for i in range(1, m, 2))
     terms = ((key ^ full, c) for key, c in d(alpha).packed.items())  # e_i, i the index missing from key's basis
     return MultiVectorField._raw(m, 1, {key: c if key & odd else -c for key, c in terms})
-
-
-def volume_bracket(v: VolumeSpace, alphas: Sequence[DifferentialForm]) -> DifferentialForm:
-    """l_k of (m-2)-form potentials: signed iterated contraction into mu."""
-    if len(alphas) < 2:
-        raise ValueError("higher brackets start at arity 2")
-    return _contract_into_mu(v, [exact_divfree_vf(v, a) for a in alphas])
 
 
 def _contract_into_mu(v: VolumeSpace, fields: Sequence[MultiVectorField]) -> DifferentialForm:

@@ -72,6 +72,18 @@ def total_degree(p: Polynomial) -> int:
     return max(map(sum, p.terms), default=-1)
 
 
+def jacobi_residual(p, f: Polynomial, g: Polynomial, h: Polynomial) -> Polynomial:
+    """{f, {g, h}} + cyc over ``p.bracket``: the Jacobi identity, the oracle for a Poisson bivector that
+    does not go through delta."""
+    return p.bracket(f, p.bracket(g, h)) + p.bracket(g, p.bracket(h, f)) + p.bracket(h, p.bracket(f, g))
+
+
+def jacobi_holds_on_coordinates(p) -> bool:
+    """Jacobi on every triple of coordinates; for a polynomial bivector this decides whether it is Poisson."""
+    coords = [Polynomial.coordinate(p.dim, i) for i in range(p.dim)]
+    return all(jacobi_residual(p, *triple).is_zero() for triple in combinations(coords, 3))
+
+
 def m_k(s, fs) -> DifferentialForm:
     """The unsymmetrized map f_1 df_2 ^ ... ^ df_k."""
     total = DifferentialForm.from_polynomial(fs[0])

@@ -6,6 +6,7 @@ import pytest
 
 from koszul.campaign import HALF_DIM_MAX, SUITES, VOLUME_DIM_MAX, CampaignConfig, CampaignReport, Check, run_campaign
 from koszul.cli import main
+from koszul.symplectic import SymplecticSpace
 
 
 def run_cli(capsys, argv):
@@ -371,6 +372,20 @@ def test_run_campaign_api_roundtrip():
     # json excludes the wall clock, text shows it
     assert "duration" not in report.to_json()
     assert f"{report.duration_s:.2f}" in report.to_text()
+
+
+def test_text_report_counts_the_failures_it_does_not_show(monkeypatch):
+    # a negated L fails two operator relations on more trials than the text report lists
+    L = SymplecticSpace.L
+    monkeypatch.setattr(SymplecticSpace, "L", lambda self, a: -L(self, a))
+    report = run_campaign(CampaignConfig(suite="operators", half_dims=(1,), trials=5))
+    failing = [c for c in report.checks if not c.ok]
+    assert failing and all(len(c.failures) > 3 for c in failing)
+    text = report.to_text()
+    assert text.count("inputs:") == 3 * len(failing)
+    for c in failing:
+        assert f"{c.name}  ({c.trials} trials)" in text
+        assert f"... {len(c.failures) - 3} more failures" in text
 
 
 def test_verify_empty_half_dims_exit_2(capsys):

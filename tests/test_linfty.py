@@ -177,6 +177,13 @@ def test_arity_beyond_range_returns_zero():
     assert fam.l(args).form.is_zero()
 
 
+def test_l_refuses_an_empty_argument_list():
+    # there is no l_0: both families refuse it in ``l`` itself, as ``linfty_residual`` refuses n = 0
+    for fam in (symplectic_family(SymplecticSpace(1)), volume_family(VolumeSpace(3))):
+        with pytest.raises(ValueError, match="^need at least one argument$"):
+            fam.l([])
+
+
 def test_element_rejects_out_of_complex_degrees():
     s = SymplecticSpace(1)
     fam = symplectic_family(s)

@@ -121,6 +121,13 @@ def test_difference_of_equal_maps_is_the_zero_of_that_degree(make):
     assert x - zero is x and x + zero is x
 
 
+def test_equality_needs_the_same_kind_of_value_on_the_same_space():
+    p = Polynomial.constant(2, 1)
+    assert p != DifferentialForm.from_polynomial(p) and DifferentialForm.from_polynomial(p) != p
+    assert DifferentialForm.zero(2, 1) != DifferentialForm.zero(3, 1)
+    assert DifferentialForm.zero(2, 1) == DifferentialForm.zero(2, 2)  # zero is zero in every degree of one space
+
+
 def test_equal_operand_difference_keeps_every_refusal():
     p = Polynomial(3, {(1, 0, 0): 1})
     a = parse_form("v1 dx1", 3)
