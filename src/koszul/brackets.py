@@ -51,10 +51,10 @@ of a(k,j)/k for the table in force at the call, so ``linfty_residual`` sums over
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Callable, Iterator, Sequence
 
 from .forms import DifferentialForm, d, d_poly
 from .linfty import BracketFamily, GradedElement, ce_partial

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import json
 import time
+from collections import namedtuple
 from collections.abc import Callable, Iterable
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from typing import NamedTuple
 
 from . import __version__
 from .brackets import (
@@ -83,17 +82,13 @@ ARITY_MAX = 40
 _QUADRATIC_SUITES = ("chain", "all")
 
 
-@dataclass
-class CampaignConfig:
-    suite: str = "all"
-    half_dims: tuple[int, ...] = (1, 2)
-    volume_dims: tuple[int, ...] = (3, 4)
-    max_degree: int = 3
-    density: float = 0.7
-    trials: int = 25
-    seed: int = 7
-    arity_max: int = 5
-    k_max: int = 9
+# every field of a campaign's config, in report order, with its default
+_CONFIG_DEFAULTS = {"suite": "all", "half_dims": (1, 2), "volume_dims": (3, 4), "max_degree": 3, "density": 0.7,
+                    "trials": 25, "seed": 7, "arity_max": 5, "k_max": 9}
+
+
+class CampaignConfig(namedtuple("CampaignConfig", _CONFIG_DEFAULTS, defaults=_CONFIG_DEFAULTS.values())):
+    __slots__ = ()
 
     def validate(self):
         if self.suite not in SUITES:
@@ -130,15 +125,15 @@ class CampaignConfig:
             raise ValueError(f"k-max must be in 2..{K_MAX}: the recursion check costs about k^3")
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "half_dims": list(self.half_dims), "volume_dims": list(self.volume_dims)}
+        return {**self._asdict(), "half_dims": list(self.half_dims), "volume_dims": list(self.volume_dims)}
 
 
-@dataclass
 class CheckResult:
-    suite: str
-    name: str
-    trials: int = 0
-    failures: list[dict] = field(default_factory=list)
+    __slots__ = ("suite", "name", "trials", "failures")
+
+    def __init__(self, suite: str, name: str, trials: int = 0, failures: list[dict] | None = None):
+        self.suite, self.name, self.trials = suite, name, trials
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -148,14 +143,15 @@ class CheckResult:
         self.failures.append({"inputs": inputs, "residual": residual})
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "status": "pass" if self.ok else "fail"}
+        return {"suite": self.suite, "name": self.name, "trials": self.trials, "failures": self.failures,
+                "status": "pass" if self.ok else "fail"}
 
 
-@dataclass
 class CampaignReport:
-    config: CampaignConfig
-    checks: list[CheckResult]
-    duration_s: float
+    __slots__ = ("config", "checks", "duration_s")
+
+    def __init__(self, config: CampaignConfig, checks: list[CheckResult], duration_s: float):
+        self.config, self.checks, self.duration_s = config, checks, duration_s
 
     @property
     def failed(self) -> int:
@@ -198,7 +194,7 @@ class CampaignReport:
 # -- the check table ----------------------------------------------------------
 
 
-class Check(NamedTuple):
+class Check(namedtuple("Check", "suite inputs residuals mutant", defaults=(None,))):
     """One check row: each of ``residuals``, ``{name: residual}`` in report
     order, must vanish at every ``args`` in ``inputs``.
 
@@ -208,13 +204,12 @@ class Check(NamedTuple):
     one residual, its identity is deliberately broken, and the row instead
     needs one input whose residual is nonzero.  A suite yields rows one at a
     time and each runs before the next is built, so ``inputs`` and
-    ``residuals`` may close over the suite's loop variables.
+    ``residuals`` may close over the suite's loop variables.  Each residual
+    returns a ``Polynomial`` or a ``DifferentialForm``; ``mutant`` is None or
+    a message.
     """
 
-    suite: str
-    inputs: Iterable[tuple]
-    residuals: dict[str, Callable[..., Polynomial | DifferentialForm]]
-    mutant: str | None = None
+    __slots__ = ()
 
 
 def _render(x) -> str:

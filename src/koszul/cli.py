@@ -5,10 +5,11 @@
     koszul bracket --symplectic 1 --arity 2 "v1 dx2" "1/2 v1^2 dx2"
 
 Exit codes: 0 all checks pass, 1 at least one identity failure, 2 usage or
-expression errors. A refusal raises ``UsageError`` (or ``FormSyntaxError``)
-where it is found, and ``main`` alone reports it: one ``error:`` (``parse
-error:``) line on stderr. An evaluation whose exponents grow past EXP_MAX is
-refused the same way; a ValueError raised elsewhere is a program fault.
+expression errors, or an output that cannot be written. A refusal raises
+``UsageError`` (or ``FormSyntaxError``) where it is found, and ``main`` alone
+reports it: one ``error:`` (``parse error:``) line on stderr. An evaluation
+whose exponents grow past EXP_MAX is refused the same way; a ValueError raised
+elsewhere is a program fault.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import argparse
 import os
 import re
 import sys
-from contextlib import nullcontext
-from dataclasses import fields
 
 from .brackets import symplectic_family
 from .campaign import ARITY_MAX, HALF_DIM_MAX, K_MAX, SUITES, VOLUME_DIM_MAX, CampaignConfig, run_campaign
@@ -49,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run a verification campaign")
-    cfg, listed = CampaignConfig, lambda dims: ",".join(map(str, dims))  # every default is the campaign's own
+    cfg, listed = CampaignConfig(), lambda dims: ",".join(map(str, dims))  # every default is the campaign's own
     pv.add_argument("--suite", default=cfg.suite, choices=SUITES)
     pv.add_argument("--half-dim", dest="half_dims", type=_int_list, default=cfg.half_dims, metavar="N[,N...]",
                     help=f"half-dimensions for symplectic suites (default {listed(cfg.half_dims)}; operators, chain, all: "
@@ -112,27 +111,34 @@ def _checked(call, *args, refuse=ValueError):
         raise UsageError(exc) from None
 
 
-def _report_file(path: str, mode: str):
+def _write(text: str, path: str | None = None, mode: str = "w"):
+    """Write ``text`` to the file ``path``, or without one to stdout, flushed now; a failed write is refused."""
     try:
-        return open(path, mode, encoding="utf-8")
+        if not path:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write report to {path}: {exc.strerror}") from None
+        if not path:  # what the buffer still holds would fail again in the interpreter's exit flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise UsageError(f"cannot write {f'report to {path}' if path else 'output to stdout'}: {exc.strerror}") from None
 
 
 def cmd_verify(args) -> int:
-    cfg = CampaignConfig(**{f.name: getattr(args, f.name) for f in fields(CampaignConfig)})
+    cfg = CampaignConfig(**{name: getattr(args, name) for name in CampaignConfig._fields})
     _checked(cfg.validate)
     created = bool(args.out) and not os.path.exists(args.out)
     if args.out:  # refuse an unwritable report path before the campaign spends its time; "a" keeps its content
-        _report_file(args.out, "a").close()
+        _write("", args.out, "a")
     try:
         report = _checked(run_campaign, cfg, refuse=ExponentOverflow)
-    except BaseException:  # a refused or interrupted run leaves no empty file of its own making behind
+        _write(report.to_json() if args.fmt == "json" else report.to_text(), args.out)  # replaced only now
+    except BaseException:  # a refused, interrupted or unwritten run leaves no file of its own making behind
         if created:
             os.remove(args.out)
         raise
-    with _report_file(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:  # replaced only now
-        fh.write(report.to_json() if args.fmt == "json" else report.to_text())
     if args.fmt == "json":
         # kept out of the report payload so identical configs stay byte-identical
         print(f"completed in {report.duration_s:.2f}s", file=sys.stderr)
@@ -151,7 +157,7 @@ def cmd_eval(args) -> int:
         if op != "d" and space is None:
             raise UsageError(f"operator {op} needs --symplectic")
         form = _checked(d if op == "d" else getattr(space, _OPERATORS[op]), form, refuse=ExponentOverflow)
-    print(render_form(form))
+    _write(render_form(form) + "\n")
     return 0
 
 
@@ -172,7 +178,7 @@ def cmd_bracket(args) -> int:
         if k >= 2 and f.degree != fam.ground_form_degree and not f.is_zero():
             raise UsageError(f"arity {k} bracket takes degree-{fam.ground_form_degree} forms, got degree {f.degree}")
     elems = [_checked(fam.element, f) for f in forms]
-    print(render_form(_checked(fam.l, elems, refuse=ExponentOverflow).form))
+    _write(render_form(_checked(fam.l, elems, refuse=ExponentOverflow).form) + "\n")
     return 0
 
 

@@ -48,13 +48,13 @@ below(m, i) = popcount(m & ((1 << i) - 1)) the number of indices of m below i:
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Mapping, Union
 
 from .poly import EXP_MAX, Polynomial, _guarded, _Terms, layout
 
-Scalar = Union[int, Fraction, Polynomial]
+Scalar = int | Fraction | Polynomial
 
 
 def _indices(m: int) -> tuple:

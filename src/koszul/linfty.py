@@ -50,25 +50,24 @@ the unscaled value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from functools import cache
 from itertools import combinations
 from math import lcm
-from typing import Callable, Sequence
 
 from .forms import DifferentialForm
 from .poly import _unscaled
 
 
-@dataclass(frozen=True)
 class GradedElement:
     """A homogeneous form together with its degree in the complex."""
 
-    form: DifferentialForm
-    ldegree: int
+    __slots__ = ("form", "ldegree")
+
+    def __init__(self, form: DifferentialForm, ldegree: int):
+        self.form, self.ldegree = form, ldegree
 
 
-@dataclass(frozen=True)
 class BracketFamily:
     """An arity-indexed family of multibrackets on a fixed complex.
 
@@ -84,14 +83,13 @@ class BracketFamily:
     ``higher`` only ever see ground-degree forms.
     """
 
-    name: str
-    dim: int
-    ground_form_degree: int
-    step: int
-    differential: Callable[[DifferentialForm], DifferentialForm]
-    lift: Callable[[DifferentialForm], object]
-    scale: Callable[[int], int]
-    higher: Callable[[tuple], DifferentialForm]
+    __slots__ = ("name", "dim", "ground_form_degree", "step", "differential", "lift", "scale", "higher")
+
+    def __init__(self, name: str, dim: int, ground_form_degree: int, step: int,
+                 differential: Callable[[DifferentialForm], DifferentialForm], lift: Callable[[DifferentialForm], object],
+                 scale: Callable[[int], int], higher: Callable[[tuple], DifferentialForm]):
+        self.name, self.dim, self.ground_form_degree, self.step = name, dim, ground_form_degree, step
+        self.differential, self.lift, self.scale, self.higher = differential, lift, scale, higher
 
     def ldegree_of(self, form_degree: int) -> int:
         return (form_degree - self.ground_form_degree) * self.step

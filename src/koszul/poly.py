@@ -25,13 +25,13 @@ self + c other, or self + c other p, so a sum of products builds no product.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import repeat
 from operator import mul, or_
-from typing import Mapping, Union
 
-Coeff = Union[int, Fraction]
+Coeff = int | Fraction
 
 EXP_BITS = 16
 EXP_MAX = (1 << EXP_BITS - 1) - 1  # 32767: the guard bit above it stays clear

@@ -16,7 +16,7 @@ identity evaluator; the grading here is L_{-i} = Omega^(m-2-i).
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .forms import DifferentialForm, MultiVectorField, contract_vector, d
 from .linfty import BracketFamily

@@ -35,6 +35,11 @@ def rand_frac_poly(label: str, trial: int, dim: int, max_degree: int = 3) -> Pol
     return Polynomial(dim, {e: Fraction(c, 3 + 4 * i) for i, (e, c) in enumerate(sorted(p.terms.items()))})
 
 
+def rebuilt(fam, **changes):
+    """``fam`` with the fields named in ``changes`` replaced: a new ``BracketFamily`` from its ``__slots__``."""
+    return type(fam)(**{**{name: getattr(fam, name) for name in type(fam).__slots__}, **changes})
+
+
 def doubled_wedge(wedge):
     """A mutant of ``wedge`` that doubles its result on spaces of dimension >= 3."""
 

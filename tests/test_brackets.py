@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -31,7 +30,7 @@ from koszul.brackets import _alt_sum, lefschetz_sum, raised_coefficient
 from koszul.forms import _Alternating
 from koszul.poly import _Terms
 
-from _util import full_path_alt_sum, m_k, rand_form, rand_frac_poly, rand_poly
+from _util import full_path_alt_sum, m_k, rand_form, rand_frac_poly, rand_poly, rebuilt
 
 
 @pytest.fixture(scope="module")
@@ -565,7 +564,7 @@ def test_residual_sums_stay_integer_on_integer_inputs(scaled_sides, n):
     # the L-infinity identities through the evaluator, each D_k l_k that ``higher`` returns recorded;
     # from n = 3, as no term of the n = 2 identity on ground arguments survives
     fam = symplectic_family(s)
-    recorded = replace(fam, higher=lambda fs: scaled_sides.append(fam.higher(fs)) or scaled_sides[-1])
+    recorded = rebuilt(fam, higher=lambda fs: scaled_sides.append(fam.higher(fs)) or scaled_sides[-1])
     identity = lambda s, *xs: linfty_residual(recorded, [recorded.element(x) for x in xs]).form
     checks.update({f"linfty n={k}": (identity, lambda t, k=k: [rand_form(f"int-li-{n}-{k}-{i}", t, s.dim, 1, 2)
                                                                 for i in range(k)])

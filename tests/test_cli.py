@@ -1,6 +1,12 @@
+import errno
+import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -446,6 +452,45 @@ def test_verify_refused_run_leaves_no_new_report(tmp_path, capsys):
     assert_refused(capsys, ["verify", "--suite", "chain", "--half-dim", "1", "--degree", "30000", "--trials", "1",
                             "--out", str(target)], "an exponent exceeds")
     assert not target.exists()
+
+
+def test_verify_unwritten_report_leaves_no_new_file(tmp_path, capsys, monkeypatch):
+    # the probe creates the path; the report write then fails, and the run removes what it created
+    import koszul.cli as cli
+
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "open", lambda path, mode, **kw: open(path, mode, **kw) if mode == "a" else Full(),
+                        raising=False)
+    target = tmp_path / "fresh.json"
+    assert_refused(capsys, ["verify", "--suite", "coefficients", "--out", str(target)],
+                   f"error: cannot write report to {target}: {os.strerror(errno.ENOSPC)}")
+    assert not target.exists()
+
+
+UNWRITABLE = {
+    "verify-out": (["verify", "--suite", "coefficients", "--out", "/dev/full"], "report to /dev/full"),
+    "verify-stdout": (["verify", "--suite", "coefficients"], "output to stdout"),
+    "verify-json-stdout": (["verify", "--suite", "coefficients", "--format", "json"], "output to stdout"),
+    "eval-stdout": (["eval", "--dim", "2", "v1"], "output to stdout"),
+    "bracket-stdout": (["bracket", "--symplectic", "1", "--arity", "1", "v1 dx1"], "output to stdout"),
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, target", UNWRITABLE.values(), ids=UNWRITABLE.keys())
+def test_unwritable_output_is_one_line_and_exit_2(argv, target):
+    # a subprocess with buffered stdout: what a failed write leaves in the buffer must not fail again
+    # in the interpreter's exit flush, which would print a second error and exit 120
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "koszul.cli", *argv], env=env, stderr=subprocess.PIPE,
+                              stdout=subprocess.PIPE if "--out" in argv else full, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "" if "--out" in argv else None)
+    assert proc.stderr.splitlines() == [f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}"]
 
 
 @pytest.mark.parametrize("flag, dims", [("--half-dim", "1,1"), ("--volume-dim", "3,4,3")])

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from math import comb
 
 import pytest
@@ -22,7 +21,7 @@ from koszul import (
     volume_family,
 )
 from koszul.brackets import _clearing_scale, bracket_coefficient, raised_coefficient
-from _util import rand_form, rand_poly, unshuffles
+from _util import rand_form, rand_poly, rebuilt, unshuffles
 
 
 # -- unshuffles ----------------------------------------------------------------
@@ -240,7 +239,7 @@ def reference_residual(fam, args):
 
 def _scaled_higher(fam, c):
     """The family with every l_k, k >= 2, scaled by c: l_2 l_2 and l_1 l_3 no longer cancel."""
-    return replace(fam, higher=lambda forms: fam.higher(forms) * c)
+    return rebuilt(fam, higher=lambda forms: fam.higher(forms) * c)
 
 
 def _oracle_families():
@@ -319,7 +318,7 @@ def test_ground_identity_is_the_chain_identity_on_delta_images():
                  for arity in range(3, s.dim + 3) for t in range(6 if n == 1 else 2)}  # few R2 pairs are nonzero
         raises = [(k, j) for k in range(3, s.dim + 3) for j in range((k + 1) // 2)]
         for a in [bracket_coefficient, *(raised_coefficient(k, j) for k, j in raises)]:
-            raised = replace(fam, scale=lambda k, a=a: _clearing_scale(a, k),
+            raised = rebuilt(fam, scale=lambda k, a=a: _clearing_scale(a, k),
                              higher=lambda fs, a=a: tilde_l(s, fs, a, _clearing_scale(a, len(fs))))
             for key, xs in draws.items():
                 got = linfty_residual(raised, [raised.element(x) for x in xs]).form
@@ -340,7 +339,7 @@ def test_ground_identity_brackets_stay_quadratic(family):
         calls.append(len(forms))
         return fam.higher(forms)
 
-    counted = replace(fam, higher=counting)
+    counted = rebuilt(fam, higher=counting)
     for n in range(2, 6):
         args = [fam.element(rand_form(f"count/{family}/{k}", n, 4, fam.ground_form_degree)) for k in range(n)]
         calls.clear()
@@ -379,7 +378,7 @@ def test_rows_without_a_surviving_term_lift_nothing(family):
     # n = 1 and n = 2 ground rows and mixed-degree rows are exact zeros: no argument is lifted
     fam = symplectic_family(SymplecticSpace(2)) if family == "symplectic" else volume_family(VolumeSpace(4))
     calls = []
-    counting = replace(fam, lift=lambda a: calls.append(a) or fam.lift(a))
+    counting = rebuilt(fam, lift=lambda a: calls.append(a) or fam.lift(a))
     ground = [fam.element(rand_form(f"nolift/{family}/{k}", 0, 4, fam.ground_form_degree)) for k in range(3)]
     two_off = fam.ground_form_degree + (2 if family == "symplectic" else -2)  # l_1 of it is still off the ground
     other = fam.element(rand_form(f"nolift/{family}/x", 0, 4, two_off))

@@ -10,7 +10,6 @@ faithfully, so its row is a custom mutant below.
 
 import inspect
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -19,6 +18,8 @@ import koszul.campaign
 from koszul import DifferentialForm, Polynomial, symplectic_family, volume_family
 from koszul.campaign import CampaignConfig, run_campaign
 from koszul.linfty import BracketFamily
+
+from _util import rebuilt
 
 VOLUME_CHECKS = {
     "R3(vol) iota_X mu = -d(potential)",
@@ -208,7 +209,7 @@ def _spoiled(family):
 
     def spoiled_family(space):
         fam = family(space)
-        return replace(fam, differential=lambda a: _fixed_form(fam.dim, a.degree + fam.step),
+        return rebuilt(fam, differential=lambda a: _fixed_form(fam.dim, a.degree + fam.step),
                        higher=lambda lifted: _fixed_form(fam.dim, fam.form_degree_of(2 - len(lifted))))
 
     return spoiled_family

@@ -115,3 +115,20 @@ def test_degree_2_tower_digest(monkeypatch, target, attr, mutant, failed, digest
     report = run_campaign(CampaignConfig(**DEGREE_2_TOWER))
     assert (report.failed, len(report.checks)) == (failed, 26)
     assert _digest(report) == digest
+
+
+# ``to_json`` sorts its keys, so the digests above cannot see the order of the config line or of the failure
+# lines that ``to_text`` writes; these pin the text report without its last line, the run's wall time
+@pytest.mark.parametrize(
+    "config, mutant, digest",
+    [
+        ({}, None, "9bbecba9b655aefe932254175f281982c28fee2f35ddf22c1c4c17dfc7bbb483"),
+        (FAILING_CONFIG, doubled_wedge, "f49f94faab222b376402767a42da287964b6bbe2622ba868c7962b8e56eb412b"),
+    ],
+    ids=["default", "wedge"],
+)
+def test_text_report_digest(monkeypatch, config, mutant, digest):
+    if mutant:
+        monkeypatch.setattr(_Alternating, "wedge", mutant(_Alternating.wedge))
+    text = run_campaign(CampaignConfig(**config)).to_text()
+    assert hashlib.sha256(text[: text.rindex("\n", 0, -1) + 1].encode()).hexdigest() == digest

@@ -1,6 +1,8 @@
 """The package runs on the standard library alone: ``dependencies = []`` stays empty."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,3 +35,11 @@ def test_project_declares_no_dependencies():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == []
+
+
+def test_cli_and_campaign_load_neither_dataclasses_nor_typing():
+    # plain-class records keep dataclasses, and the inspect, ast, dis and tokenize it loads, out of every run
+    code = "import sys, koszul.cli, koszul.campaign; print(*sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                         capture_output=True, text=True, check=True).stdout
+    assert {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"} & set(out.split()) == set()
