@@ -1,16 +1,14 @@
 """Verification campaigns: run the identity suites on seeded random inputs
 and assemble machine-readable reports.
 
-Every suite is a generator of check rows (``Check``): suite, input stream,
-named residuals and an optional mutant message.  The stream yields one
+Every suite is a generator of check rows in ``_SUITE_ROWS``, the one table of
+suites.  A row (``Check``) is its input stream, its named residuals and an
+optional mutant message; its suite is its table key.  The stream yields one
 argument tuple per trial, and each named check passes when its
-``residual(*args)`` is exactly zero on every tuple.  The residuals of one row
-all run on a tuple before the next is drawn, so the stream may compute them
-for that sample: the operator row's stream evaluates all 14 relations on each
-form, and its checks read the results.  A row with a mutant message checks a
-deliberately broken identity: it passes at the first nonzero residual, else
-fails and reports the mutant.  One runner, ``_run``, counts the trials and
-renders every failure of every suite.
+``residual(*args)`` is exactly zero on every tuple.  A row with a mutant
+message checks a broken identity: it passes at the first nonzero residual,
+else fails and reports the mutant.  One runner, ``_run``, counts the trials
+and renders every failure.
 
 Each trial draws its inputs from ``trial_rng(seed, label, t)``, and the JSON
 rendering is canonical, so identical configs produce byte-identical reports.
@@ -58,9 +56,6 @@ from .randgen import random_form, random_polynomial, trial_rng
 from .symplectic import RELATIONS, SymplecticSpace, operator_relations
 from .volume import VolumeSpace, exact_divfree_vf, volume_family
 
-# the suites that take volume dimensions (and would silently run nothing for an empty list)
-_VOLUME_DIM_SUITES = ("linfty-volume", "all")
-
 # the recursion check costs about k_max^3: under a second at 200 on a
 # 2-core machine, over a minute at 800
 K_MAX = 200
@@ -70,7 +65,8 @@ K_MAX = 200
 # 2.5-3.2 s at 5 and 20-24 s at 6.  alt-relation, linfty-symplectic and poisson take 0.6, 1.2 and
 # 0.2 s at 40, but grow as n^2 and faster (layout(2n), the C(2n, 3) bases of the mixed L-infinity
 # row): linfty-symplectic takes 9 s at 80 and runs out of memory at 160 under a 2 GB address limit
-HALF_DIM_MAX = {"operators": 6, "chain": 6, "all": 6, "alt-relation": 40, "linfty-symplectic": 40, "poisson": 40}
+HALF_DIM_MAX = {"operators": 6, "chain": 6, "alt-relation": 40, "linfty-symplectic": 40, "poisson": 40}
+HALF_DIM_MAX["all"] = min(HALF_DIM_MAX.values())  # all runs every suite
 # linfty-volume draws (m-2)-forms on R^m, 2-2.6 times the cost per two dimensions; on the same
 # machine --suite linfty-volume --volume-dim 10, 12, 14, 16 take 0.9, 2.2, 5.4, 10.9 s
 VOLUME_DIM_MAX = 16
@@ -78,8 +74,8 @@ VOLUME_DIM_MAX = 16
 # --suite linfty-symplectic --trials 1 takes 0.08, 0.34, 0.50 s at A = 20, 30, 40 on --half-dim 1,
 # and 3.2, 3.6, 4.9 s at A = 10, 13, 40 on --half-dim 6, where brackets above arity 13 vanish
 ARITY_MAX = 40
-# suites with chain mutation rows that no linear input breaks (R2's, and a(5,j) on R4)
-_QUADRATIC_SUITES = ("chain", "all")
+# the linfty-volume identity rows stop at this arity, or at arity-max below it
+VOLUME_ARITY_MAX = 4
 
 
 # every field of a campaign's config, in report order, with its default
@@ -97,7 +93,8 @@ class CampaignConfig(namedtuple("CampaignConfig", _CONFIG_DEFAULTS, defaults=_CO
             raise ValueError("trials must be >= 1")
         if not 1 <= self.max_degree <= EXP_MAX:  # constant inputs make every identity vacuous
             raise ValueError(f"degree must be >= 1 and <= {EXP_MAX}")
-        if self.max_degree < 2 and self.suite in _QUADRATIC_SUITES:
+        members = _members(self.suite)
+        if self.max_degree < 2 and "chain" in members:  # no linear input breaks R2's chain mutants or a(5,j) on R4
             raise ValueError(f"degree must be >= 2 for suite {self.suite}: "
                              "linear inputs leave some chain mutation rows unbroken")
         if not 0 < self.density <= 1:
@@ -109,7 +106,7 @@ class CampaignConfig(namedtuple("CampaignConfig", _CONFIG_DEFAULTS, defaults=_CO
             raise ValueError(f"half-dimensions must be <= {cap} for suite {self.suite}: the cost grows steeply past it")
         if any(m < 3 for m in self.volume_dims):
             raise ValueError("volume dimensions must be >= 3")
-        if self.suite in _VOLUME_DIM_SUITES and any(m > VOLUME_DIM_MAX for m in self.volume_dims):
+        if "linfty-volume" in members and any(m > VOLUME_DIM_MAX for m in self.volume_dims):
             raise ValueError(f"volume dimensions must be <= {VOLUME_DIM_MAX} for suite {self.suite}: "
                              "each two dimensions cost 2-2.6x")
         for name, dims in (("half-dimensions", self.half_dims), ("volume dimensions", self.volume_dims)):
@@ -117,7 +114,7 @@ class CampaignConfig(namedtuple("CampaignConfig", _CONFIG_DEFAULTS, defaults=_CO
                 raise ValueError(f"{name} repeat: {','.join(map(str, dims))}")
         if not self.half_dims and self.suite in HALF_DIM_MAX:
             raise ValueError(f"suite {self.suite} needs at least one half-dimension")
-        if not self.volume_dims and self.suite in _VOLUME_DIM_SUITES:
+        if not self.volume_dims and "linfty-volume" in members:  # it would silently run nothing
             raise ValueError(f"suite {self.suite} needs at least one volume dimension")
         if not 1 <= self.arity_max <= ARITY_MAX:
             raise ValueError(f"arity-max must be in 1..{ARITY_MAX}: the identities cost about A^3")
@@ -131,16 +128,12 @@ class CampaignConfig(namedtuple("CampaignConfig", _CONFIG_DEFAULTS, defaults=_CO
 class CheckResult:
     __slots__ = ("suite", "name", "trials", "failures")
 
-    def __init__(self, suite: str, name: str, trials: int = 0, failures: list[dict] | None = None):
-        self.suite, self.name, self.trials = suite, name, trials
-        self.failures = [] if failures is None else failures
+    def __init__(self, suite: str, name: str):
+        self.suite, self.name, self.trials, self.failures = suite, name, 0, []
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def record(self, inputs: list[str], residual: str):
-        self.failures.append({"inputs": inputs, "residual": residual})
 
     def as_dict(self) -> dict:
         return {"suite": self.suite, "name": self.name, "trials": self.trials, "failures": self.failures,
@@ -176,9 +169,8 @@ class CampaignReport:
         return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
     def to_text(self) -> str:
-        lines = [f"koszul {__version__} verification campaign"]
-        cfg = self.config.as_dict()
-        lines.append("config: " + ", ".join(f"{k}={v}" for k, v in cfg.items()))
+        lines = [f"koszul {__version__} verification campaign",
+                 "config: " + ", ".join(f"{k}={v}" for k, v in self.config.as_dict().items())]
         for c in self.checks:
             status = "ok  " if c.ok else "FAIL"
             lines.append(f"  [{status}] {c.suite:18s} {c.name}  ({c.trials} trials)")
@@ -194,9 +186,9 @@ class CampaignReport:
 # -- the check table ----------------------------------------------------------
 
 
-class Check(namedtuple("Check", "suite inputs residuals mutant", defaults=(None,))):
-    """One check row: each of ``residuals``, ``{name: residual}`` in report
-    order, must vanish at every ``args`` in ``inputs``.
+class Check(namedtuple("Check", "inputs residuals mutant", defaults=(None,))):
+    """One check row, whose suite is its key in ``_SUITE_ROWS``: each of ``residuals``,
+    ``{name: residual}`` in report order, must vanish at every ``args`` in ``inputs``.
 
     Each input runs through every residual before the next is drawn, so a row's
     stream may compute the sample's residuals before it yields the sample, and
@@ -218,8 +210,8 @@ def _render(x) -> str:
     return render_form(x) if isinstance(x, DifferentialForm) else str(x)
 
 
-def _run(row: Check) -> list[CheckResult]:
-    checks = [CheckResult(row.suite, name) for name in row.residuals]
+def _run(suite: str, row: Check) -> list[CheckResult]:
+    checks = [CheckResult(suite, name) for name in row.residuals]
     for args in row.inputs:
         for check, residual_of in zip(checks, row.residuals.values()):
             residual = residual_of(*args)
@@ -228,9 +220,9 @@ def _run(row: Check) -> list[CheckResult]:
                 continue
             if row.mutant:
                 return checks
-            check.record([_render(x) for x in args], _render(residual))
+            check.failures.append({"inputs": [_render(x) for x in args], "residual": _render(residual)})
     if row.mutant:
-        checks[0].record([row.mutant], "no input broke the identity")
+        checks[0].failures.append({"inputs": [row.mutant], "residual": "no input broke the identity"})
     return checks
 
 
@@ -272,8 +264,7 @@ def operator_row(s: SymplecticSpace, cfg: CampaignConfig) -> Check:
                 residuals[:] = operator_relations(s, *args)
                 yield args
 
-    return Check("operators", inputs(), {f"R{s.dim} {name}": lambda a, i=i: residuals[i]
-                                         for i, name in enumerate(RELATIONS)})
+    return Check(inputs(), {f"R{s.dim} {name}": lambda a, i=i: residuals[i] for i, name in enumerate(RELATIONS)})
 
 
 def suite_operators(cfg: CampaignConfig) -> Iterable[Check]:
@@ -287,7 +278,7 @@ def suite_chain(cfg: CampaignConfig) -> Iterable[Check]:
         s = SymplecticSpace(n)
         label = f"R{2 * n}"
         for k in range(2, 2 * n + 1):
-            yield Check("chain", _stream(cfg, f"chain/{label}/k{k}", trials, _polys(cfg, s.dim, k + 1)),
+            yield Check(_stream(cfg, f"chain/{label}/k{k}", trials, _polys(cfg, s.dim, k + 1)),
                         {f"{label} partial(l~_{k}) = delta l~_{k + 1}": lambda *fs: verify_chain_identity(s, fs)})
         # mutation sensitivity: any perturbed coefficient must break some identity;
         # an unlucky draw can miss, so keep drawing before reporting a miss
@@ -296,9 +287,8 @@ def suite_chain(cfg: CampaignConfig) -> Iterable[Check]:
                 a = raised_coefficient(k, j)
                 inputs = (_polys(cfg, s.dim, kk + 1)(trial_rng(cfg.seed, f"chain-mut/{label}/k{kk}/a{k}_{j}", t))
                           for t in range(4 * trials) for kk in range(max(2, k - 1), min(2 * n, k) + 1))
-                yield Check("chain", inputs,
-                            {f"{label} mutation a({k},{j}) breaks the identity":
-                             lambda *fs: verify_chain_identity(s, fs, a)},
+                yield Check(inputs, {f"{label} mutation a({k},{j}) breaks the identity":
+                                     lambda *fs: verify_chain_identity(s, fs, a)},
                             f"a({k},{j}) -> {bracket_coefficient(k, j)} + 1")
 
 
@@ -308,7 +298,7 @@ def suite_alt_relation(cfg: CampaignConfig) -> Iterable[Check]:
         s = SymplecticSpace(n)
         label = f"R{2 * n}"
         for k in range(1, 6):
-            yield Check("alt-relation", _stream(cfg, f"alt/{label}/k{k}", trials, _polys(cfg, s.dim, k + 1)),
+            yield Check(_stream(cfg, f"alt/{label}/k{k}", trials, _polys(cfg, s.dim, k + 1)),
                         {f"{label} partial(Alt m_{k}) = (-delta + d Lam/{k}) Alt m_{k + 1}":
                          lambda *fs: verify_alt_m_identity(s, fs)})
 
@@ -320,21 +310,18 @@ def suite_linfty_symplectic(cfg: CampaignConfig) -> Iterable[Check]:
         identity = _identity(symplectic_family(s))
         label = f"R{2 * n}"
         for arity in range(1, cfg.arity_max + 1):
-            yield Check("linfty-symplectic",
-                        _stream(cfg, f"linfty/{label}/n{arity}", trials, _forms(cfg, s.dim, *[1] * arity)),
+            yield Check(_stream(cfg, f"linfty/{label}/n{arity}", trials, _forms(cfg, s.dim, *[1] * arity)),
                         {f"{label} identity n={arity} (ground args)": identity})
         # mixed complex degrees exercise groundedness
-        yield Check("linfty-symplectic",
-                    _stream(cfg, f"linfty-mixed/{label}", trials, _forms(cfg, s.dim, 1, 2, min(3, s.dim))),
+        yield Check(_stream(cfg, f"linfty-mixed/{label}", trials, _forms(cfg, s.dim, 1, 2, min(3, s.dim))),
                     {f"{label} identity n=3 (mixed degrees)": identity})
         # brackets above dim+1 vanish
-        yield Check("linfty-symplectic",
-                    _stream(cfg, f"linfty-top/{label}", trials, _forms(cfg, s.dim, *[1] * (s.dim + 2))),
+        yield Check(_stream(cfg, f"linfty-top/{label}", trials, _forms(cfg, s.dim, *[1] * (s.dim + 2))),
                     {f"{label} l_{s.dim + 2} = 0": lambda *forms: l_bracket(s, forms).form})
         # strict morphism and quotient congruence
-        yield Check("linfty-symplectic", _stream(cfg, f"morphism/{label}", cfg.trials, _forms(cfg, s.dim, 1, 1)),
+        yield Check(_stream(cfg, f"morphism/{label}", cfg.trials, _forms(cfg, s.dim, 1, 1)),
                     {f"{label} delta l_2(a,b) = {{delta a, delta b}}": partial(verify_strict_morphism, s)})
-        yield Check("linfty-symplectic", _stream(cfg, f"congruence/{label}", cfg.trials, _forms(cfg, s.dim, 1, 1)),
+        yield Check(_stream(cfg, f"congruence/{label}", cfg.trials, _forms(cfg, s.dim, 1, 1)),
                     {f"{label} quotient congruence witness": partial(verify_quotient_congruence, s)})
 
 
@@ -344,15 +331,14 @@ def suite_linfty_volume(cfg: CampaignConfig) -> Iterable[Check]:
         v = VolumeSpace(m)
         fam = volume_family(v)
         label = f"R{m}(vol)"
-        yield Check("linfty-volume", _stream(cfg, f"volume-vf/{label}", cfg.trials, _forms(cfg, m, m - 2)),
+        yield Check(_stream(cfg, f"volume-vf/{label}", cfg.trials, _forms(cfg, m, m - 2)),
                     {f"{label} iota_X mu = -d(potential)":
                      lambda alpha: contract_vector(exact_divfree_vf(v, alpha), v.mu) + d(alpha)})
-        for arity in range(1, min(4, cfg.arity_max) + 1):
-            yield Check("linfty-volume",
-                        _stream(cfg, f"linfty-vol/{label}/n{arity}", trials, _forms(cfg, m, *[m - 2] * arity)),
+        for arity in range(1, min(VOLUME_ARITY_MAX, cfg.arity_max) + 1):
+            yield Check(_stream(cfg, f"linfty-vol/{label}/n{arity}", trials, _forms(cfg, m, *[m - 2] * arity)),
                         {f"{label} identity n={arity} (ground args)": _identity(fam)})
         pairs = _stream(cfg, f"volume-exact/{label}", trials, _forms(cfg, m, m - 3, m - 2))
-        yield Check("linfty-volume", ((d(beta), alpha) for beta, alpha in pairs),
+        yield Check(((d(beta), alpha) for beta, alpha in pairs),
                     {f"{label} bracket kills d-exact arguments":
                      lambda exact, alpha: fam.l([fam.element(exact), fam.element(alpha)]).form})
 
@@ -361,23 +347,22 @@ def suite_poisson(cfg: CampaignConfig) -> Iterable[Check]:
     trials = max(5, cfg.trials // 3)
     for p in (standard_symplectic(1), standard_symplectic(2), sl2_dual(), zero_poisson(3)):
         label = p.name
-        yield Check("poisson",
-                    chain.from_iterable(_stream(cfg, f"poisson-delta/{label}/deg{degree}", trials,
+        yield Check(chain.from_iterable(_stream(cfg, f"poisson-delta/{label}/deg{degree}", trials,
                                                 _forms(cfg, p.dim, degree)) for degree in range(0, p.dim + 1)),
                     {f"{label} delta^2 = 0": lambda a: p.delta(p.delta(a))})
-        yield Check("poisson", _stream(cfg, f"poisson-ob/{label}", trials, _polys(cfg, p.dim, 3)),
+        yield Check(_stream(cfg, f"poisson-ob/{label}", trials, _polys(cfg, p.dim, 3)),
                     {f"{label} obstruction identity": partial(obstruction_identity_residual, p)})
-        yield Check("poisson", _stream(cfg, f"poisson-jac/{label}", trials, _forms(cfg, p.dim, 1, 1, 1)),
+        yield Check(_stream(cfg, f"poisson-jac/{label}", trials, _forms(cfg, p.dim, 1, 1, 1)),
                     {f"{label} jacobiator vs obstruction": partial(jacobiator_residual, p)})
     # sl2star contraction identity: iota_pi(dx1^dx2^dx3) = v1 dx1 + v2 dx2 - v3 dx3
     p = sl2_dual()
     expected = parse_form("v1 dx1 + v2 dx2 - v3 dx3", 3)
-    yield Check("poisson", [(DifferentialForm.basis(3, range(3)),)],
+    yield Check([(DifferentialForm.basis(3, range(3)),)],
                 {"sl2star iota_pi(top) = v1 dx1 + v2 dx2 - v3 dx3": lambda top: contract_bivector(p.pi, top) - expected})
     # symplectic witness: obstruction = delta(witness), exactly
     for n in cfg.half_dims:
         s = SymplecticSpace(n)
-        yield Check("poisson", _stream(cfg, f"poisson-witness/R{2 * n}", trials, _polys(cfg, s.dim, 3)),
+        yield Check(_stream(cfg, f"poisson-witness/R{2 * n}", trials, _polys(cfg, s.dim, 3)),
                     {f"standard-symplectic({n}) obstruction = delta(witness)": partial(symplectic_witness_residual, s)})
 
 
@@ -386,14 +371,13 @@ def _mismatch(label: str, lhs: Fraction, rhs: Fraction) -> Polynomial:
 
 
 def suite_coefficients(cfg: CampaignConfig) -> Iterable[Check]:
-    yield Check("coefficients", coefficient_recursions(cfg.k_max),
-                {f"recursions and inductive formulas, k <= {cfg.k_max}": _mismatch})
+    yield Check(coefficient_recursions(cfg.k_max), {f"recursions and inductive formulas, k <= {cfg.k_max}": _mismatch})
     expected = {
         (2, 0): Fraction(1), (3, 1): Fraction(1, 2), (4, 1): Fraction(1, 3),
         (5, 1): Fraction(1, 4), (5, 2): Fraction(1, 24),
     }
     anchored = ((f"a({k},{j})", bracket_coefficient(k, j), val) for (k, j), val in sorted(expected.items()))
-    yield Check("coefficients", anchored, {"anchored values a(2,0)..a(5,2)": _mismatch})
+    yield Check(anchored, {"anchored values a(2,0)..a(5,2)": _mismatch})
 
 
 _SUITE_ROWS = {
@@ -408,9 +392,13 @@ _SUITE_ROWS = {
 SUITES = (*_SUITE_ROWS, "all")
 
 
+def _members(suite: str) -> tuple[str, ...]:
+    """The suites that a config of ``suite`` runs: every suite of the table for ``all``."""
+    return tuple(_SUITE_ROWS) if suite == "all" else (suite,)
+
+
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     cfg.validate()
     started = time.monotonic()
-    names = _SUITE_ROWS if cfg.suite == "all" else (cfg.suite,)
-    checks = [check for name in names for row in _SUITE_ROWS[name](cfg) for check in _run(row)]
+    checks = [check for suite in _members(cfg.suite) for row in _SUITE_ROWS[suite](cfg) for check in _run(suite, row)]
     return CampaignReport(cfg, checks, time.monotonic() - started)

@@ -9,7 +9,8 @@ expression errors, or an output that cannot be written. A refusal raises
 ``UsageError`` (or ``FormSyntaxError``) where it is found, and ``main`` alone
 reports it: one ``error:`` (``parse error:``) line on stderr. An evaluation
 whose exponents grow past EXP_MAX is refused the same way; a ValueError raised
-elsewhere is a program fault.
+elsewhere is a program fault. A refusal or timing line that stderr cannot take
+is dropped, and the exit code stays the one the run earned.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import re
 import sys
 
 from .brackets import symplectic_family
-from .campaign import ARITY_MAX, HALF_DIM_MAX, K_MAX, SUITES, VOLUME_DIM_MAX, CampaignConfig, run_campaign
+from .campaign import (ARITY_MAX, HALF_DIM_MAX, K_MAX, SUITES, VOLUME_ARITY_MAX, VOLUME_DIM_MAX, CampaignConfig,
+                       _members, run_campaign)
 from .forms import d
 from .grammar import FormSyntaxError, parse_form, render_form
 from .poly import EXP_MAX, ExponentOverflow
@@ -49,21 +51,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a verification campaign")
     cfg, listed = CampaignConfig(), lambda dims: ",".join(map(str, dims))  # every default is the campaign's own
+    caps = "; ".join(f"{', '.join(s for s in HALF_DIM_MAX if HALF_DIM_MAX[s] == cap)}: <= {cap}"
+                     for cap in dict.fromkeys(HALF_DIM_MAX.values()))  # each cap's suites, in table order
     pv.add_argument("--suite", default=cfg.suite, choices=SUITES)
     pv.add_argument("--half-dim", dest="half_dims", type=_int_list, default=cfg.half_dims, metavar="N[,N...]",
-                    help=f"half-dimensions for symplectic suites (default {listed(cfg.half_dims)}; operators, chain, all: "
-                         f"<= {HALF_DIM_MAX['all']}; alt-relation, linfty-symplectic, poisson: <= {HALF_DIM_MAX['poisson']})")
+                    help=f"half-dimensions for symplectic suites (default {listed(cfg.half_dims)}; {caps})")
     pv.add_argument("--volume-dim", dest="volume_dims", type=_int_list, default=cfg.volume_dims, metavar="M[,M...]",
                     help=f"dimensions for the volume suite (default {listed(cfg.volume_dims)}; 3..{VOLUME_DIM_MAX})")
     pv.add_argument("--degree", dest="max_degree", type=int, default=cfg.max_degree, metavar="DEGREE",
-                    help=f"max polynomial degree of random inputs, 1..{EXP_MAX}; chain, all: 2..{EXP_MAX} (constant"
-                         " inputs check nothing, linear ones leave some chain mutants unbroken)")
+                    help=f"max polynomial degree of random inputs, 1..{EXP_MAX}; "
+                         f"{', '.join(s for s in SUITES if 'chain' in _members(s))}: 2..{EXP_MAX} (constant inputs "
+                         "check nothing, linear ones leave some chain mutants unbroken)")
     pv.add_argument("--density", type=float, default=cfg.density, help="basis-term density of random forms")
     pv.add_argument("--trials", type=int, default=cfg.trials)
     pv.add_argument("--seed", type=int, default=cfg.seed)
     pv.add_argument("--arity-max", type=int, default=cfg.arity_max,
                     help=f"highest identity arity to check, 1..{ARITY_MAX} (the check costs about A^3); "
-                         "the linfty-volume identities stop at arity 4")
+                         f"the linfty-volume identities stop at arity {VOLUME_ARITY_MAX}")
     pv.add_argument("--k-max", type=int, default=cfg.k_max,
                     help=f"coefficient recursion bound, 2..{K_MAX} (the check costs about k^3)")
     pv.add_argument("--format", dest="fmt", default="text", choices=("text", "json"))
@@ -126,6 +130,14 @@ def _write(text: str, path: str | None = None, mode: str = "w"):
         raise UsageError(f"cannot write {f'report to {path}' if path else 'output to stdout'}: {exc.strerror}") from None
 
 
+def _note(line: str):
+    """Print ``line`` on stderr, or drop it if stderr cannot take it, as argparse drops its own messages."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:  # as in _write, the buffer's rest goes to the null device, not to the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+
+
 def cmd_verify(args) -> int:
     cfg = CampaignConfig(**{name: getattr(args, name) for name in CampaignConfig._fields})
     _checked(cfg.validate)
@@ -139,9 +151,8 @@ def cmd_verify(args) -> int:
         if created:
             os.remove(args.out)
         raise
-    if args.fmt == "json":
-        # kept out of the report payload so identical configs stay byte-identical
-        print(f"completed in {report.duration_s:.2f}s", file=sys.stderr)
+    if args.fmt == "json":  # kept out of the report payload so identical configs stay byte-identical
+        _note(f"completed in {report.duration_s:.2f}s")
     return 0 if report.failed == 0 else 1
 
 
@@ -190,9 +201,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except FormSyntaxError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+        _note(f"parse error: {exc}")
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
     return USAGE_ERROR
 
 

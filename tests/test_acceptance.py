@@ -75,7 +75,7 @@ def test_criterion_1_operator_relation_suite():
     with criterion(1, "operator relation suite exact on R2 and R4, 50 forms per degree", 10.0):
         for n in (1, 2):
             s = SymplecticSpace(n)
-            reports = _run(operator_row(s, CampaignConfig(trials=50, max_degree=3, seed=SEED)))
+            reports = _run("operators", operator_row(s, CampaignConfig(trials=50, max_degree=3, seed=SEED)))
             assert len(reports) == 14
             for report in reports:
                 assert report.trials == 50 * (2 * n + 1)

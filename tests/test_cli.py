@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from koszul.campaign import HALF_DIM_MAX, SUITES, VOLUME_DIM_MAX, CampaignConfig, CampaignReport, Check, run_campaign
+from koszul.campaign import (ARITY_MAX, HALF_DIM_MAX, SUITES, VOLUME_ARITY_MAX, VOLUME_DIM_MAX, CampaignConfig,
+                             CampaignReport, Check, run_campaign)
 from koszul.cli import main
+from koszul.poly import EXP_MAX
 from koszul.symplectic import SymplecticSpace
 
 
@@ -307,7 +309,7 @@ def test_verify_exit_1_on_failure(capsys, monkeypatch):
     from koszul.grammar import parse_form
 
     def broken_row(s, cfg):
-        return Check("operators", [(parse_form("dx1", s.dim),)], {"planted failure": lambda a: a})
+        return Check([(parse_form("dx1", s.dim),)], {"planted failure": lambda a: a})
 
     monkeypatch.setattr(campaign, "operator_row", broken_row)
     code, out, _ = run_cli(capsys, ["verify", "--suite", "operators"])
@@ -323,7 +325,7 @@ def test_counterexamples_are_replayable(capsys, monkeypatch):
 
     def broken_row(s, cfg):
         inputs = [(parse_form("v1 dx1^dx2", s.dim), parse_form("3 dx2", s.dim))]
-        return Check("operators", inputs, {"planted failure": lambda a, b: parse_form("1/2 dx1", s.dim)})
+        return Check(inputs, {"planted failure": lambda a, b: parse_form("1/2 dx1", s.dim)})
 
     monkeypatch.setattr(campaign, "operator_row", broken_row)
     code, out, _ = run_cli(capsys, ["verify", "--suite", "operators", "--format", "json"])
@@ -493,6 +495,33 @@ def test_unwritable_output_is_one_line_and_exit_2(argv, target):
     assert proc.stderr.splitlines() == [f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}"]
 
 
+FULL_STDERR = {
+    "verify-refused": (["verify", "--trials", "0"], 2),
+    "eval-parse-error": (["eval", "v1 +"], 2),
+    "bracket-refused": (["bracket", "--symplectic", "1", "--arity", "3", "v1 dx2"], 2),
+    "verify-json-out": (["verify", "--suite", "coefficients", "--format", "json", "--out"], 0),
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, code", FULL_STDERR.values(), ids=FULL_STDERR.keys())
+def test_unwritable_stderr_keeps_the_exit_code(tmp_path, argv, code):
+    # a line that stderr cannot take is dropped: a refusal still exits 2 and a written report 0, where the
+    # OSError of the print escaped as a traceback (exit 1), or the exit flush of stderr's buffer failed (120)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    out = [str(tmp_path / "full.json")] if argv[-1] == "--out" else []
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "koszul.cli", *argv, *out], env=env, stdout=subprocess.PIPE,
+                              stderr=full, text=True)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    if out:
+        proc = subprocess.run([sys.executable, "-m", "koszul.cli", *argv, str(tmp_path / "open.json")], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stderr.startswith("completed in ")
+        assert (tmp_path / "full.json").read_bytes() == (tmp_path / "open.json").read_bytes()
+
+
 @pytest.mark.parametrize("flag, dims", [("--half-dim", "1,1"), ("--volume-dim", "3,4,3")])
 def test_verify_repeated_dimensions_exit_2(capsys, flag, dims):
     # a repeated dimension would run, and report, every check of that space twice
@@ -541,6 +570,47 @@ def test_volume_dim_ceiling_is_inclusive_and_only_where_used():
     CampaignConfig(suite="operators", volume_dims=(VOLUME_DIM_MAX + 1,)).validate()  # no volume suite runs
     with pytest.raises(ValueError, match=f"<= {VOLUME_DIM_MAX} for suite all"):
         CampaignConfig(volume_dims=(VOLUME_DIM_MAX + 1,)).validate()
+
+
+def refused(cfg: CampaignConfig) -> bool:
+    try:
+        cfg.validate()
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("half_dims", [(1, 6), (1, 7), (1, 40), (1, 41)])
+@pytest.mark.parametrize("max_degree", [1, 2])
+@pytest.mark.parametrize("volume_dims", [(), (3,), (17,)])
+def test_all_is_refused_exactly_when_a_member_suite_is(half_dims, max_degree, volume_dims):
+    fields = {"half_dims": half_dims, "max_degree": max_degree, "volume_dims": volume_dims}
+    members = [suite for suite in SUITES if suite != "all"]
+    assert refused(CampaignConfig(suite="all", **fields)) == any(
+        refused(CampaignConfig(suite=suite, **fields)) for suite in members)
+
+
+def test_verify_help_states_each_suite_limit(capsys, monkeypatch):
+    # the help reads the limits that validate applies: each capped suite beside its cap, the suites that
+    # refuse degree 1, and the arity at which the linfty-volume identity rows stop
+    monkeypatch.setenv("COLUMNS", "100")
+    code, out, _ = run_cli(capsys, ["verify", "--help"])
+    assert code == 0
+    text = " ".join(out.split())
+    groups = text.split("(default 1,2; ", 1)[1].split(")", 1)[0].split("; ")
+    stated = {suite: int(cap) for group in groups for names, cap in [group.split(": <= ")]
+              for suite in names.split(", ")}
+    assert stated == HALF_DIM_MAX
+    for group in groups:  # each cap's suites in table order
+        names = group.split(": <= ")[0].split(", ")
+        assert names == [suite for suite in HALF_DIM_MAX if suite in names]
+    quadratic = [suite for suite in SUITES if refused(CampaignConfig(suite=suite, max_degree=1))]
+    assert quadratic == ["chain", "all"]
+    assert f"1..{EXP_MAX}; {', '.join(quadratic)}: 2..{EXP_MAX} (" in text
+    report = run_campaign(CampaignConfig(suite="linfty-volume", volume_dims=(3,), trials=1, arity_max=ARITY_MAX))
+    stop = max(int(c.name.split("identity n=")[1].split()[0]) for c in report.checks if "identity n=" in c.name)
+    assert stop == VOLUME_ARITY_MAX
+    assert f"the linfty-volume identities stop at arity {stop}" in text
 
 
 @pytest.mark.parametrize("half_dim, seed, check", [(2, 158000007, "a(5,0)"), (3, 92, "a(7,1)")])

@@ -211,7 +211,7 @@ def test_relation_table_is_complete(s1):
 def relation_reports(s, trials, max_degree, seed, density=0.7):
     """The operator row of ``s`` run through the campaign runner: one result per relation."""
     cfg = CampaignConfig(trials=trials, max_degree=max_degree, seed=seed, density=density)
-    return _run(operator_row(s, cfg))
+    return _run("operators", operator_row(s, cfg))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -229,7 +229,7 @@ def test_report_records_counterexamples(s1):
     assert all(r.ok for r in reports)
     # manual negative control: H = identity is wrong
     samples = [(rand_form("neg", t, 2, 1),) for t in range(3)]
-    (bad,) = _run(Check("operators", samples, {"fake": lambda a: s1.H(a) - a}))
+    (bad,) = _run("operators", Check(samples, {"fake": lambda a: s1.H(a) - a}))
     assert bad.trials == 3 and not bad.ok
     assert bad.failures[0]["inputs"] == [render_form(samples[0][0])]
 
