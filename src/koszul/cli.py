@@ -6,11 +6,11 @@
 
 Exit codes: 0 all checks pass, 1 at least one identity failure, 2 usage or
 expression errors, or an output that cannot be written. A refusal raises
-``UsageError`` (or ``FormSyntaxError``) where it is found, and ``main`` alone
-reports it: one ``error:`` (``parse error:``) line on stderr. An evaluation
-whose exponents grow past EXP_MAX is refused the same way; a ValueError raised
-elsewhere is a program fault. A refusal or timing line that stderr cannot take
-is dropped, and the exit code stays the one the run earned.
+``UsageError`` (or ``FormSyntaxError``) where it is found, an evaluation whose
+exponents grow past EXP_MAX is refused alike, and a ValueError raised elsewhere
+is a program fault. ``main`` alone turns every refusal and every unwritable
+stream into the exit code: one ``error:`` (``parse error:``) line on stderr,
+dropped if stderr cannot take it; a stream that fails, argparse's too, keeps the code.
 """
 
 from __future__ import annotations
@@ -107,11 +107,11 @@ def _check_dim(dim: int) -> int:
     return dim
 
 
-def _checked(call, *args, refuse=ValueError):
-    """``call(*args)`` on the user's input, whose ``refuse`` error is a usage error, not a program fault."""
+def _checked(call, *args):
+    """``call(*args)`` on the user's input, whose ValueError is a usage error, not a program fault."""
     try:
         return call(*args)
-    except refuse as exc:
+    except ValueError as exc:
         raise UsageError(exc) from None
 
 
@@ -125,8 +125,6 @@ def _write(text: str, path: str | None = None, mode: str = "w"):
         with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        if not path:  # what the buffer still holds would fail again in the interpreter's exit flush
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise UsageError(f"cannot write {f'report to {path}' if path else 'output to stdout'}: {exc.strerror}") from None
 
 
@@ -134,8 +132,8 @@ def _note(line: str):
     """Print ``line`` on stderr, or drop it if stderr cannot take it, as argparse drops its own messages."""
     try:
         print(line, file=sys.stderr)
-    except OSError:  # as in _write, the buffer's rest goes to the null device, not to the exit flush
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    except OSError:
+        pass
 
 
 def cmd_verify(args) -> int:
@@ -145,7 +143,7 @@ def cmd_verify(args) -> int:
     if args.out:  # refuse an unwritable report path before the campaign spends its time; "a" keeps its content
         _write("", args.out, "a")
     try:
-        report = _checked(run_campaign, cfg, refuse=ExponentOverflow)
+        report = run_campaign(cfg)
         _write(report.to_json() if args.fmt == "json" else report.to_text(), args.out)  # replaced only now
     except BaseException:  # a refused, interrupted or unwritten run leaves no file of its own making behind
         if created:
@@ -167,7 +165,7 @@ def cmd_eval(args) -> int:
     for op in args.apply:
         if op != "d" and space is None:
             raise UsageError(f"operator {op} needs --symplectic")
-        form = _checked(d if op == "d" else getattr(space, _OPERATORS[op]), form, refuse=ExponentOverflow)
+        form = (d if op == "d" else getattr(space, _OPERATORS[op]))(form)
     _write(render_form(form) + "\n")
     return 0
 
@@ -189,7 +187,7 @@ def cmd_bracket(args) -> int:
         if k >= 2 and f.degree != fam.ground_form_degree and not f.is_zero():
             raise UsageError(f"arity {k} bracket takes degree-{fam.ground_form_degree} forms, got degree {f.degree}")
     elems = [_checked(fam.element, f) for f in forms]
-    _write(render_form(_checked(fam.l, elems, refuse=ExponentOverflow).form) + "\n")
+    _write(render_form(fam.l(elems).form) + "\n")
     return 0
 
 
@@ -197,13 +195,19 @@ _COMMANDS = {"verify": cmd_verify, "eval": cmd_eval, "bracket": cmd_bracket}
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # argparse exits itself, through the finally below
         return _COMMANDS[args.command](args)
     except FormSyntaxError as exc:
         _note(f"parse error: {exc}")
-    except UsageError as exc:
+    except (UsageError, ExponentOverflow) as exc:
         _note(f"error: {exc}")
+    finally:
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except OSError:  # what the buffer still holds would fail again in the interpreter's exit flush
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     return USAGE_ERROR
 
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -602,6 +603,36 @@ def test_lefschetz_sum_default_scale_is_the_rational_sum(n):
             assert Fraction in _coefficient_types([out]) or out.is_zero(), f"k={k}: 1/k was not applied"
             assert lefschetz_sum(s, _alt_sum(fs), a, scale=6 * k) == out * (6 * k), f"k={k}"
             assert tilde_l(s, fs, a) == out, f"k={k}"
+
+
+def _lefschetz_bases(s):
+    """(k, r, L^r eta) for each k <= 2n + 1 and r with s' = k - 1 - 2r >= 0 and r + s' <= n, where
+    eta = f dq_1^...^dq_s' holds no Darboux pair, so it is primitive (Lam eta = 0) and L^r eta != 0."""
+    for k in range(2, s.dim + 2):
+        for r in range((k - 1) // 2 + 1):
+            degree = k - 1 - 2 * r
+            if r + degree <= s.n:
+                base = rand_poly(f"lam-{s.n}-{k}-{r}", 0, s.dim) * DifferentialForm.basis(s.dim, range(0, 2 * degree, 2))
+                for _ in range(r):
+                    base = s.L(base)
+                assert base, (k, r)
+                yield k, r, base
+
+
+@pytest.mark.parametrize("n, scalars", [(1, 2), (2, 5), (3, 9), (4, 14), (5, 20), (6, 27)])
+def test_lefschetz_sum_is_the_closed_form_scalar(n, scalars):
+    # on L^r eta, P_k/k is the scalar lambda_k(r)/k, lambda_k(r) = (-1)^k C(n+r+1, r) / C(k-1, r)
+    # (CONVENTIONS.md, "Bracket families"), and each raised a(k, j) moves it on some basis of that k
+    s = SymplecticSpace(n)
+    bases = list(_lefschetz_bases(s))
+    assert len(bases) == scalars
+    for k, r, base in bases:
+        assert lefschetz_sum(s, base) == base * Fraction((-1) ** k * comb(n + r + 1, r), comb(k - 1, r) * k), (k, r)
+    raises = [(k, j) for k in range(2, s.dim + 2) for j in range((k - 1) // 2 + 1)]
+    assert len(raises) == (n + 1) ** 2 - 1
+    for k, j in raises:
+        a = raised_coefficient(k, j)
+        assert any(lefschetz_sum(s, base, a) != lefschetz_sum(s, base) for kk, _, base in bases if kk == k), (k, j)
 
 
 def test_lefschetz_sum_applies_L_once_per_lam_power(monkeypatch):

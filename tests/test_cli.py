@@ -500,6 +500,10 @@ FULL_STDERR = {
     "eval-parse-error": (["eval", "v1 +"], 2),
     "bracket-refused": (["bracket", "--symplectic", "1", "--arity", "3", "v1 dx2"], 2),
     "verify-json-out": (["verify", "--suite", "coefficients", "--format", "json", "--out"], 0),
+    # argparse's own refusals: it drops its message, and main's exit flush sends the buffer to the null device
+    "verify-unknown-option": (["verify", "--bogus"], 2),
+    "verify-unknown-suite": (["verify", "--suite", "nope"], 2),
+    "unknown-option": (["--bogus"], 2),
 }
 
 
@@ -520,6 +524,18 @@ def test_unwritable_stderr_keeps_the_exit_code(tmp_path, argv, code):
                               capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stderr.startswith("completed in ")
         assert (tmp_path / "full.json").read_bytes() == (tmp_path / "open.json").read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=["help", "verify-help"])
+def test_help_on_unwritable_stdout_exits_0(argv):
+    # argparse drops the help it cannot print and exits 0; the buffer it leaves must not fail the exit flush (120)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "koszul.cli", *argv], env=env, stdout=full,
+                              stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("flag, dims", [("--half-dim", "1,1"), ("--volume-dim", "3,4,3")])
