@@ -153,6 +153,8 @@ class _Alternating(_Terms):
 class DifferentialForm(_Alternating):
     """Homogeneous differential form of fixed degree."""
 
+    __slots__ = ()
+
     @classmethod
     def from_polynomial(cls, p: Polynomial) -> "DifferentialForm":
         return cls._raw(p.dim, 0, p.packed)
@@ -170,6 +172,8 @@ class DifferentialForm(_Alternating):
 
 class MultiVectorField(_Alternating):
     """Homogeneous multivector field of fixed degree."""
+
+    __slots__ = ()
 
     def __repr__(self):
         from .grammar import render_multivector

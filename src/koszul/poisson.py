@@ -1,9 +1,11 @@
-"""Polynomial Poisson bivectors: brackets, the degree-lowering differential,
-and the residual identities controlling the bracket lift to 1-forms.
+"""Polynomial Poisson structures and the residual identities of the bracket lift to 1-forms.
 
-The bracket is {f, g} = iota_pi(df ^ dg) and the differential is
-delta = iota_pi d - d iota_pi, with the contraction order pinned in ``forms``.
-delta^2 = 0 exactly iff pi is Poisson.
+Each space speaks one protocol: ``dim``, ``name``, ``pi``, ``poisson_bracket(f, g)``
+and ``delta(a)``.  ``PoissonSpace`` is the generic route, for any bivector:
+{f, g} = iota_pi(df ^ dg) and delta = iota_pi d - d iota_pi, with the
+contraction order pinned in ``forms``; delta^2 = 0 exactly iff pi is Poisson.
+``standard_symplectic(n)`` is the ``SymplecticSpace``, on its Darboux kernels,
+which the tests check against the generic route on its pi.
 
 For every bivector, Poisson or not, the following holds identically (all
 signs under the pinned conventions, where delta(f dg) = {f, g}):
@@ -19,12 +21,11 @@ holds for every bivector.  So of the checks run on a bivector, only
 delta^2 = 0 tells a Poisson one from one that is not.
 
 Like the bracket-layer checks of ``brackets``, the witness and jacobiator
-checks compute D times their residual, D = 3 and 4, from the integer sums
+checks compute D = 3 and 4 times their residual from the integer sums
 f dg - g df, f dg^dh + cyc and f{g,h} + cyc, so on integer inputs they stay
-over Z with no Fraction.  They divide by D (``poly._unscaled``) only a nonzero
-residual, which then reads as the unscaled value.  ``omega1_bracket`` and
-``symplectic_obstruction_witness`` keep their exact rational values, built
-from the same integer sums.
+over Z with no Fraction, and divide by D (``poly._unscaled``) only a nonzero
+residual.  ``omega1_bracket`` and ``symplectic_obstruction_witness`` keep
+their exact rational values, built from the same integer sums.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .symplectic import SymplecticSpace
 
 
 class PoissonSpace:
-    """R^m with a polynomial Poisson bivector."""
+    """R^m with a polynomial Poisson bivector, on the generic route: every contraction is by pi."""
 
     def __init__(self, m: int, pi: MultiVectorField, name: str = "custom"):
         if pi.dim != m or pi.degree != 2:
@@ -49,7 +50,7 @@ class PoissonSpace:
     def __repr__(self):
         return f"PoissonSpace({self.name}, m={self.dim})"
 
-    def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
+    def poisson_bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
         """{f, g} = iota_pi(df ^ dg); an antisymmetric biderivation."""
         return contract_bivector(self.pi, d_poly(f).wedge(d_poly(g))).as_polynomial()
 
@@ -61,13 +62,9 @@ class PoissonSpace:
 # -- presets ------------------------------------------------------------------
 
 
-def standard_symplectic(n: int) -> PoissonSpace:
-    """The bivector of the standard symplectic structure on R^(2n)."""
-    return _standard(SymplecticSpace(n))
-
-
-def _standard(s: SymplecticSpace) -> PoissonSpace:
-    return PoissonSpace(s.dim, s.pi, name=f"standard-symplectic({s.n})")
+def standard_symplectic(n: int) -> SymplecticSpace:
+    """The standard symplectic structure on R^(2n), on its Darboux kernels."""
+    return SymplecticSpace(n)
 
 
 def sl2_dual() -> PoissonSpace:
@@ -99,7 +96,7 @@ def _omega(f: Polynomial, g: Polynomial) -> DifferentialForm:
 
 def _with_brackets(p: PoissonSpace, f, g, h) -> list:
     """[(f, {g,h}), (g, {h,f}), (h, {f,g})]: the cyclic terms, each bracket computed once."""
-    return [(a, p.bracket(b, c)) for a, b, c in _cyclic(f, g, h)]
+    return [(a, p.poisson_bracket(b, c)) for a, b, c in _cyclic(f, g, h)]
 
 
 def _obstruction(m: int, terms) -> DifferentialForm:
@@ -128,9 +125,7 @@ def _bracket_cycle(m: int, terms) -> Polynomial:
     return sum((a * bc for a, bc in terms), Polynomial.zero(m))
 
 
-def obstruction_identity_residual(
-    p: PoissonSpace, f: Polynomial, g: Polynomial, h: Polynomial
-) -> DifferentialForm:
+def obstruction_identity_residual(p: PoissonSpace, f: Polynomial, g: Polynomial, h: Polynomial) -> DifferentialForm:
     """Residual of 2 delta(f dg^dh + cyc) - d(f{g,h} + cyc) + 3 obstruction = 0.
 
     Vanishes identically for every bivector, Poisson or not; this is the
@@ -146,27 +141,22 @@ def _witness_sum(s: SymplecticSpace, f, g, h, terms) -> DifferentialForm:
     return _wedge_cycle(s.dim, f, g, h) * 2 + s.omega * _bracket_cycle(s.dim, terms)
 
 
-def symplectic_obstruction_witness(
-    s: SymplecticSpace, f: Polynomial, g: Polynomial, h: Polynomial
-) -> DifferentialForm:
+def symplectic_obstruction_witness(s: SymplecticSpace, f: Polynomial, g: Polynomial, h: Polynomial) -> DifferentialForm:
     """A 2-form W with obstruction(f, g, h) = delta(W) on a symplectic space.
 
     Combining the identity above with d(u) = -delta(u omega) gives
     W = -(2/3)(f dg^dh + cyc) - (1/3)(f{g,h} + cyc) omega.
     """
-    return _witness_sum(s, f, g, h, _with_brackets(_standard(s), f, g, h)) * Fraction(-1, 3)
+    return _witness_sum(s, f, g, h, _with_brackets(s, f, g, h)) * Fraction(-1, 3)
 
 
-def symplectic_witness_residual(
-    s: SymplecticSpace, f: Polynomial, g: Polynomial, h: Polynomial
-) -> DifferentialForm:
+def symplectic_witness_residual(s: SymplecticSpace, f: Polynomial, g: Polynomial, h: Polynomial) -> DifferentialForm:
     """Residual of obstruction(f, g, h) = delta(W) for the witness W above.
 
     D = 3: 3 obstruction(f, g, h) + delta(2(f dg^dh + cyc) + (f{g,h} + cyc) omega).
     """
-    p = _standard(s)
-    terms = _with_brackets(p, f, g, h)
-    return _unscaled(_obstruction(s.dim, terms) * 3 + p.delta(_witness_sum(s, f, g, h, terms)), 3)
+    terms = _with_brackets(s, f, g, h)
+    return _unscaled(_obstruction(s.dim, terms) * 3 + s.delta(_witness_sum(s, f, g, h, terms)), 3)
 
 
 def omega1_bracket(p: PoissonSpace, alpha: DifferentialForm, beta: DifferentialForm) -> DifferentialForm:

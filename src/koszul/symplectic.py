@@ -40,6 +40,7 @@ For delta: iota_X d + d iota_X = d_X for a constant field X, hence per pair
 the degree its operator maps to, even outside 0..2n (``forms``).  All three add
 each term into their output dict as the kernels of ``forms`` do; L and Lam share
 one loop.  The bracket is X_f g = iota_{X_f} dg, one contraction by the field above.
+With ``pi`` and ``name`` the space speaks the protocol of ``poisson``'s spaces, as ``standard_symplectic``.
 """
 
 from __future__ import annotations
@@ -68,13 +69,14 @@ _TOGGLES = {step: _per_basis(partial(_toggle_entry, step)) for step in (2, -2)}
 
 
 class SymplecticSpace:
-    """R^{2n} with the standard constant symplectic form."""
+    """R^{2n} with the standard constant symplectic form; the standard Poisson space, on Darboux kernels."""
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("half-dimension must be >= 1")
         self.n = n
         self.dim = 2 * n
+        self.name = f"standard-symplectic({n})"
         one = Polynomial.constant(self.dim, 1)
         pairs = {(2 * i, 2 * i + 1): one for i in range(n)}
         self.omega = DifferentialForm(self.dim, 2, pairs)

@@ -78,9 +78,10 @@ def total_degree(p: Polynomial) -> int:
 
 
 def jacobi_residual(p, f: Polynomial, g: Polynomial, h: Polynomial) -> Polynomial:
-    """{f, {g, h}} + cyc over ``p.bracket``: the Jacobi identity, the oracle for a Poisson bivector that
+    """{f, {g, h}} + cyc over ``p.poisson_bracket``: the Jacobi identity, the oracle for a Poisson bivector that
     does not go through delta."""
-    return p.bracket(f, p.bracket(g, h)) + p.bracket(g, p.bracket(h, f)) + p.bracket(h, p.bracket(f, g))
+    br = p.poisson_bracket
+    return br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g))
 
 
 def jacobi_holds_on_coordinates(p) -> bool:

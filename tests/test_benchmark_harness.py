@@ -8,10 +8,13 @@ either fails here, in well under a second, instead of only in
 ``benchmarks/selftest.py``.
 """
 
+import importlib
 import inspect
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from koszul.campaign import CampaignConfig, run_campaign
 
@@ -19,6 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "benchmarks"))
 from layers import layer_metrics  # noqa: E402
 from tracer import Tracer, traced_functions  # noqa: E402
+from workloads import PINNED_SEED, WORKLOADS, campaign_kwargs  # noqa: E402
 
 
 def bindings() -> dict:
@@ -60,3 +64,13 @@ def test_randgen_spans_are_its_three_public_generators():
     # per integer drawn and inflate trace.overhead_s
     traced = {name for name in traced_functions() if name.startswith("randgen.")}
     assert traced == {f"randgen.{name}" for name in ("trial_rng", "random_polynomial", "random_form")}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_setup_probe_builds_every_workload(workload):
+    # run.py times benchmarks/setup_probe.py for setup_s: a name it imports that moves or goes away
+    # fails every benchmark run at set-up, so the probe is imported here, per workload
+    probe = importlib.import_module("setup_probe")
+    cfg = CampaignConfig(**campaign_kwargs(workload, PINNED_SEED))
+    cfg.validate()
+    assert probe.build(cfg)

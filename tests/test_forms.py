@@ -368,3 +368,9 @@ def test_empty_operands_give_the_zero_form_of_the_product_degree():
     assert a.wedge(zero1).degree == 3 and zero1.wedge(a).is_zero()
     assert (a * Polynomial.zero(4)).is_zero() and (a * Polynomial.zero(4)).degree == 2
     assert (DifferentialForm.zero(4, 2) * rand_poly("empty-op-p", 0, 4)).degree == 2
+
+
+def test_polynomials_and_forms_have_no_instance_dict():
+    # each class of the _Terms hierarchy declares __slots__; one that does not gives every instance a __dict__
+    for value in (Polynomial.coordinate(2, 0), DifferentialForm.basis(2, (0,)), MultiVectorField.basis(2, (0,))):
+        assert not hasattr(value, "__dict__"), type(value).__name__

@@ -49,6 +49,10 @@ QUOTIENT_CHECKS = {f"R{dim} quotient congruence witness" for dim in (2, 4)}
 JACOBIATOR_CHECKS = {f"{space} jacobiator vs obstruction" for space in POISSON_SPACES}
 OBSTRUCTION_CHECKS = ({f"{space} obstruction identity" for space in POISSON_SPACES}
                       | {f"standard-symplectic({n}) obstruction = delta(witness)" for n in (1, 2)})
+# the Poisson rows of the standard structure, which runs on the Darboux kernels: {f, g} = X_f g and delta.
+# A negated bracket breaks each, since its residual mixes terms linear in {,} with terms that take none
+STANDARD_POISSON_CHECKS = {f"standard-symplectic({n}) {row}" for n in (1, 2) for row in
+                           ("obstruction identity", "jacobiator vs obstruction", "obstruction = delta(witness)")}
 
 
 def relations(*names):
@@ -71,19 +75,18 @@ LEFSCHETZ_CHECKS = {
 MUTANTS = {
     # the bracket contracts by X_f; l_2 of the volume family contracts twice, so only its
     # arity-3 and arity-4 identities see a negated contraction
-    "contract_vector": BRACKET_CHECKS | VOLUME_CHECKS,
+    "contract_vector": BRACKET_CHECKS | VOLUME_CHECKS | STANDARD_POISSON_CHECKS,
     "exact_divfree_vf": VOLUME_CHECKS,
-    # the same as pi -> -pi, which is still Poisson: delta^2 = 0, the obstruction identity and
-    # the jacobiator hold for it, so only the checks that compare with a fixed value fail
-    "contract_bivector": {
-        "sl2star iota_pi(top) = v1 dx1 + v2 dx2 - v3 dx3",
-        "standard-symplectic(1) obstruction = delta(witness)",
-        "standard-symplectic(2) obstruction = delta(witness)",
-    },
-    "hamiltonian_vector_field": BRACKET_CHECKS,
-    # d_poly goes through d.  A negated d also negates the Poisson spaces' delta = [iota_pi, d],
-    # and their rows pass again; it fails the [L,delta] and [Lam,d] operator relations instead
-    "d": BRACKET_CHECKS | QUOTIENT_CHECKS | {f"R{dim} {rel}" for dim in (2, 4) for rel in ("[L,delta]=d", "[Lam,d]=delta")},
+    # the same as pi -> -pi on the generic route, which is still Poisson: delta^2 = 0, the obstruction
+    # identity and the jacobiator hold for it, so only the check that compares with a fixed value fails.
+    # The standard structure's Darboux delta and X_f never contract by pi
+    "contract_bivector": {"sl2star iota_pi(top) = v1 dx1 + v2 dx2 - v3 dx3"},
+    "hamiltonian_vector_field": BRACKET_CHECKS | STANDARD_POISSON_CHECKS,
+    # d_poly goes through d.  A negated d also negates sl2star's delta = [iota_pi, d], and its rows
+    # pass again; it negates f dg - g df but neither X_f g nor the Darboux delta, which fails the
+    # standard Poisson rows and the [L,delta] and [Lam,d] operator relations
+    "d": BRACKET_CHECKS | QUOTIENT_CHECKS | STANDARD_POISSON_CHECKS
+    | {f"R{dim} {rel}" for dim in (2, 4) for rel in ("[L,delta]=d", "[Lam,d]=delta")},
     # a negated df scales l_k by (-1)^(k-1), so every term of the n-th L-infinity identity by
     # (-1)^(n-1): an equivalent mutant for those rows.  Every other row that takes a df fails
     "d_poly": BRACKET_CHECKS | QUOTIENT_CHECKS | JACOBIATOR_CHECKS | OBSTRUCTION_CHECKS,
@@ -102,8 +105,10 @@ MUTANTS = {
     # d_poly goes through d) leave every identity of the campaign invariant, so nothing fails
     "_derivation": set(),
     # alt_m's terms take k-1 or k-2 wedges, so a negated wedge breaks alt_m itself, and with it
-    # some L-infinity rows; of the Poisson-space rows only the jacobiators fail
-    "wedge": BRACKET_CHECKS | QUOTIENT_CHECKS | JACOBIATOR_CHECKS
+    # some L-infinity rows.  It negates sl2star's {f, g} = iota_pi(df ^ dg), which only its jacobiator
+    # sees, and f dg^dh + cyc but not X_f g, which the standard obstruction identities and witnesses see
+    "wedge": BRACKET_CHECKS | QUOTIENT_CHECKS | {"sl2star jacobiator vs obstruction"}
+    | STANDARD_POISSON_CHECKS - {f"standard-symplectic({n}) jacobiator vs obstruction" for n in (1, 2)}
     | {"R2 identity n=3 (ground args)", "R4 identity n=3 (ground args)", "R4 identity n=5 (ground args)"},
     # a(k, j) -> -a(k, j) negates every l_k, k >= 2, which the arity-3 and arity-5 identities
     # see.  The chain rows are blind to a global sign of a(k, j), an equivalent mutant for them:
@@ -126,8 +131,10 @@ MUTANTS = {
     # k alt_m is on both sides of the chain and alt relations (equivalent there) and in every l_k,
     # k >= 2; the morphism and quotient rows compare it with {f, g} and d g f, which do not take it
     "_alt_sum": ODD_IDENTITY_CHECKS | MORPHISM_CHECKS | QUOTIENT_CHECKS,
-    # the bracket ce_partial and the morphism row take: it fails what a negated X_f fails
-    "poisson_bracket": BRACKET_CHECKS,
+    # the bracket ce_partial and the morphism row take, and the one every Poisson space speaks: it fails
+    # what a negated X_f fails, and sl2star's obstruction identity and jacobiator
+    "poisson_bracket": BRACKET_CHECKS | STANDARD_POISSON_CHECKS
+    | {"sl2star obstruction identity", "sl2star jacobiator vs obstruction"},
     # every l_k, k >= 2, of the volume family; the arity-3 and arity-4 identities mix terms with one
     # and with two of them, while arity 2 flips whole, iota_X mu takes none and the d-exact row's
     # l_2 is zero either way

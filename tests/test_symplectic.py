@@ -428,3 +428,33 @@ def test_relation_suite_evaluates_each_operator_once_per_sample(monkeypatch):
     samples = 2 * (s.dim + 1)
     assert all(r.ok and r.trials == samples for r in reports)
     assert s.calls == 26 * samples
+
+
+def _power(op, a, r: int):
+    for _ in range(r):
+        a = op(a)
+    return a
+
+
+def test_delta_on_the_lefschetz_decomposition():
+    # eta = f dq_1^...^dq_s holds no Darboux pair, so it is primitive.  d eta = d+ eta + L d- eta with
+    # d- eta = Lam d eta / (n-s+1), and delta(L^r eta) = -r L^(r-1) d+ eta + (n-s-r+1) L^r d- eta
+    # (CONVENTIONS.md, "Bracket families"); n = 1..6, s = 0..n, r = 0..n-s: 83 cases
+    cases = live = 0
+    for n in range(1, 7):
+        sp = SymplecticSpace(n)
+        for s in range(n + 1):
+            eta = rand_poly(f"dlef-{n}-{s}", 0, sp.dim) * DifferentialForm.basis(sp.dim, range(0, 2 * s, 2))
+            assert eta and sp.Lam(eta).is_zero(), (n, s)
+            minus = sp.Lam(d(eta)) * Fraction(1, n - s + 1)
+            plus = d(eta) - sp.L(minus)
+            assert sp.Lam(plus).is_zero() and sp.Lam(minus).is_zero(), (n, s)
+            for r in range(n - s + 1):
+                expected = _power(sp.L, minus, r) * (n - s - r + 1)
+                if r:
+                    expected = expected - _power(sp.L, plus, r - 1) * r
+                got = sp.delta(_power(sp.L, eta, r))
+                assert got == expected, (n, s, r)
+                cases += 1
+                live += bool(got)
+    assert (cases, live > cases // 2) == (83, True)
